@@ -11,20 +11,15 @@ from .algebra import (
     AugmentedBirack,
     AxiomCheck,
     AxiomReport,
-    birack_map,
-    characteristic,
     check_axioms,
     cycle_notation,
     derive_kink_map,
     format_birack,
     from_matrix,
     from_tables,
-    kink_map,
     matrix_to_tables,
     parse_birack,
     parse_birack_tables,
-    sideways,
-    sideways_inverse,
     tsr_birack,
 )
 from .data import (

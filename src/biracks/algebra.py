@@ -169,10 +169,10 @@ def _exchange_failures(alpha, beta, n):
     return bad
 
 
-def _kink_solutions(alpha, beta, n, x):
-    """All y with alpha_y(x) = beta_x(y); axiom (i) demands exactly one."""
-    return [y for y in range(1, n + 1)
-            if alpha[y - 1][x - 1] == beta[x - 1][y - 1]]
+def _kink_solutions(alpha, beta, n):
+    """For each x, all y with alpha_y(x) = beta_x(y); axiom (i) demands one."""
+    return [[y for y in range(1, n + 1) if alpha[y - 1][x - 1] == beta[x - 1][y - 1]]
+            for x in range(1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -238,21 +238,6 @@ class AugmentedBirack:
         self._check(x, y)
         return self.beta[x - 1][y - 1]
 
-    def abar(self, x: int, y: int) -> int:
-        """alpha_bar_x(y)."""
-        self._check(x, y)
-        return self.alpha_bar[x - 1][y - 1]
-
-    def bbar(self, x: int, y: int) -> int:
-        """beta_bar_x(y)."""
-        self._check(x, y)
-        return self.beta_bar[x - 1][y - 1]
-
-    def kink(self, x: int) -> int:
-        """pi(x)."""
-        self._check(x)
-        return self.pi[x - 1]
-
     @cached_property
     def alpha_inv(self) -> tuple[Perm, ...]:
         """Permutation inverses of the maps alpha_x (not alpha_bar)."""
@@ -308,11 +293,12 @@ class AugmentedBirack:
                 f"pi={cycle_notation(self.pi)}, N={self.characteristic})")
 
 
-def check_axioms(alpha, beta) -> AxiomReport:
-    """Check the three augmented-birack identities on permutation tables.
+def _check_tables(alpha, beta):
+    """check_axioms' report plus what from_tables builds on.
 
-    Always returns a report (never raises for axiom failures); tables whose
-    rows are not permutations of 1..n are rejected with NonBijectiveColumn.
+    Returns (report, (alpha, beta, alpha_bar, beta_bar), solutions): the
+    normalized tables, their sideways inverse (None when S is not a
+    bijection), and the kink solutions of each element.
     """
     alpha, beta, n = _normalize_tables(alpha, beta)
 
@@ -328,14 +314,9 @@ def check_axioms(alpha, beta) -> AxiomReport:
     if bad:
         axiom_iii = AxiomCheck("iii", False, tuple(bad))
 
-    witnesses = []
-    pi = [0] * n
-    for x in range(1, n + 1):
-        sols = _kink_solutions(alpha, beta, n, x)
-        if len(sols) == 1:
-            pi[x - 1] = sols[0]
-        else:
-            witnesses.append((x,))
+    solutions = _kink_solutions(alpha, beta, n)
+    witnesses = [(x,) for x, sols in enumerate(solutions, start=1) if len(sols) != 1]
+    pi = [sols[0] if len(sols) == 1 else 0 for sols in solutions]
     have_pi = not witnesses and set(pi) == set(range(1, n + 1))
     if not have_pi and not witnesses:
         # every x has a unique solution but the map is not injective
@@ -349,7 +330,7 @@ def check_axioms(alpha, beta) -> AxiomReport:
                 witnesses.append((x,))
     axiom_i = AxiomCheck("i", not witnesses, tuple(sorted(set(witnesses))))
 
-    return AxiomReport(
+    report = AxiomReport(
         size=n,
         axiom_i=axiom_i,
         axiom_ii=axiom_ii,
@@ -357,43 +338,50 @@ def check_axioms(alpha, beta) -> AxiomReport:
         pi=tuple(pi) if have_pi else None,
         characteristic=_perm_order(tuple(pi)) if have_pi else None,
     )
+    return report, (alpha, beta, alpha_bar, beta_bar), solutions
+
+
+def check_axioms(alpha, beta) -> AxiomReport:
+    """Check the three augmented-birack identities on permutation tables.
+
+    Always returns a report (never raises for axiom failures); tables whose
+    rows are not permutations of 1..n are rejected with NonBijectiveColumn.
+    """
+    return _check_tables(alpha, beta)[0]
+
+
+def _kink_map(solutions) -> Perm:
+    """pi from the kink solutions of each x, or the error naming the first failure."""
+    for x, sols in enumerate(solutions, start=1):
+        if not sols:
+            raise KinkMapMissing(x)
+        if len(sols) > 1:
+            raise KinkMapNotUnique(x, sols)
+    pi = tuple(sols[0] for sols in solutions)
+    if set(pi) != set(range(1, len(pi) + 1)):
+        raise AxiomViolation(
+            "i", pi, "kink map solutions do not form a permutation")
+    return pi
 
 
 def derive_kink_map(alpha, beta) -> Perm:
     """The kink map pi: for each x the unique y with alpha_y(x) = beta_x(y)."""
     alpha, beta, n = _normalize_tables(alpha, beta)
-    pi = [0] * n
-    for x in range(1, n + 1):
-        sols = _kink_solutions(alpha, beta, n, x)
-        if not sols:
-            raise KinkMapMissing(x)
-        if len(sols) > 1:
-            raise KinkMapNotUnique(x, sols)
-        pi[x - 1] = sols[0]
-    if set(pi) != set(range(1, n + 1)):
-        raise AxiomViolation(
-            "i", tuple(pi), "kink map solutions do not form a permutation")
-    return tuple(pi)
+    return _kink_map(_kink_solutions(alpha, beta, n))
 
 
 def from_tables(alpha, beta) -> AugmentedBirack:
     """Build and validate a birack from permutation tables alpha, beta."""
-    report = check_axioms(alpha, beta)
+    report, (alpha, beta, alpha_bar, beta_bar), solutions = _check_tables(alpha, beta)
     if not report.axiom_ii.passed:
         raise AxiomViolation("ii", report.axiom_ii.witnesses[0])
     if not report.axiom_iii.passed:
         raise AxiomViolation("iii", report.axiom_iii.witnesses[0])
-    if report.pi is None:
-        # reconstruct the precise failure for the error type
-        alpha_n, beta_n, n = _normalize_tables(alpha, beta)
-        derive_kink_map(alpha_n, beta_n)
-        raise AxiomViolation("i", report.axiom_i.witnesses[0])
     if not report.axiom_i.passed:
+        _kink_map(solutions)  # raises the precise error when pi is not a permutation
         raise AxiomViolation("i", report.axiom_i.witnesses[0])
-    alpha, beta, n = _normalize_tables(alpha, beta)
-    alpha_bar, beta_bar, _ = _sideways_inverse_tables(alpha, beta, n)
     return AugmentedBirack(
-        size=n,
+        size=report.size,
         alpha=alpha,
         beta=beta,
         alpha_bar=alpha_bar,
@@ -450,26 +438,6 @@ def tsr_birack(n: int, t: int, s: int, r: int) -> AugmentedBirack:
     beta = [[mod1(t * x - t * s * y) for x in range(1, n + 1)]
             for y in range(1, n + 1)]
     return from_tables(alpha, beta)
-
-
-def sideways(b: AugmentedBirack, x: int, y: int) -> tuple[int, int]:
-    return b.sideways(x, y)
-
-
-def sideways_inverse(b: AugmentedBirack, u: int, v: int) -> tuple[int, int]:
-    return b.sideways_inverse(u, v)
-
-
-def birack_map(b: AugmentedBirack, x: int, y: int) -> tuple[int, int]:
-    return b.birack_map(x, y)
-
-
-def characteristic(b: AugmentedBirack) -> int:
-    return b.characteristic
-
-
-def kink_map(b: AugmentedBirack) -> Perm:
-    return b.pi
 
 
 def parse_birack_tables(text: str):

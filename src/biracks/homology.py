@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 from .algebra import AugmentedBirack
 from .errors import ResourceLimitExceeded
@@ -308,25 +309,33 @@ class HomologyGroup:
         return self.describe()
 
 
-def _group_integral(kernel_of: IntegerMatrix, image_from: IntegerMatrix) -> HomologyGroup:
-    snf_k = smith_normal_form(kernel_of)
-    snf_i = smith_normal_form(image_from)
-    free = kernel_of.cols - snf_k.rank - snf_i.rank
-    torsion = tuple(d for d in snf_i.invariant_factors if d > 1)
-    return HomologyGroup(free, torsion)
+def _group(d_n: IntegerMatrix, d_up: IntegerMatrix, modulus: int | None,
+           cohomology: bool) -> HomologyGroup:
+    """H_n or H^n of the complex from the invariant factors of d_n and d_(n+1).
 
-
-def _group_mod(kernel_of: IntegerMatrix, image_from: IntegerMatrix, modulus: int) -> HomologyGroup:
-    dim = kernel_of.cols
-    lattice = kernel_lattice_mod(kernel_of, modulus)
-    gens = image_from.columns()
-    for i in range(dim):
-        col = [0] * dim
-        col[i] = modulus
-        gens.append(col)
-    free, torsion = quotient_invariants(
-        lattice, IntegerMatrix.from_columns(gens, dim))
-    return HomologyGroup(free, tuple(torsion))
+    With r = cols(d_n) - rank d_n - rank d_(n+1), H_n = Z^r + T(d_(n+1)) and
+    H^n = Z^r + T(d_n), where T(d) lists the invariant factors of d above 1.
+    Over Z_m both are Z_m^r plus Z_gcd(t, m) for every invariant factor t
+    of either map (universal coefficients).  The transposes are factored:
+    they have the same invariant factors, and boundary matrices are wide,
+    so their transposes eliminate faster.
+    """
+    if modulus is not None and modulus <= 0:
+        raise ValueError("modulus must be positive")
+    low = smith_normal_form(d_n.transpose()).invariant_factors
+    high = smith_normal_form(d_up.transpose()).invariant_factors
+    free = d_n.cols - len(low) - len(high)
+    if modulus is None:
+        torsion = low if cohomology else high
+        return HomologyGroup(free, tuple(t for t in torsion if t > 1))
+    orders = [modulus] * free + [gcd(t, modulus) for t in low + high]
+    orders = [g for g in orders if g > 1]  # the pass below is quadratic
+    # Z_a + Z_b = Z_gcd + Z_lcm; after pass i, orders[i] divides every later entry
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            g = gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] * orders[j] // g
+    return HomologyGroup(0, tuple(t for t in orders if t > 1))
 
 
 def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
@@ -336,21 +345,17 @@ def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
         raise ValueError("degree must be nonnegative")
     d_n = boundary_matrix(b, degree, max_cells=max_cells)
     d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
-    if modulus is None:
-        return _group_integral(d_n, d_up)
-    return _group_mod(d_n, d_up, modulus)
+    return _group(d_n, d_up, modulus, cohomology=False)
 
 
 def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
                      max_cells=None) -> HomologyGroup:
-    """Cohomology in the given degree, computed from transposed boundaries."""
+    """Cohomology in the given degree, over Z or over Z_modulus."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    delta_up = boundary_matrix(b, degree + 1, max_cells=max_cells).transpose()
-    delta_down = boundary_matrix(b, degree, max_cells=max_cells).transpose()
-    if modulus is None:
-        return _group_integral(delta_up, delta_down)
-    return _group_mod(delta_up, delta_down, modulus)
+    d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
+    d_n = boundary_matrix(b, degree, max_cells=max_cells)
+    return _group(d_n, d_up, modulus, cohomology=True)
 
 
 # -- cochains -----------------------------------------------------------

@@ -2,14 +2,19 @@
 
 Everything in this module computes with arbitrary-precision integers; no
 floating point is used anywhere.  The Smith normal form routine keeps the
-unimodular transforms (and their inverses), which is what the homology and
-cocycle machinery needs for kernels, integer solves, and lattice quotients.
+unimodular transforms (and their inverses), which the cocycle machinery
+needs for kernels, integer solves, and lattice quotients; homology groups
+need only the invariant factors.
 
-Elimination runs on numpy int64 arrays for speed, with a conservative bound
-checked before every arithmetic step; if entries could approach the int64
-range the whole computation restarts on an object-dtype array holding Python
-ints.  The result is verified (D == U*M*V, divisibility chain) before it is
-returned, so a decomposition coming out of here is always exact.
+Elimination uses one set of row primitives (add a multiple, combine two
+rows by a gcd step, swap) for both sides: a column operation on A is the
+same row operation on A.T, so each primitive acts on a triple of numpy
+views, (A, U, U^-1.T) for rows and (A.T, V.T, V^-1) for columns.  It runs
+on int64 arrays for speed, with a conservative bound checked before every
+arithmetic step; if entries could approach the int64 range the whole
+computation restarts on an object-dtype array holding Python ints.  The
+result is verified (D == U*M*V, divisibility chain) before it is returned,
+so a decomposition coming out of here is always exact.
 """
 
 from __future__ import annotations
@@ -128,9 +133,6 @@ class IntegerMatrix:
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
-    def pretty(self):
-        return "\n".join(" ".join(f"{v:3d}" for v in row) for row in self.data)
-
 
 def _matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     m, k, n = a.rows, a.cols, b.cols
@@ -188,86 +190,63 @@ def _snf_eliminate(M, dtype):
     V = np.eye(n, dtype=dtype)
     Vi = np.eye(n, dtype=dtype)
     guarded = dtype == np.int64
+    # Each primitive is a row operation on views (X, T, W): X the matrix, T
+    # the transform recording the operation, and W the inverse transform
+    # laid out so that undoing the operation is a row operation on W too.
+    rows = (A, U, Ui.T)
+    cols = (A.T, V.T, Vi)
 
-    def check(bound):
-        if guarded and bound >= _INT64_SAFE:
-            raise _NeedExact
+    def check(views, i, j, factor):
+        if guarded:
+            big = int(max(np.abs(X[[i, j]]).max(initial=0) for X in views))
+            if factor * big >= _INT64_SAFE:
+                raise _NeedExact
 
-    def row_add(i, j, q):
+    def add(views, i, j, q):
         # row i += q * row j
         if q == 0:
             return
-        if guarded:
-            check((1 + abs(int(q))) * int(max(
-                np.abs(A[[i, j]]).max(initial=0),
-                np.abs(U[[i, j]]).max(initial=0),
-                np.abs(Ui[:, [i, j]]).max(initial=0),
-            )))
-        A[i] += q * A[j]
-        U[i] += q * U[j]
-        Ui[:, j] -= q * Ui[:, i]
+        check(views, i, j, 1 + abs(q))
+        X, T, W = views
+        X[i] += q * X[j]
+        T[i] += q * T[j]
+        W[j] -= q * W[i]
 
-    def col_add(i, j, q):
-        # col i += q * col j
-        if q == 0:
-            return
-        if guarded:
-            check((1 + abs(int(q))) * int(max(
-                np.abs(A[:, [i, j]]).max(initial=0),
-                np.abs(V[:, [i, j]]).max(initial=0),
-                np.abs(Vi[[i, j]]).max(initial=0),
-            )))
-        A[:, i] += q * A[:, j]
-        V[:, i] += q * V[:, j]
-        Vi[j] -= q * Vi[i]
-
-    def row_combine(i, j, x, y, xj, yj):
+    def combine(views, i, j, x, y, xj, yj):
         # rows i, j <- (x*row_i + y*row_j, xj*row_i + yj*row_j); det must be +-1
-        if guarded:
-            big = int(max(
-                np.abs(A[[i, j]]).max(initial=0),
-                np.abs(U[[i, j]]).max(initial=0),
-                np.abs(Ui[:, [i, j]]).max(initial=0),
-            ))
-            check((abs(x) + abs(y) + abs(xj) + abs(yj)) * big)
-        A[[i, j]] = np.stack([x * A[i] + y * A[j], xj * A[i] + yj * A[j]])
-        U[[i, j]] = np.stack([x * U[i] + y * U[j], xj * U[i] + yj * U[j]])
+        check(views, i, j, abs(x) + abs(y) + abs(xj) + abs(yj))
+        X, T, W = views
+        for Y in (X, T):
+            Y[[i, j]] = np.stack([x * Y[i] + y * Y[j], xj * Y[i] + yj * Y[j]])
         det = x * yj - y * xj
         # inverse of [[x, y], [xj, yj]] is [[yj, -y], [-xj, x]] / det
-        ci = Ui[:, i].copy()
-        cj = Ui[:, j].copy()
-        Ui[:, i] = (yj * ci - xj * cj) * det
-        Ui[:, j] = (-y * ci + x * cj) * det
+        wi = W[i].copy()
+        wj = W[j].copy()
+        W[i] = (yj * wi - xj * wj) * det
+        W[j] = (-y * wi + x * wj) * det
 
-    def col_combine(i, j, x, y, xj, yj):
-        if guarded:
-            big = int(max(
-                np.abs(A[:, [i, j]]).max(initial=0),
-                np.abs(V[:, [i, j]]).max(initial=0),
-                np.abs(Vi[[i, j]]).max(initial=0),
-            ))
-            check((abs(x) + abs(y) + abs(xj) + abs(yj)) * big)
-        A[:, [i, j]] = np.stack([x * A[:, i] + y * A[:, j], xj * A[:, i] + yj * A[:, j]], axis=1)
-        V[:, [i, j]] = np.stack([x * V[:, i] + y * V[:, j], xj * V[:, i] + yj * V[:, j]], axis=1)
-        det = x * yj - y * xj
-        ri = Vi[i].copy()
-        rj = Vi[j].copy()
-        Vi[i] = (yj * ri - xj * rj) * det
-        Vi[j] = (-y * ri + x * rj) * det
-
-    def swap_rows(i, j):
+    def swap(views, i, j):
         if i == j:
             return
-        A[[i, j]] = A[[j, i]]
-        U[[i, j]] = U[[j, i]]
-        Ui[:, [i, j]] = Ui[:, [j, i]]
+        for Y in views:
+            Y[[i, j]] = Y[[j, i]]
 
-    def swap_cols(i, j):
-        if i == j:
-            return
-        A[:, [i, j]] = A[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
-        Vi[[i, j]] = Vi[[j, i]]
+    def clear(views, t):
+        # zero column t of X below the pivot; True when a gcd step ran
+        X = views[0]
+        combined = False
+        for i in range(t + 1, X.shape[0]):
+            a = int(X[i, t])
+            if a == 0:
+                continue
+            p = int(X[t, t])
+            if a % p == 0:
+                add(views, i, t, -(a // p))
+            else:
+                g, x, y = _xgcd(p, a)
+                combine(views, t, i, x, y, -(a // g), p // g)
+                combined = True
+        return combined
 
     t = 0
     limit = min(m, n)
@@ -278,47 +257,23 @@ def _snf_eliminate(M, dtype):
             break
         vals = np.abs(sub[nz])
         k = int(np.argmin(vals))
-        swap_rows(t, t + int(nz[0][k]))
-        swap_cols(t, t + int(nz[1][k]))
+        swap(rows, t, t + int(nz[0][k]))
+        swap(cols, t, t + int(nz[1][k]))
 
         while True:
-            # clear the pivot column
-            for i in range(t + 1, m):
-                a = int(A[i, t])
-                if a == 0:
-                    continue
-                p = int(A[t, t])
-                if a % p == 0:
-                    row_add(i, t, -(a // p))
-                else:
-                    g, x, y = _xgcd(p, a)
-                    row_combine(t, i, x, y, -(a // g), p // g)
-            # clear the pivot row
-            col_dirty = False
-            for j in range(t + 1, n):
-                a = int(A[t, j])
-                if a == 0:
-                    continue
-                p = int(A[t, t])
-                if a % p == 0:
-                    col_add(j, t, -(a // p))
-                else:
-                    g, x, y = _xgcd(p, a)
-                    col_combine(t, j, x, y, -(a // g), p // g)
-                    col_dirty = True
-            if col_dirty and np.any(A[t + 1:, t]):
-                continue  # column ops refilled the pivot column
+            clear(rows, t)
+            if clear(cols, t) and np.any(A[t + 1:, t]):
+                continue  # column gcd steps refilled the pivot column
             # force the divisibility chain: pivot must divide the rest
             p = int(A[t, t])
             rest = A[t + 1:, t + 1:]
             bad = np.nonzero(rest % p)
             if len(bad[0]) == 0:
                 break
-            row_add(t, t + 1 + int(bad[0][0]), 1)
+            add(rows, t, t + 1 + int(bad[0][0]), 1)
         if int(A[t, t]) < 0:
-            A[t] = -A[t]
-            U[t] = -U[t]
-            Ui[:, t] = -Ui[:, t]
+            for Y in rows:
+                Y[t] = -Y[t]
         t += 1
 
     diag = [int(A[i, i]) for i in range(limit)]
@@ -425,21 +380,13 @@ def quotient_invariants(basis: IntegerMatrix, gens: IntegerMatrix):
     r = snf.rank
     if r != basis.cols:
         raise ValueError("basis columns are not independent")
-    coeffs = IntegerMatrix.zeros(r, gens.cols)
-    for j in range(gens.cols):
-        col = gens.column(j)
-        y = [sum(snf.u.data[i][k] * col[k] for k in range(basis.rows))
-             for i in range(basis.rows)]
-        for i in range(basis.rows):
-            di = snf.d[i] if i < len(snf.d) else 0
-            if di == 0:
-                if y[i] != 0:
-                    raise ValueError("generator outside the span of the basis")
-            else:
-                if y[i] % di != 0:
-                    raise ValueError("generator outside the span of the basis")
-                coeffs.data[i][j] = y[i] // di
-    inner = smith_normal_form(coeffs)
+    coeffs = []
+    for col in gens.columns():
+        x = solve(basis, col, snf)
+        if x is None:
+            raise ValueError("generator outside the span of the basis")
+        coeffs.append(x)
+    inner = smith_normal_form(IntegerMatrix.from_columns(coeffs, r))
     torsion = [x for x in inner.invariant_factors if x > 1]
     free_rank = r - inner.rank
     return free_rank, torsion

@@ -103,6 +103,18 @@ def test_homology_env_override(monkeypatch):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "ab4", "--mod", "0"],
+    ["homology", "ab4", "--cohomology", "--mod", "-2"],
+    ["cocycles", "ab4", "--mod", "0"],
+])
+def test_nonpositive_modulus_is_a_usage_error(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "modulus must be positive" in err
+
+
 def test_cocycles_json(phi4):
     code, out, _ = run(["cocycles", "ab4", "--json"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Birack chain complex, degenerate subcomplex, and reduced 2-cocycles."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -20,6 +21,7 @@ from biracks import (
     partial_prime,
     reduced_2_cocycles,
     reduced_2_cohomology,
+    tsr_birack,
     tuple_basis,
 )
 from biracks.errors import ResourceLimitExceeded
@@ -280,6 +282,42 @@ def test_mod_p_dimensions_match_universal_coefficients(ab4, tsr3):
                 t_here = sum(1 for t in h_here.torsion if t % p == 0)
                 t_below = sum(1 for t in h_below.torsion if t % p == 0)
                 assert dim == h_here.free_rank + t_here + t_below
+
+
+def subgroup_order_mod(columns, m):
+    """Order of the subgroup of (Z_m)^k generated by the columns, by listing it."""
+    group = {tuple(0 for _ in columns[0])} if columns else {()}
+    for col in columns:
+        g = tuple(v % m for v in col)
+        # |H + <g>| = |H| * k, where k is the least multiple with k*g in H
+        multiples = [tuple(0 for _ in g)]
+        while (step := tuple((a + b) % m for a, b in zip(multiples[-1], g))) not in group:
+            multiples.append(step)
+        if len(multiples) > 1:
+            group = {tuple((a + b) % m for a, b in zip(h, c))
+                     for h in group for c in multiples}
+    return len(group)
+
+
+def test_composite_moduli_match_brute_force_orders(tsr3, dih3, one_element, random_biracks):
+    # tsr3 has mixed torsion over Z_6 (Z/3 + Z/6); tsr_birack(3, 1, 0, 2) has N = 2
+    small = [b for b in random_biracks if 2 <= b.size <= 3]
+    assert small
+    for b in (tsr3, dih3, one_element, tsr_birack(3, 1, 0, 2), *small):
+        for degree in (0, 1, 2):
+            lower = boundary_matrix(b, degree)
+            upper = boundary_matrix(b, degree + 1)
+            for m in (4, 6):
+                group = homology_group(b, degree, modulus=m)
+                assert group == cohomology_group(b, degree, modulus=m)
+                assert group.free_rank == 0
+                assert all(t % s == 0 for s, t in zip(group.torsion, group.torsion[1:]))
+                # |ker(d_n mod m)| = m^cols / |im(d_n mod m)|
+                kernel, rest = divmod(m**lower.cols, subgroup_order_mod(lower.columns(), m))
+                assert rest == 0
+                image = subgroup_order_mod(upper.columns(), m)
+                assert kernel % image == 0
+                assert prod(group.torsion) == kernel // image
 
 
 def test_reduced_cocycles_mod_two(ab4, phi4):

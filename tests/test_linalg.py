@@ -74,6 +74,27 @@ def test_huge_entries_use_exact_arithmetic():
     assert snf.d == (1, 1)
 
 
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(23)
+    for k in range(80):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if k % 4 == 3:
+            # a product through a thin middle dimension is rank deficient
+            inner = rng.randint(1, 2)
+            left = [[rng.randint(-5, 5) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(inner)]
+            data = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                    for row in left]
+        else:
+            bound = (1, 9, 2**70)[k % 4]
+            data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        expected = invariant_factors(sympy.Matrix(data), domain=sympy.ZZ)
+        assert smith_normal_form(data).d == tuple(int(x) for x in expected)
+
+
 def test_rank_deficient_matrix():
     M = IntegerMatrix([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
     snf = smith_normal_form(M)
