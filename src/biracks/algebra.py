@@ -41,10 +41,6 @@ from .errors import (
 Perm = tuple[int, ...]  # perm[i-1] is the 1-based image of i
 
 
-def _identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def _invert_perm(p: Perm) -> Perm:
     inv = [0] * len(p)
     for i, v in enumerate(p):

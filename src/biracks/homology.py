@@ -29,7 +29,6 @@ from .algebra import AugmentedBirack
 from .errors import ResourceLimitExceeded
 from .linalg import (
     IntegerMatrix,
-    SmithDecomposition,
     kernel_basis,
     kernel_lattice_mod,
     quotient_invariants,
@@ -59,7 +58,6 @@ __all__ = [
     "reduced_cocycle_constraints",
     "smith_normal_form",
     "tuple_basis",
-    "SmithDecomposition",
     "IntegerMatrix",
     "DEFAULT_MAX_CELLS",
 ]
@@ -226,28 +224,6 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     return m
 
 
-def _face_only_matrix(b: AugmentedBirack, degree: int, twisted: bool) -> IntegerMatrix:
-    """Alternating sum of just one face family; each squares to zero alone."""
-    cols = tuple_basis(b.size, degree)
-    rows = tuple_basis(b.size, degree - 1)
-    row_index = {t: i for i, t in enumerate(rows)}
-    m = IntegerMatrix.zeros(len(rows), len(cols))
-    for j, tup in enumerate(cols):
-        for k in range(1, degree + 1):
-            sign = -1 if k % 2 else 1
-            t = partial_dprime(b, k, tup) if twisted else partial_prime(k, tup)
-            m.data[row_index[t]][j] += sign
-    return m
-
-
-def deleting_boundary_matrix(b: AugmentedBirack, degree: int) -> IntegerMatrix:
-    return _face_only_matrix(b, degree, twisted=False)
-
-
-def twisted_boundary_matrix(b: AugmentedBirack, degree: int) -> IntegerMatrix:
-    return _face_only_matrix(b, degree, twisted=True)
-
-
 def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> list[Chain]:
     """Generating chains of the degenerate subgroup in the given degree.
 
@@ -320,8 +296,6 @@ def _group(d_n: IntegerMatrix, d_up: IntegerMatrix, modulus: int | None,
     they have the same invariant factors, and boundary matrices are wide,
     so their transposes eliminate faster.
     """
-    if modulus is not None and modulus <= 0:
-        raise ValueError("modulus must be positive")
     low = smith_normal_form(d_n.transpose()).invariant_factors
     high = smith_normal_form(d_up.transpose()).invariant_factors
     free = d_n.cols - len(low) - len(high)
@@ -338,11 +312,18 @@ def _group(d_n: IntegerMatrix, d_up: IntegerMatrix, modulus: int | None,
     return HomologyGroup(0, tuple(t for t in orders if t > 1))
 
 
+def _check_group_args(degree: int, modulus: int | None):
+    # before any boundary matrix is built, so bad input never meets the cell guard
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if modulus is not None and modulus <= 0:
+        raise ValueError("modulus must be positive")
+
+
 def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
                    max_cells=None) -> HomologyGroup:
     """Homology in the given degree, over Z or over Z_modulus."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_group_args(degree, modulus)
     d_n = boundary_matrix(b, degree, max_cells=max_cells)
     d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
     return _group(d_n, d_up, modulus, cohomology=False)
@@ -351,8 +332,7 @@ def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
 def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
                      max_cells=None) -> HomologyGroup:
     """Cohomology in the given degree, over Z or over Z_modulus."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_group_args(degree, modulus)
     d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
     d_n = boundary_matrix(b, degree, max_cells=max_cells)
     return _group(d_n, d_up, modulus, cohomology=True)

@@ -2,14 +2,14 @@
 
 Everything in this module computes with arbitrary-precision integers; no
 floating point is used anywhere.  The Smith normal form routine keeps the
-unimodular transforms (and their inverses), which the cocycle machinery
-needs for kernels, integer solves, and lattice quotients; homology groups
-need only the invariant factors.
+unimodular transforms U and V, which the cocycle machinery needs for
+kernels, integer solves, and lattice quotients; homology groups need only
+the invariant factors.
 
 Elimination uses one set of row primitives (add a multiple, combine two
 rows by a gcd step, swap) for both sides: a column operation on A is the
-same row operation on A.T, so each primitive acts on a triple of numpy
-views, (A, U, U^-1.T) for rows and (A.T, V.T, V^-1) for columns.  It runs
+same row operation on A.T, so each primitive acts on a pair of numpy
+views, (A, U) for rows and (A.T, V.T) for columns.  It runs
 on int64 arrays for speed, with a conservative bound checked before every
 arithmetic step; if entries could approach the int64 range the whole
 computation restarts on an object-dtype array holding Python ints.  The
@@ -152,15 +152,13 @@ class SmithDecomposition:
     """Smith normal form of an integer matrix M: D = U * M * V.
 
     d holds the diagonal of D (nonnegative, each entry dividing the next),
-    U and V are unimodular, and u_inv, v_inv are their integer inverses.
+    and U and V are unimodular.
     """
 
     shape: tuple[int, int]
     d: tuple[int, ...]
     u: IntegerMatrix
     v: IntegerMatrix
-    u_inv: IntegerMatrix
-    v_inv: IntegerMatrix
 
     @property
     def rank(self) -> int:
@@ -179,22 +177,19 @@ class SmithDecomposition:
 
 
 def _snf_eliminate(M, dtype):
-    """Core elimination; returns (diag, U, V, U_inv, V_inv) as numpy arrays.
+    """Core elimination; returns (diag, U, V) with U, V as numpy arrays.
 
     Raises _NeedExact if dtype is int64 and the guard bound would be crossed.
     """
     A = np.array(M, dtype=dtype)
     m, n = A.shape
     U = np.eye(m, dtype=dtype)
-    Ui = np.eye(m, dtype=dtype)
     V = np.eye(n, dtype=dtype)
-    Vi = np.eye(n, dtype=dtype)
     guarded = dtype == np.int64
-    # Each primitive is a row operation on views (X, T, W): X the matrix, T
-    # the transform recording the operation, and W the inverse transform
-    # laid out so that undoing the operation is a row operation on W too.
-    rows = (A, U, Ui.T)
-    cols = (A.T, V.T, Vi)
+    # Each primitive is a row operation on views (X, T): X the matrix and T
+    # the transform recording the operation.
+    rows = (A, U)
+    cols = (A.T, V.T)
 
     def check(views, i, j, factor):
         if guarded:
@@ -207,23 +202,14 @@ def _snf_eliminate(M, dtype):
         if q == 0:
             return
         check(views, i, j, 1 + abs(q))
-        X, T, W = views
-        X[i] += q * X[j]
-        T[i] += q * T[j]
-        W[j] -= q * W[i]
+        for Y in views:
+            Y[i] += q * Y[j]
 
     def combine(views, i, j, x, y, xj, yj):
         # rows i, j <- (x*row_i + y*row_j, xj*row_i + yj*row_j); det must be +-1
         check(views, i, j, abs(x) + abs(y) + abs(xj) + abs(yj))
-        X, T, W = views
-        for Y in (X, T):
+        for Y in views:
             Y[[i, j]] = np.stack([x * Y[i] + y * Y[j], xj * Y[i] + yj * Y[j]])
-        det = x * yj - y * xj
-        # inverse of [[x, y], [xj, yj]] is [[yj, -y], [-xj, x]] / det
-        wi = W[i].copy()
-        wj = W[j].copy()
-        W[i] = (yj * wi - xj * wj) * det
-        W[j] = (-y * wi + x * wj) * det
 
     def swap(views, i, j):
         if i == j:
@@ -277,7 +263,7 @@ def _snf_eliminate(M, dtype):
         t += 1
 
     diag = [int(A[i, i]) for i in range(limit)]
-    return diag, U, V, Ui, Vi
+    return diag, U, V
 
 
 def smith_normal_form(M) -> SmithDecomposition:
@@ -285,29 +271,26 @@ def smith_normal_form(M) -> SmithDecomposition:
 
     M may be an IntegerMatrix or any nested sequence of integers.  The
     returned diagonal is nonnegative and satisfies d[i] | d[i+1]; U, V are
-    unimodular with integer inverses u_inv, v_inv.
+    unimodular.
     """
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
     m, n = M.rows, M.cols
     if m == 0 or n == 0:
         return SmithDecomposition(
-            (m, n), (), IntegerMatrix.identity(m), IntegerMatrix.identity(n),
-            IntegerMatrix.identity(m), IntegerMatrix.identity(n))
+            (m, n), (), IntegerMatrix.identity(m), IntegerMatrix.identity(n))
     try:
         if M.max_abs() >= _INT64_SAFE:
             raise _NeedExact
-        diag, U, V, Ui, Vi = _snf_eliminate(M.data, np.int64)
+        diag, U, V = _snf_eliminate(M.data, np.int64)
     except (_NeedExact, OverflowError):
-        diag, U, V, Ui, Vi = _snf_eliminate(
+        diag, U, V = _snf_eliminate(
             [[int(v) for v in row] for row in M.data], object)
     snf = SmithDecomposition(
         (m, n),
         tuple(int(x) for x in diag),
         IntegerMatrix(U.tolist(), m, m),
         IntegerMatrix(V.tolist(), n, n),
-        IntegerMatrix(Ui.tolist(), m, m),
-        IntegerMatrix(Vi.tolist(), n, n),
     )
     _validate_snf(snf, M)
     return snf

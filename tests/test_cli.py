@@ -107,6 +107,8 @@ def test_homology_env_override(monkeypatch):
     ["homology", "ab4", "--mod", "0"],
     ["homology", "ab4", "--cohomology", "--mod", "-2"],
     ["cocycles", "ab4", "--mod", "0"],
+    # rejected before degree 9 meets the cell guard
+    ["homology", "ab4", "-n", "9", "--mod", "0"],
 ])
 def test_nonpositive_modulus_is_a_usage_error(argv):
     code, out, err = run(argv)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from biracks import (
@@ -12,6 +13,37 @@ from biracks import (
     smith_normal_form,
 )
 from biracks.linalg import column_span_contains, solve
+
+
+def bareiss_determinant(rows):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def assert_unimodular(T):
+    """Exact proof that the square integer matrix T has determinant +-1."""
+    n = T.rows
+    if n <= 16:
+        # transforms of small dense inputs reach 10^17, past float precision
+        assert abs(bareiss_determinant(T.data)) == 1
+        return
+    # an integer W with T W = I exactly gives det(T) det(W) = 1
+    guess = np.rint(np.linalg.inv(np.array(T.data, dtype=float)))
+    assert T @ IntegerMatrix(guess.tolist(), n, n) == IntegerMatrix.identity(n)
 
 
 def assert_valid_decomposition(M, snf):
@@ -25,8 +57,21 @@ def assert_valid_decomposition(M, snf):
         else:
             assert b % a == 0
     assert (snf.u @ M) @ snf.v == snf.diagonal_matrix()
-    assert snf.u @ snf.u_inv == IntegerMatrix.identity(rows)
-    assert snf.v @ snf.v_inv == IntegerMatrix.identity(cols)
+    assert_unimodular(snf.u)
+    assert_unimodular(snf.v)
+
+
+def test_unimodular_check_is_exact():
+    assert bareiss_determinant([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+    assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+    assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+    for n in (3, 20):  # both branches of assert_unimodular
+        T = IntegerMatrix.identity(n)
+        T.data[0][n - 1] = 5
+        assert_unimodular(T)
+        T.data[n - 1][n - 1] = 2
+        with pytest.raises(AssertionError):
+            assert_unimodular(T)
 
 
 def test_diagonal_two_three():
