@@ -62,14 +62,11 @@ from .errors import (
     UnmatchedCrossingLabel,
 )
 from .homology import (
-    Chain,
     Cochain1,
     Cochain2,
     HomologyGroup,
     boundary_matrix,
-    boundary_of_chain,
     boundary_of_tuple,
-    coboundary_basis,
     cohomology_group,
     degenerate_generators,
     evaluate_coboundary,
@@ -101,7 +98,6 @@ from .linalg import (
     SmithDecomposition,
     kernel_basis,
     kernel_lattice_mod,
-    quotient_invariants,
     smith_normal_form,
 )
 

@@ -43,16 +43,22 @@ def _read_path(value: str) -> str | None:
     return None
 
 
+def _load_bundled(kind: str, value: str, *args):
+    """The bundled data item of that name; kind is birack, diagram or cochain."""
+    try:
+        return getattr(data, f"load_{kind}")(value, *args)
+    except KeyError:
+        available = getattr(data, f"available_{kind}s")()
+        raise _InputError(
+            f"{value!r} is neither a readable file nor a bundled {kind} "
+            f"(bundled: {', '.join(available) or 'none'})") from None
+
+
 def _load_birack(value: str):
     text = _read_path(value)
     if text is not None:
         return parse_birack(text)
-    try:
-        return data.load_birack(value)
-    except KeyError:
-        raise _InputError(
-            f"{value!r} is neither a readable file nor a bundled birack "
-            f"(bundled: {', '.join(data.available_biracks()) or 'none'})") from None
+    return _load_bundled("birack", value)
 
 
 def _load_diagram(value: str):
@@ -62,24 +68,14 @@ def _load_diagram(value: str):
         if value.endswith(".gauss") or stripped[:1] in ("O", "U", "o", "u"):
             return parse_gauss(text)
         return parse_crossing_list(text)
-    try:
-        return data.load_diagram(value)
-    except KeyError:
-        raise _InputError(
-            f"{value!r} is neither a readable file nor a bundled diagram "
-            f"(bundled: {', '.join(data.available_diagrams()) or 'none'})") from None
+    return _load_bundled("diagram", value)
 
 
 def _load_cochain(value: str, size: int):
     text = _read_path(value)
     if text is not None:
         return parse_cochain(text, size)
-    try:
-        return data.load_cochain(value, size)
-    except KeyError:
-        raise _InputError(
-            f"{value!r} is neither a readable file nor a bundled cochain "
-            f"(bundled: {', '.join(data.available_cochains()) or 'none'})") from None
+    return _load_bundled("cochain", value, size)
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -103,13 +99,7 @@ def cmd_check(args) -> int:
     if text is not None:
         alpha, beta = parse_birack_tables(text)
     else:
-        try:
-            b = data.load_birack(args.birack)
-        except KeyError:
-            raise _InputError(
-                f"{args.birack!r} is neither a readable file nor a bundled "
-                f"birack (bundled: {', '.join(data.available_biracks()) or 'none'})",
-            ) from None
+        b = _load_bundled("birack", args.birack)
         alpha, beta = b.alpha, b.beta
     report = check_axioms(alpha, beta)
     lines = [f"size: {report.size}"]

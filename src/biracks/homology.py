@@ -31,19 +31,15 @@ from .linalg import (
     IntegerMatrix,
     kernel_basis,
     kernel_lattice_mod,
-    quotient_invariants,
     smith_normal_form,
 )
 
 __all__ = [
-    "Chain",
     "Cochain1",
     "Cochain2",
     "HomologyGroup",
     "boundary_matrix",
-    "boundary_of_chain",
     "boundary_of_tuple",
-    "coboundary_basis",
     "cohomology_group",
     "degenerate_generators",
     "evaluate_coboundary",
@@ -103,103 +99,21 @@ def partial_dprime(b: AugmentedBirack, k: int, tup: tuple[int, ...]) -> tuple[in
         alpha_row[v - 1] for v in tup[k:])
 
 
-class Chain:
-    """A finitely supported integer combination of same-length tuples."""
+def boundary_of_tuple(b: AugmentedBirack, tup) -> dict:
+    """Boundary of a basis tuple: sum over k of (-1)^k (prime - dprime).
 
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms=None):
-        self.degree = degree
-        clean = {}
-        for tup, c in (terms or {}).items():
-            if len(tup) != degree:
-                raise ValueError(f"term {tup} has wrong length for degree {degree}")
-            if c:
-                clean[tuple(tup)] = int(c)
-        self.terms = clean
-
-    @classmethod
-    def of(cls, tup, coeff=1):
-        return cls(len(tup), {tuple(tup): coeff})
-
-    def coefficient(self, tup) -> int:
-        return self.terms.get(tuple(tup), 0)
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, Chain) or other.degree != self.degree:
-            return NotImplemented
-        terms = dict(self.terms)
-        for tup, c in other.terms.items():
-            terms[tup] = terms.get(tup, 0) + c
-        return Chain(self.degree, terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, Chain) or other.degree != self.degree:
-            return NotImplemented
-        terms = dict(self.terms)
-        for tup, c in other.terms.items():
-            terms[tup] = terms.get(tup, 0) - c
-        return Chain(self.degree, terms)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return Chain(self.degree, {t: scalar * c for t, c in self.terms.items()})
-
-    def __neg__(self):
-        return -1 * self
-
-    def __eq__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degree, tuple(self.items())))
-
-    def to_vector(self, basis_index) -> list[int]:
-        vec = [0] * len(basis_index)
-        for tup, c in self.terms.items():
-            vec[basis_index[tup]] = c
-        return vec
-
-    def __repr__(self):
-        if not self.terms:
-            return f"Chain({self.degree}, 0)"
-        body = " ".join(
-            f"{'+' if c > 0 else '-'}{abs(c) if abs(c) != 1 else ''}{t}"
-            for t, c in self.items())
-        return f"Chain({self.degree}, {body.lstrip('+')})"
-
-
-def boundary_of_tuple(b: AugmentedBirack, tup) -> Chain:
-    """Boundary of a basis tuple: sum over k of (-1)^k (prime - dprime)."""
+    A chain is a dict from tuples to nonzero integer coefficients; zero
+    terms are dropped, so a cycle's boundary is the empty dict.
+    """
     tup = tuple(tup)
-    n = len(tup)
     terms: dict = {}
-    for k in range(1, n + 1):
+    for k in range(1, len(tup) + 1):
         sign = -1 if k % 2 else 1
         t1 = partial_prime(k, tup)
         terms[t1] = terms.get(t1, 0) + sign
         t2 = partial_dprime(b, k, tup)
         terms[t2] = terms.get(t2, 0) - sign
-    return Chain(n - 1, terms)
-
-
-def boundary_of_chain(b: AugmentedBirack, chain: Chain) -> Chain:
-    out = Chain(chain.degree - 1)
-    for tup, c in chain.terms.items():
-        out = out + c * boundary_of_tuple(b, tup)
-    return out
+    return {t: c for t, c in terms.items() if c}
 
 
 def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerMatrix:
@@ -219,25 +133,26 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     row_index = {t: i for i, t in enumerate(rows)}
     m = IntegerMatrix.zeros(len(rows), len(cols))
     for j, tup in enumerate(cols):
-        for t, c in boundary_of_tuple(b, tup).terms.items():
+        for t, c in boundary_of_tuple(b, tup).items():
             m.data[row_index[t]][j] += c
     return m
 
 
-def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> list[Chain]:
+def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> list[dict]:
     """Generating chains of the degenerate subgroup in the given degree.
 
     For each adjacent slot pair (j, j+1), each filling of the remaining
     slots, and each element x, the chain sums (pi^k(x), pi^(k-1)(x)) over
-    k = 1..N in those slots.  x and pi(x) give the same chain, so duplicates
-    are removed; order is deterministic.
+    k = 1..N in those slots, as a dict from tuples to their (positive)
+    coefficients.  x and pi(x) give the same chain, so duplicates are
+    removed; order is deterministic.
     """
     if degree < 2:
         return []
     limit = _cell_limit(max_cells)
     _guard(b.size, degree, limit)
     N = b.characteristic
-    gens: list[Chain] = []
+    gens: list[dict] = []
     seen = set()
     carrier = range(1, b.size + 1)
     for j in range(1, degree):
@@ -255,7 +170,7 @@ def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> li
                 if key in seen:
                     continue
                 seen.add(key)
-                gens.append(Chain(degree, terms))
+                gens.append(terms)
     return gens
 
 
@@ -285,20 +200,22 @@ class HomologyGroup:
         return self.describe()
 
 
-def _group(d_n: IntegerMatrix, d_up: IntegerMatrix, modulus: int | None,
+def _group(co_n: IntegerMatrix, co_up: IntegerMatrix, modulus: int | None,
            cohomology: bool) -> HomologyGroup:
-    """H_n or H^n of the complex from the invariant factors of d_n and d_(n+1).
+    """H_n or H^n from the invariant factors of the coboundaries d_n^T, d_(n+1)^T.
 
-    With r = cols(d_n) - rank d_n - rank d_(n+1), H_n = Z^r + T(d_(n+1)) and
-    H^n = Z^r + T(d_n), where T(d) lists the invariant factors of d above 1.
-    Over Z_m both are Z_m^r plus Z_gcd(t, m) for every invariant factor t
-    of either map (universal coefficients).  The transposes are factored:
-    they have the same invariant factors, and boundary matrices are wide,
-    so their transposes eliminate faster.
+    With r = rows(d_n^T) - rank d_n - rank d_(n+1), H_n = Z^r + T(d_(n+1))
+    and H^n = Z^r + T(d_n), where T(d) lists the invariant factors of d
+    above 1; a matrix and its transpose have the same ones.  Over Z_m both
+    are Z_m^r plus Z_gcd(t, m) for every invariant factor t of either map
+    (universal coefficients).  Coboundaries are tall, so they eliminate
+    faster than the wide boundaries.  Any co_up whose kernel is saturated
+    and contains the image of co_n works in place of d_(n+1)^T: the
+    reduced 2-cohomology passes its cocycle constraints there.
     """
-    low = smith_normal_form(d_n.transpose()).invariant_factors
-    high = smith_normal_form(d_up.transpose()).invariant_factors
-    free = d_n.cols - len(low) - len(high)
+    low = smith_normal_form(co_n).invariant_factors
+    high = smith_normal_form(co_up).invariant_factors
+    free = co_n.rows - len(low) - len(high)
     if modulus is None:
         torsion = low if cohomology else high
         return HomologyGroup(free, tuple(t for t in torsion if t > 1))
@@ -326,7 +243,7 @@ def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
     _check_group_args(degree, modulus)
     d_n = boundary_matrix(b, degree, max_cells=max_cells)
     d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
-    return _group(d_n, d_up, modulus, cohomology=False)
+    return _group(d_n.transpose(), d_up.transpose(), modulus, cohomology=False)
 
 
 def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
@@ -335,7 +252,7 @@ def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None
     _check_group_args(degree, modulus)
     d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
     d_n = boundary_matrix(b, degree, max_cells=max_cells)
-    return _group(d_n, d_up, modulus, cohomology=True)
+    return _group(d_n.transpose(), d_up.transpose(), modulus, cohomology=True)
 
 
 # -- cochains -----------------------------------------------------------
@@ -432,11 +349,6 @@ class Cochain2:
             if v
         ]
 
-    def evaluate(self, chain: Chain) -> int:
-        if chain.degree != 2:
-            raise ValueError("can only evaluate on 2-chains")
-        return sum(c * self(x, y) for (x, y), c in chain.terms.items())
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.values for v in row)
 
@@ -512,12 +424,6 @@ def evaluate_coboundary(b: AugmentedBirack, psi: Cochain1) -> Cochain2:
     return Cochain2(tuple(tuple(row) for row in table))
 
 
-def coboundary_basis(b: AugmentedBirack) -> list[Cochain2]:
-    """Coboundaries of the characteristic 1-cochains, in index order."""
-    return [evaluate_coboundary(b, Cochain1.chi(b.size, i))
-            for i in range(1, b.size + 1)]
-
-
 def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMatrix:
     """Stacked constraint matrix whose kernel is the reduced 2-cocycle space.
 
@@ -529,7 +435,10 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
     rows = d3.transpose().data
     pair_index = {t: i for i, t in enumerate(tuple_basis(b.size, 2))}
     for gen in degenerate_generators(b, 2, max_cells=max_cells):
-        rows.append(gen.to_vector(pair_index))
+        row = [0] * len(pair_index)
+        for pair, c in gen.items():
+            row[pair_index[pair]] = c
+        rows.append(row)
     return IntegerMatrix(rows)
 
 
@@ -541,6 +450,7 @@ def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
     Z_modulus the cochains generate the solution group; entries are reduced
     to 0..modulus-1 and zero generators are dropped.
     """
+    _check_group_args(2, modulus)
     constraints = reduced_cocycle_constraints(b, max_cells=max_cells)
     n = b.size
     if modulus is None:
@@ -578,22 +488,23 @@ def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
                 if not vanishes(lhs - rhs):
                     return False
     for gen in degenerate_generators(b, 2):
-        if not vanishes(phi.evaluate(gen)):
+        if not vanishes(sum(c * phi(x, y) for (x, y), c in gen.items())):
             return False
     return True
 
 
 def reduced_2_cohomology(b: AugmentedBirack, max_cells=None) -> HomologyGroup:
-    """Quotient view: reduced 2-cocycles modulo coboundaries of 1-cochains.
+    """Reduced 2-cocycles modulo coboundaries of 1-cochains.
 
-    Degenerate chains need two adjacent slots, so every 1-cochain
-    contributes; coboundaries land inside the reduced space.
+    The reduced cocycles are K = ker C for the constraint matrix C, and the
+    coboundaries are the image of d_2^T.  K is saturated, so
+    K / im d_2^T = Z^(n^2 - rank C - rank d_2) + T(d_2): the cohomology
+    formula of _group with C in place of d_3^T.  Degenerate chains need two
+    adjacent slots, so every coboundary lies in K; the exact product
+    C * d_2^T == 0 certifies it on every call.
     """
     constraints = reduced_cocycle_constraints(b, max_cells=max_cells)
-    basis_cols = kernel_basis(constraints)
-    n2 = b.size * b.size
-    cocycle_basis = IntegerMatrix.from_columns(basis_cols, n2)
-    cob_cols = [phi.to_vector() for phi in coboundary_basis(b)]
-    cobs = IntegerMatrix.from_columns(cob_cols, n2)
-    free, torsion = quotient_invariants(cocycle_basis, cobs)
-    return HomologyGroup(free, tuple(torsion))
+    cob = boundary_matrix(b, 2, max_cells=max_cells).transpose()
+    if not (constraints @ cob).is_zero():
+        raise AssertionError("a coboundary is not a reduced 2-cocycle")
+    return _group(cob, constraints, None, cohomology=True)

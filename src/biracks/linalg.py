@@ -2,9 +2,9 @@
 
 Everything in this module computes with arbitrary-precision integers; no
 floating point is used anywhere.  The Smith normal form routine keeps the
-unimodular transforms U and V, which the cocycle machinery needs for
-kernels, integer solves, and lattice quotients; homology groups need only
-the invariant factors.
+unimodular transforms U and V; the reduced-cocycle code reads kernels and
+kernels mod m off V, and every group (homology, cohomology, and reduced
+2-cohomology) needs only the invariant factors.
 
 Elimination uses one set of row primitives (add a multiple, combine two
 rows by a gcd step, swap) for both sides: a column operation on A is the
@@ -321,58 +321,6 @@ def kernel_basis(M) -> list[list[int]]:
         if dj == 0:
             cols.append(snf.v.column(j))
     return cols
-
-
-def solve(M, rhs, snf: SmithDecomposition | None = None):
-    """One integer solution x of M x = rhs, or None when none exists."""
-    if not isinstance(M, IntegerMatrix):
-        M = IntegerMatrix(M)
-    if snf is None:
-        snf = smith_normal_form(M)
-    m, n = M.rows, M.cols
-    if len(rhs) != m:
-        raise ValueError("right-hand side of wrong length")
-    y = [sum(snf.u.data[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-    z = [0] * n
-    for i in range(m):
-        di = snf.d[i] if i < len(snf.d) else 0
-        if di == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % di != 0:
-                return None
-            if i < n:
-                z[i] = y[i] // di
-    return [sum(snf.v.data[i][k] * z[k] for k in range(n)) for i in range(n)]
-
-
-def column_span_contains(M, rhs, snf: SmithDecomposition | None = None) -> bool:
-    """Whether rhs lies in the integer column span of M."""
-    return solve(M, rhs, snf=snf) is not None
-
-
-def quotient_invariants(basis: IntegerMatrix, gens: IntegerMatrix):
-    """Invariants (free rank, torsion) of lattice(basis) / lattice(gens).
-
-    basis must have linearly independent columns; every column of gens must
-    lie in their integer span (ValueError otherwise).  Torsion is returned as
-    the list of invariant factors greater than 1.
-    """
-    snf = smith_normal_form(basis)
-    r = snf.rank
-    if r != basis.cols:
-        raise ValueError("basis columns are not independent")
-    coeffs = []
-    for col in gens.columns():
-        x = solve(basis, col, snf)
-        if x is None:
-            raise ValueError("generator outside the span of the basis")
-        coeffs.append(x)
-    inner = smith_normal_form(IntegerMatrix.from_columns(coeffs, r))
-    torsion = [x for x in inner.invariant_factors if x > 1]
-    free_rank = r - inner.rank
-    return free_rank, torsion
 
 
 def kernel_lattice_mod(M: IntegerMatrix, modulus: int) -> IntegerMatrix:

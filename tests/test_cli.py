@@ -54,10 +54,25 @@ def test_check_rejects_malformed_file(tmp_path):
     assert err.startswith("error:")
 
 
-def test_unknown_bundled_name():
-    code, _, err = run(["check", "nosuch"])
+_BUNDLED_DIAGRAMS = (
+    "hopf_kink_pair, l0a1, l2a1, l4a1, l5a1, l6a1, l6a2, l6a3, l6a4, l6a5, "
+    "l6n1, l7a1, l7a2, l7a3, l7a4, l7a5, l7a6, l7a7, l7n1, l7n2, unknot, "
+    "k3_1, k3_1_variant, k4_1, v2_1, v3_1, v3_2, v3_3, v3_4, v3_5, v3_6, "
+    "v3_7, v4_1, v4_2, v4_21, v4_4")
+
+
+@pytest.mark.parametrize("argv, kind, bundled", [
+    (["check", "nosuch"], "birack", "ab4, ab5"),
+    (["homology", "nosuch"], "birack", "ab4, ab5"),
+    (["invariant", "ab4", "nosuch"], "diagram", _BUNDLED_DIAGRAMS),
+    (["invariant", "ab4", "l2a1", "--phi", "nosuch"], "cochain", "ab4_phi, ab5_phi"),
+], ids=["check", "homology", "invariant-diagram", "invariant-phi"])
+def test_unknown_bundled_name(argv, kind, bundled):
+    code, out, err = run(argv)
     assert code == 2
-    assert "bundled" in err
+    assert out == ""
+    assert err == (f"error: 'nosuch' is neither a readable file nor a bundled "
+                   f"{kind} (bundled: {bundled})\n")
 
 
 def test_homology_one_element(tmp_path):
@@ -109,6 +124,9 @@ def test_homology_env_override(monkeypatch):
     ["cocycles", "ab4", "--mod", "0"],
     # rejected before degree 9 meets the cell guard
     ["homology", "ab4", "-n", "9", "--mod", "0"],
+    # rejected before the cocycle constraints meet the cell guard
+    ["cocycles", "ab4", "--mod", "0", "--max-cells", "10"],
+    ["homology", "ab4", "--reduced", "--mod", "0", "--max-cells", "10"],
 ])
 def test_nonpositive_modulus_is_a_usage_error(argv):
     code, out, err = run(argv)
