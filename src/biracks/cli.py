@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (_InputError, BirackError, ValueError, KeyError) as e:
+    except (_InputError, BirackError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

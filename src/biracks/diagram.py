@@ -35,6 +35,7 @@ from typing import NamedTuple
 from .errors import (
     BadSign,
     DanglingSemiarc,
+    DiagramError,
     DuplicateEndpoint,
     SignMismatch,
     UnmatchedCrossingLabel,
@@ -138,6 +139,8 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
     mentioned = set(ins) | set(outs)
     if not mentioned:
         raise ValueError("diagram has no semiarcs; declare at least a free loop")
+    if min(mentioned) < 0:
+        raise DiagramError(f"semiarc id {min(mentioned)} is negative")
     count = max(mentioned) + 1
     for s in range(count):
         if s not in ins:

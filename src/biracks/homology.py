@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
+import numpy as np
+
 from .algebra import AugmentedBirack
 from .errors import ResourceLimitExceeded
 from .linalg import (
@@ -131,11 +133,11 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     cols = tuple_basis(b.size, degree)
     rows = tuple_basis(b.size, degree - 1)
     row_index = {t: i for i, t in enumerate(rows)}
-    m = IntegerMatrix.zeros(len(rows), len(cols))
+    m = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for j, tup in enumerate(cols):
         for t, c in boundary_of_tuple(b, tup).items():
-            m.data[row_index[t]][j] += c
-    return m
+            m[row_index[t], j] = c
+    return IntegerMatrix(m)
 
 
 def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> list[dict]:
@@ -432,14 +434,13 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
     over the lexicographic pair basis of 2-cochains.
     """
     d3 = boundary_matrix(b, 3, max_cells=max_cells)
-    rows = d3.transpose().data
     pair_index = {t: i for i, t in enumerate(tuple_basis(b.size, 2))}
-    for gen in degenerate_generators(b, 2, max_cells=max_cells):
-        row = [0] * len(pair_index)
+    gens = degenerate_generators(b, 2, max_cells=max_cells)
+    degenerate = np.zeros((len(gens), len(pair_index)), dtype=np.int64)
+    for r, gen in enumerate(gens):
         for pair, c in gen.items():
-            row[pair_index[pair]] = c
-        rows.append(row)
-    return IntegerMatrix(rows)
+            degenerate[r, pair_index[pair]] = c
+    return IntegerMatrix(np.vstack([d3.array.T, degenerate]))
 
 
 def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,

@@ -1,18 +1,19 @@
 """Exact linear algebra over the integers.
 
-Everything in this module computes with arbitrary-precision integers; no
-floating point is used anywhere.  The Smith normal form routine keeps the
-unimodular transforms U and V; the reduced-cocycle code reads kernels and
-kernels mod m off V, and every group (homology, cohomology, and reduced
+No floating point is used anywhere.  An IntegerMatrix is one 2-D numpy
+array: int64 while every |entry| is below 2^62, and Python ints in an
+object array otherwise, so matrices stay arrays from the boundary build
+through the Smith form and its checks.  The Smith normal form routine keeps
+the unimodular transforms U and V; the reduced-cocycle code reads kernels
+and kernels mod m off V, and every group (homology, cohomology, and reduced
 2-cohomology) needs only the invariant factors.
 
 Elimination uses one set of row primitives (add a multiple, combine two
 rows by a gcd step, swap) for both sides: a column operation on A is the
 same row operation on A.T, so each primitive acts on a pair of numpy
-views, (A, U) for rows and (A.T, V.T) for columns.  It runs
-on int64 arrays for speed, with a conservative bound checked before every
-arithmetic step; if entries could approach the int64 range the whole
-computation restarts on an object-dtype array holding Python ints.  The
+views, (A, U) for rows and (A.T, V.T) for columns.  On int64 a
+conservative bound is checked before every arithmetic step; if entries
+could reach 2^62 the whole computation restarts on Python ints.  The
 result is verified (D == U*M*V, divisibility chain) before it is returned,
 so a decomposition coming out of here is always exact.
 """
@@ -45,106 +46,103 @@ def _xgcd(a, b):
 
 
 class IntegerMatrix:
-    """A dense integer matrix stored as a list of row lists.
+    """A dense integer matrix held as one 2-D numpy array, `array`.
 
-    Multiplication is exact: it uses numpy int64 when a product bound
-    guarantees no overflow and falls back to Python integers otherwise.
+    The array is int64 while every |entry| is below 2^62 (_INT64_SAFE), and
+    an object array of Python ints otherwise, so it is always exact.  Code
+    that writes into `array` must keep that rule.  `data`, `column` and
+    `columns` read Python ints; `data` is a tuple snapshot, not a view.
+    Multiplication uses int64 when a product bound rules out overflow and
+    Python ints otherwise.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("array",)
 
     def __init__(self, data, rows=None, cols=None):
-        data = [[int(v) for v in row] for row in data]
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(row) != cols for row in data):
+        try:
+            a = np.asarray(data, dtype=np.int64)
+        except OverflowError:  # an entry beyond int64
+            a = np.array(data, dtype=object)
+        if a.shape == (0,):
+            a = a.reshape(0, cols or 0)
+        if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
             raise ValueError("ragged or mis-shaped matrix data")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        if a.dtype == object:
+            a = np.frompyfunc(int, 1, 1)(a)
+        elif _huge(a):
+            a = a.astype(object)
+        self.array = a
+
+    @classmethod
+    def _of(cls, a):
+        # wrap an exact array, keeping object dtype only where it is needed
+        if a.dtype == object and not _huge(a):
+            a = a.astype(np.int64)
+        m = cls.__new__(cls)
+        m.array = a
+        return m
+
+    @property
+    def rows(self):
+        return self.array.shape[0]
+
+    @property
+    def cols(self):
+        return self.array.shape[1]
+
+    @property
+    def data(self):
+        return tuple(map(tuple, self.array.tolist()))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        return cls._of(np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, n):
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return cls._of(np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_columns(cls, columns, rows):
-        m = cls.zeros(rows, len(columns))
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column of wrong length")
-            for i, v in enumerate(col):
-                m.data[i][j] = int(v)
-        return m
+        return cls(columns, len(columns), rows).transpose()
 
     def column(self, j):
-        return [row[j] for row in self.data]
+        return self.array[:, j].tolist()
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return self.array.T.tolist()
 
     def transpose(self):
-        return IntegerMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
+        return IntegerMatrix._of(self.array.T.copy())
 
     def max_abs(self):
-        best = 0
-        for row in self.data:
-            for v in row:
-                a = -v if v < 0 else v
-                if a > best:
-                    best = a
-        return best
+        return int(np.abs(self.array).max(initial=0))
 
     def is_zero(self):
-        return all(v == 0 for row in self.data for v in row)
+        return not self.array.any()
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return np.array_equal(self.array, other.array)
 
     def __matmul__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        return _matmul(self, other)
+        a, b = self.array, other.array
+        if self.cols * max(self.max_abs(), 1) * max(other.max_abs(), 1) >= _INT64_SAFE:
+            a, b = a.astype(object), b.astype(object)
+        return IntegerMatrix._of(a @ b)
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
-def _matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    m, k, n = a.rows, a.cols, b.cols
-    if m == 0 or n == 0 or k == 0:
-        return IntegerMatrix.zeros(m, n)
-    bound = k * max(a.max_abs(), 1) * max(b.max_abs(), 1)
-    if bound < _INT64_SAFE:
-        out = np.asarray(a.data, dtype=np.int64) @ np.asarray(b.data, dtype=np.int64)
-        return IntegerMatrix(out.tolist(), m, n)
-    bt = b.transpose().data
-    data = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.data]
-    return IntegerMatrix(data, m, n)
+def _huge(a) -> bool:
+    """Whether some |entry| of a reaches _INT64_SAFE."""
+    return a.size > 0 and (a.max() >= _INT64_SAFE or a.min() <= -_INT64_SAFE)
 
 
 @dataclass(frozen=True)
@@ -169,11 +167,10 @@ class SmithDecomposition:
         return tuple(x for x in self.d if x != 0)
 
     def diagonal_matrix(self) -> IntegerMatrix:
-        rows, cols = self.shape
-        m = IntegerMatrix.zeros(rows, cols)
-        for i, x in enumerate(self.d):
-            m.data[i][i] = x
-        return m
+        huge = any(x >= _INT64_SAFE for x in self.d)
+        a = np.zeros(self.shape, dtype=object if huge else np.int64)
+        np.fill_diagonal(a, self.d)
+        return IntegerMatrix._of(a)
 
 
 def _snf_eliminate(M, dtype):
@@ -280,18 +277,12 @@ def smith_normal_form(M) -> SmithDecomposition:
         return SmithDecomposition(
             (m, n), (), IntegerMatrix.identity(m), IntegerMatrix.identity(n))
     try:
-        if M.max_abs() >= _INT64_SAFE:
-            raise _NeedExact
-        diag, U, V = _snf_eliminate(M.data, np.int64)
+        # int64 runs guarded; an object array already needs Python ints
+        diag, U, V = _snf_eliminate(M.array, M.array.dtype)
     except (_NeedExact, OverflowError):
-        diag, U, V = _snf_eliminate(
-            [[int(v) for v in row] for row in M.data], object)
+        diag, U, V = _snf_eliminate(M.array, object)
     snf = SmithDecomposition(
-        (m, n),
-        tuple(int(x) for x in diag),
-        IntegerMatrix(U.tolist(), m, m),
-        IntegerMatrix(V.tolist(), n, n),
-    )
+        (m, n), tuple(diag), IntegerMatrix._of(U), IntegerMatrix._of(V))
     _validate_snf(snf, M)
     return snf
 
@@ -311,16 +302,9 @@ def _validate_snf(snf: SmithDecomposition, M: IntegerMatrix):
 
 def kernel_basis(M) -> list[list[int]]:
     """A basis (as columns) of the integer kernel {x : M x = 0}."""
-    if not isinstance(M, IntegerMatrix):
-        M = IntegerMatrix(M)
     snf = smith_normal_form(M)
-    n = M.cols
-    cols = []
-    for j in range(n):
-        dj = snf.d[j] if j < len(snf.d) else 0
-        if dj == 0:
-            cols.append(snf.v.column(j))
-    return cols
+    # the zero diagonal entries come last, so columns rank.. of V span the kernel
+    return [snf.v.column(j) for j in range(snf.rank, snf.shape[1])]
 
 
 def kernel_lattice_mod(M: IntegerMatrix, modulus: int) -> IntegerMatrix:
@@ -328,11 +312,7 @@ def kernel_lattice_mod(M: IntegerMatrix, modulus: int) -> IntegerMatrix:
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     snf = smith_normal_form(M)
-    n = M.cols
-    scaled = IntegerMatrix.zeros(n, n)
-    for j in range(n):
-        dj = snf.d[j] if j < len(snf.d) else 0
-        scale = modulus // gcd(dj, modulus) if dj else 1
-        for i in range(n):
-            scaled.data[i][j] = snf.v.data[i][j] * scale
-    return scaled
+    d = snf.d + (0,) * (M.cols - len(snf.d))
+    # column j of V scaled by the order of d_j mod modulus, in Python ints
+    scale = np.array([modulus // gcd(x, modulus) if x else 1 for x in d], dtype=object)
+    return IntegerMatrix._of(snf.v.array * scale)

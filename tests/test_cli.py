@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from biracks import format_birack, load_diagram, render_crossing_list
+from biracks import format_birack, load_diagram, parse_crossing_list, render_crossing_list
 from biracks.cli import main
+from biracks.errors import DiagramError
 
 FAILING_BIRACK = "3\n1 1 1\n2 2 2\n3 3 3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -73,6 +74,32 @@ def test_unknown_bundled_name(argv, kind, bundled):
     assert out == ""
     assert err == (f"error: 'nosuch' is neither a readable file nor a bundled "
                    f"{kind} (bundled: {bundled})\n")
+
+
+@pytest.mark.parametrize("text", [
+    "X 1 -1 0 0 -1\n",  # would wrap to a one-semiarc diagram
+    "X 1 0 1 1 0\nL -1\n",  # would drop the free loop
+], ids=["crossing", "free-loop"])
+def test_negative_semiarc_id_is_a_usage_error(tmp_path, text):
+    with pytest.raises(DiagramError, match="semiarc id -1 is negative"):
+        parse_crossing_list(text)
+    path = tmp_path / "negative.txt"
+    path.write_text(text)
+    code, out, err = run(["invariant", "ab4", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: semiarc id -1 is negative\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    from biracks import homology
+
+    def broken(b, degree, max_cells=None):
+        raise KeyError("row_index")
+
+    monkeypatch.setattr(homology, "boundary_matrix", broken)
+    with pytest.raises(KeyError):
+        main(["homology", "ab4"])
 
 
 def test_homology_one_element(tmp_path):

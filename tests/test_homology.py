@@ -151,7 +151,7 @@ def _face_only_matrix(b, degree, twisted):
         for k in range(1, degree + 1):
             sign = -1 if k % 2 else 1
             t = partial_dprime(b, k, tup) if twisted else partial_prime(k, tup)
-            m.data[row_index[t]][j] += sign
+            m.array[row_index[t], j] += sign
     return m
 
 
@@ -259,8 +259,8 @@ def test_rack_boundary_correspondence(dih3):
                 sign = -1 if k % 2 else 1
                 plain = tup[: k - 1] + tup[k:]
                 acted = tuple(tri(v, tup[k - 1]) for v in tup[: k - 1]) + tup[k:]
-                m.data[index[plain]][j] += sign
-                m.data[index[acted]][j] -= sign
+                m.array[index[plain], j] += sign
+                m.array[index[acted], j] -= sign
         return m
 
     for degree in (2, 3):
@@ -392,7 +392,7 @@ def test_reduced_cohomology_certificate_fires(ab4, monkeypatch):
     def corrupted(b, degree, max_cells=None):
         m = real(b, degree, max_cells=max_cells)
         if degree == 2:
-            m.data[0][1] += 1
+            m.array[0, 1] += 1
         return m
 
     monkeypatch.setattr(homology, "boundary_matrix", corrupted)

@@ -73,7 +73,8 @@ def solve(M, rhs, snf=None):
     m, n = M.rows, M.cols
     if len(rhs) != m:
         raise ValueError("right-hand side of wrong length")
-    y = [sum(snf.u.data[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+    u, v = snf.u.data, snf.v.data
+    y = [sum(u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
     z = [0] * n
     for i in range(m):
         di = snf.d[i] if i < len(snf.d) else 0
@@ -85,7 +86,7 @@ def solve(M, rhs, snf=None):
                 return None
             if i < n:
                 z[i] = y[i] // di
-    return [sum(snf.v.data[i][k] * z[k] for k in range(n)) for i in range(n)]
+    return [sum(v[i][k] * z[k] for k in range(n)) for i in range(n)]
 
 
 def column_span_contains(M, rhs, snf=None):
@@ -121,9 +122,9 @@ def test_unimodular_check_is_exact():
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
     for n in (3, 20):  # both branches of assert_unimodular
         T = IntegerMatrix.identity(n)
-        T.data[0][n - 1] = 5
+        T.array[0, n - 1] = 5
         assert_unimodular(T)
-        T.data[n - 1][n - 1] = 2
+        T.array[n - 1, n - 1] = 2
         with pytest.raises(AssertionError):
             assert_unimodular(T)
 
@@ -293,7 +294,7 @@ def test_kernel_lattice_mod_members_verify():
 
 def test_matrix_helpers():
     M = IntegerMatrix([[1, 2], [3, 4], [5, 6]])
-    assert M.transpose().data == [[1, 3, 5], [2, 4, 6]]
+    assert M.transpose().data == ((1, 3, 5), (2, 4, 6))
     assert M.column(1) == [2, 4, 6]
     assert M.max_abs() == 6
     assert not M.is_zero()
@@ -301,3 +302,62 @@ def test_matrix_helpers():
         IntegerMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntegerMatrix.identity(2) @ IntegerMatrix.zeros(3, 1)
+
+
+def _ref_transpose(rows, r, c):
+    return [[rows[i][j] for i in range(r)] for j in range(c)]
+
+
+def _ref_product(a, b, m, k, n):
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+@pytest.mark.parametrize("a, shape_a, b, shape_b", [
+    ([[1, -2], [3, 4]], (2, 2), [[5, 0], [-7, 8]], (2, 2)),
+    # every |entry| below 2^62 stays int64; 2^62 and 2^63 need Python ints
+    ([[2**62 - 1, 0], [0, -(2**62 - 1)]], (2, 2), [[2**62, 1], [0, -(2**63)]], (2, 2)),
+    # int64 operands whose int64 product would overflow: 4 * 2^80
+    ([[2**40] * 4], (1, 4), [[2**40]] * 4, (4, 1)),
+    ([[2**70, -1]], (1, 2), [[1, 2], [3, 4]], (2, 2)),
+    # Python-int operands, small product: back to int64
+    ([[2**70, 1]], (1, 2), [[0], [5]], (2, 1)),
+    ([], (0, 1), [[1, 2**62, 3]], (1, 3)),
+    ([[], [], []], (3, 0), [], (0, 2)),
+], ids=["small", "int64-limit", "int64-overflow", "huge", "huge-small-product",
+        "0x1", "3x0"])
+def test_exact_across_the_int64_boundary(a, shape_a, b, shape_b):
+    def dtype(rows):
+        return object if any(abs(v) >= 2**62 for row in rows for v in row) else np.int64
+
+    (m, k), (_, n) = shape_a, shape_b
+    A, B = IntegerMatrix(a, m, k), IntegerMatrix(b, k, n)
+    for M, rows, (r, c) in ((A, a, shape_a), (B, b, shape_b)):
+        assert M.array.dtype == dtype(rows)
+        assert (M.rows, M.cols) == (r, c)
+        assert M.data == tuple(map(tuple, rows))
+        columns = _ref_transpose(rows, r, c)
+        assert M.columns() == columns
+        assert [M.column(j) for j in range(c)] == columns
+        read = [v for row in M.data for v in row] + [v for col in M.columns() for v in col]
+        read += [v for j in range(c) for v in M.column(j)]
+        assert all(type(v) is int for v in read)
+        T = M.transpose()
+        assert (T.rows, T.cols) == (c, r)
+        assert T.data == tuple(map(tuple, columns))
+        assert T.array.dtype == M.array.dtype
+        assert T.transpose() == M
+        assert IntegerMatrix.from_columns(columns, r) == M
+        assert M.is_zero() == (not any(v for row in rows for v in row))
+        if r and c:
+            bumped = [list(row) for row in rows]
+            bumped[0][0] += 2**62
+            assert IntegerMatrix(bumped) != M
+            assert M != IntegerMatrix(bumped) @ IntegerMatrix.identity(c)
+    P = A @ B
+    expected = _ref_product(a, b, m, k, n)
+    assert (P.rows, P.cols) == (m, n)
+    assert P.array.dtype == dtype(expected)
+    assert P.data == tuple(map(tuple, expected))
+    assert all(type(v) is int for row in P.data for v in row)
+    assert P == IntegerMatrix(expected, m, n)
+    assert P.transpose() == B.transpose() @ A.transpose()
