@@ -11,6 +11,33 @@ A reduced 2-cocycle phi refines counting: each labeling contributes u to the
 power of its Boltzmann weight, the signed sum over crossings of phi at the
 left-side labels with the under label first.  Positive crossings contribute
 phi(u_out, o_in), negative ones -phi(u_in, o_out).
+
+The invariants never list labelings.  A labeling count is a state sum: each
+crossing is a 0/1 tensor over its four semiarcs, R[o_in, o_out, u_in, u_out]
+= [o_out = alpha_{u_out}(o_in)] [u_in = beta_{o_in}(u_out)] when positive
+and its mirror when negative, and contracting every shared semiarc counts
+the labelings.  Each component is cut at its lowest-id semiarc s, where
+add_positive_kink inserts its kinks: the crossing that consumed s consumes a
+new cut end s' instead, and F[w, s, s'] = (M^w)[s, s'] joins the two, with
+M[x, y] = [alpha_y(x) = beta_x(y)] the relation one positive kink imposes.
+Axiom (i) makes M the permutation matrix of the kink map pi.  A free loop is
+its own cut, so F closes it by a trace.  The framing indices w stay open, so
+one contraction gives every per-framing count of the tile.
+
+Weights stay exact integers: every tensor is held as one integer slice per
+Boltzmann weight, so a crossing entry goes to the slice of its own +-phi
+and F's entries to the weight of their w kinks.  Contracting two tensors
+adds the weights of each pair of slices.  The order is greedy and pairwise,
+chosen from the index sizes alone; each step reads the operand with fewer
+nonzero entries entry by entry, which suits the crossings, whose n^4 cells
+hold n^2 ones.  Before any tensor is built, the inputs (their cells times
+their number of weights) and the largest intermediate of the order are
+checked against MAX_CONTRACTION_CELLS, and each step checks its cells times
+its number of weights before it allocates; each check raises
+ResourceLimitExceeded.
+
+enumerate_labelings and brute_force_labelings still list labelings one by
+one, for inspection and as oracles for the contraction.
 """
 
 from __future__ import annotations
@@ -19,13 +46,18 @@ import os
 import warnings as _warnings
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+
+import numpy as np
 
 from .algebra import AugmentedBirack
-from .diagram import LinkDiagram, add_positive_kink
+from .diagram import LinkDiagram
 from .errors import InvalidLabeling, NotReducedCocycle, ResourceLimitExceeded
 from .homology import Cochain2, is_reduced_2_cocycle
 
 DEFAULT_MAX_TILE = 4096
+MAX_CONTRACTION_CELLS = 1 << 24
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _tile_limit(override=None) -> int:
@@ -190,7 +222,9 @@ def enumerate_labelings(d: LinkDiagram, b: AugmentedBirack) -> list[tuple[int, .
 
     Backtracking on the lowest unassigned semiarc with unit propagation
     through the crossing equations; bijectivity of the alpha and beta rows
-    lets a known subscript force source from target and vice versa.
+    lets a known subscript force source from target and vice versa.  The
+    search keeps its own stack, so its depth is not bounded by Python's
+    recursion limit.
     """
     count = d.semiarc_count
     by_var = [[] for _ in range(count)]
@@ -199,20 +233,20 @@ def enumerate_labelings(d: LinkDiagram, b: AugmentedBirack) -> list[tuple[int, .
             by_var[v].append(eq)
 
     out: list[tuple[int, ...]] = []
-
-    def descend(labels):
+    stack = [[0] * count]
+    while stack:
+        labels = stack.pop()
         try:
             v = labels.index(0)
         except ValueError:
             out.append(tuple(labels))
-            return
-        for value in range(1, b.size + 1):
+            continue
+        # pushed in reverse so the smallest value is searched first
+        for value in range(b.size, 0, -1):
             trial = labels[:]
             trial[v] = value
             if _propagate(b, by_var, trial, [v]):
-                descend(trial)
-
-    descend([0] * count)
+                stack.append(trial)
     return out
 
 
@@ -254,14 +288,6 @@ def boltzmann_weight(d: LinkDiagram, labeling, phi: Cochain2,
     return total
 
 
-def _with_kinks(d: LinkDiagram, kinks) -> LinkDiagram:
-    out = d
-    for comp, k in enumerate(kinks):
-        for _ in range(k):
-            out = add_positive_kink(out, comp)
-    return out
-
-
 def _check_cochain(b: AugmentedBirack, phi: Cochain2 | None, quiet: bool):
     if phi is None or is_reduced_2_cocycle(b, phi):
         return ()
@@ -272,36 +298,252 @@ def _check_cochain(b: AugmentedBirack, phi: Cochain2 | None, quiet: bool):
     return (message,)
 
 
+# -- the state sum as one tensor contraction -------------------------------
+#
+# A tensor is a pair (slices, indices): slices maps each Boltzmann weight to
+# an integer array with one axis per index, and only weights with a nonzero
+# slice are kept.
+
+
+def _slices(coords, exps, shape):
+    """0/1 slices with a one at each coordinate tuple, under its weight."""
+    out = {}
+    for e in set(exps.ravel().tolist()):
+        at = exps == e
+        tensor = np.zeros(shape, dtype=np.int64)
+        tensor[tuple(c[at] for c in coords)] = 1
+        out[e] = tensor
+    return out
+
+
+def _crossing_entries(b: AugmentedBirack, weights, sign: int):
+    """The ones of R[o_in, o_out, u_in, u_out], as coordinates and weights.
+
+    The left-side labels x (over strand) and y (under strand) fix the
+    right-side ones, alpha_y(x) and beta_x(y), and the weight
+    sign * phi(y, x).
+    """
+    n = b.size
+    alpha = np.array(b.alpha) - 1
+    beta = np.array(b.beta) - 1
+    x, y = np.indices((n, n))
+    over_right, under_right = alpha[y, x], beta[x, y]
+    coords = ((x, over_right, under_right, y) if sign > 0
+              else (over_right, x, y, under_right))
+    return coords, sign * weights[y, x]
+
+
+def _kink_entries(b: AugmentedBirack, weights, kinks):
+    """The ones of F[j, x, y], where kinks[j] positive kinks take x to y.
+
+    One kink takes x to pi(x), the unique label with alpha_{pi(x)}(x) =
+    beta_x(pi(x)), and weighs phi(pi(x), x).  pi has order N, so k = qN + r
+    kinks weigh q full orbits plus r steps.
+    """
+    n, period = b.size, b.characteristic
+    pi = np.array(b.pi) - 1
+    ends, sums = [np.arange(n)], [np.zeros(n, dtype=object)]
+    for _ in range(period):
+        ends.append(pi[ends[-1]])
+        sums.append(sums[-1] + weights[ends[-1], ends[-2]])
+    q, r = np.divmod(np.array(kinks), period)
+    exps = (q[:, None] * sums[period] + np.array(sums)[r]).ravel()
+    j = np.repeat(np.arange(len(kinks)), n)
+    x = np.tile(np.arange(n), len(kinks))
+    return (j, x, np.array(ends)[r].ravel()), exps
+
+
+def _open(indices, dims):
+    """The indices a tensor keeps: those of size above 1 that occur once.
+
+    A repeated index is a semiarc that starts and ends at the same tensor.
+    """
+    return tuple(k for k in indices if indices.count(k) == 1 and dims[k] > 1)
+
+
+def _close(tensor, indices, dims):
+    """Drop the indices of size 1 and sum out the repeated ones."""
+    kept = tuple(k for k in indices if dims[k] > 1)
+    once = _open(indices, dims)
+    local = {k: i for i, k in enumerate(dict.fromkeys(kept))}
+    shape = [dims[k] for k in kept]
+    closed = {e: np.einsum(t.reshape(shape), [local[k] for k in kept],
+                           [local[k] for k in once])
+              for e, t in tensor.items()}
+    return {e: t for e, t in closed.items() if t.any()}, once
+
+
+def _merge(ia, ib):
+    """The indices left after a contraction: those in exactly one operand."""
+    return tuple(k for k in ia if k not in ib) + tuple(k for k in ib if k not in ia)
+
+
+def _greedy(specs, dims, framings, defer):
+    """One greedy pairwise order over the index tuples in specs.
+
+    Each step contracts the pair of live tensors sharing an index that
+    shrinks the cell count most (grows it least), then carries the fewest
+    framing indices.  With defer, growing steps that carry a framing index
+    wait behind every other step.  A network that falls apart joins its two
+    smallest pieces.  A result takes the next free slot.  Returns the
+    steps, the largest index tuple met and its cells, and the flop count.
+    """
+    def cells(indices):
+        return prod(dims[k] for k in indices)
+
+    live = dict(enumerate(specs))
+    steps, largest, flops = [], max(specs, key=cells), 0
+    while len(live) > 1:
+        owners = {}
+        for slot, indices in live.items():
+            for k in indices:
+                owners.setdefault(k, []).append(slot)
+        pairs = sorted({tuple(s) for s in owners.values() if len(s) == 2})
+        if not pairs:
+            pairs = [tuple(sorted(sorted(live, key=lambda s: cells(live[s]))[:2]))]
+        best = None
+        for i, j in pairs:
+            merged = _merge(live[i], live[j])
+            growth = cells(merged) - cells(live[i]) - cells(live[j])
+            carried = len(framings.intersection(merged))
+            key = (defer and growth > 0 and carried, growth, carried, len(merged))
+            if best is None or key < best[0]:
+                best = (key, i, j, merged)
+        _, i, j, merged = best
+        flops += cells(set(live[i] + live[j]))
+        del live[i], live[j]
+        live[len(specs) + len(steps)] = merged
+        steps.append((i, j))
+        largest = max(largest, merged, key=cells)
+    return steps, largest, cells(largest), flops
+
+
+def _guard(shape, weights=1):
+    """Refuse an intermediate with one slice of this shape per weight when
+    its cells would exceed MAX_CONTRACTION_CELLS."""
+    cells = prod(shape) * weights
+    if cells > MAX_CONTRACTION_CELLS:
+        what = "x".join(map(str, shape)) or "scalar"
+        if weights > 1:
+            what += f" over {weights} weights"
+        raise ResourceLimitExceeded(f"labeling contraction intermediate {what}",
+                                    cells, MAX_CONTRACTION_CELLS)
+
+
+def _nonzeros(tensor):
+    return sum(np.count_nonzero(t) for t in tensor.values())
+
+
+def _contract_pair(a, ia, b, ib):
+    """Sum over the indices a and b share; weights add.
+
+    The operand with fewer nonzero entries is read entry by entry: each
+    entry picks the slab of the other operand at its shared labels and adds
+    it, scaled, at its other labels.  Entries stay int64 while a bound from
+    the operands' largest entries allows, and become Python ints otherwise.
+    """
+    if _nonzeros(a) > _nonzeros(b):
+        a, ia, b, ib = b, ib, a, ia
+    keep = _merge(ia, ib)
+    if not a or not b:
+        return {}, keep
+    ta, tb = next(iter(a.values())), next(iter(b.values()))
+    shared = [k for k in ia if k in ib]
+    rest = [ta.shape[ia.index(k)] for k in ia if k not in ib]
+    slab = tuple(tb.shape[ib.index(k)] for k in ib if k not in ia)
+    _guard(rest + list(slab), len({ea + eb for ea in a for eb in b}))
+    bound = (sum(int(t.max()) for t in a.values())
+             * sum(int(t.max()) for t in b.values())
+             * prod(tb.shape[ib.index(k)] for k in shared))
+    dtype = object if bound > _INT64_MAX else np.result_type(ta, tb)
+    b = {e: np.moveaxis(t, [ib.index(k) for k in shared], range(len(shared)))
+         for e, t in b.items()}
+    out = {}
+    for ea, sa in a.items():
+        coords = np.argwhere(sa).T
+        scale = sa[sa != 0].astype(dtype).reshape((-1,) + (1,) * len(slab))
+        at = tuple(coords[ia.index(k)] for k in shared)
+        row = np.ravel_multi_index(
+            tuple(coords[ia.index(k)] for k in ia if k not in ib), rest)
+        row = np.broadcast_to(row, len(scale))  # a scalar when rest is empty
+        for eb, sb in b.items():
+            if ea + eb not in out:
+                out[ea + eb] = np.zeros((prod(rest),) + slab, dtype)
+            np.add.at(out[ea + eb], row, sb[at] * scale)
+    shape = tuple(rest) + slab
+    return {e: t.reshape(shape) for e, t in out.items() if t.any()}, keep
+
+
+def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
+    """Labeling counts by weight, each an array over the kink vectors.
+
+    kinks[i] lists the kink counts taken on component i.  Under weight w,
+    entry j of the array counts the labelings whose Boltzmann weight is w,
+    on the diagram with the j-th kink vector of product(*kinks).
+    """
+    n = b.size
+    semiarcs, c = d.semiarc_count, d.component_count
+    # Python ints: a weight can grow with the number of kinks
+    weights = (np.array(phi.values, dtype=object) if phi is not None
+               else np.zeros((n, n), dtype=object))
+    # index ids: the semiarcs, then per component its cut end and its kink
+    # count (a framing index, left open)
+    dims = [n] * (semiarcs + c) + [len(k) for k in kinks]
+    framings = range(semiarcs + c, semiarcs + 2 * c)
+    free = set(d.free_loop_semiarcs)
+    cut = {min(comp): semiarcs + i for i, comp in enumerate(d.components)
+           if min(comp) not in free}
+
+    raw = [(cut.get(x.over_in, x.over_in), x.over_out,
+            cut.get(x.under_in, x.under_in), x.under_out) for x in d.crossings]
+    raw += [(framings[i], min(comp), cut.get(min(comp), min(comp)))
+            for i, comp in enumerate(d.components)]
+    by_sign = {x.sign: _crossing_entries(b, weights, x.sign) for x in d.crossings}
+    entries = [by_sign[x.sign] for x in d.crossings]
+    entries += [_kink_entries(b, weights, k) for k in kinks]
+    steps, largest, _, _ = min(
+        (_greedy([_open(ix, dims) for ix in raw], dims, set(framings), defer)
+         for defer in (False, True)),
+        key=lambda plan: plan[2:])
+    for ix, (_, exps) in zip(raw, entries):
+        _guard([dims[k] for k in ix], len(set(exps.ravel().tolist())))
+    _guard([dims[k] for k in largest])
+
+    slots = [_close(_slices(coords, exps, [dims[k] for k in ix]), ix, dims)
+             for ix, (coords, exps) in zip(raw, entries)]
+    for i, j in steps:
+        slots.append(_contract_pair(*slots[i], *slots[j]))
+        slots[i] = slots[j] = None
+    table, indices = slots[-1]
+    order = [indices.index(k) for k in framings if k in indices]
+    return {e: t.transpose(order).ravel() for e, t in table.items()}
+
+
 def _collect(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None,
-             framings, warn_messages) -> InvariantResult:
-    per_framing = []
-    weight_counts: dict[int, int] = {}
-    total = 0
-    for dk in framings:
-        labelings = enumerate_labelings(dk, b)
-        per_framing.append((dk.framing, len(labelings)))
-        total += len(labelings)
-        for f in labelings:
-            w = boltzmann_weight(dk, f, phi) if phi is not None else 0
-            weight_counts[w] = weight_counts.get(w, 0) + 1
-    poly = LaurentPolynomial(weight_counts)
+             kinks, warn_messages) -> InvariantResult:
+    table = _state_sum(d, b, phi, kinks)
+    counts = sum(table.values(), np.zeros(prod(map(len, kinks)), dtype=np.int64))
+    per_framing = tuple(
+        (tuple(base + k for base, k in zip(d.framing, added)), int(count))
+        for added, count in zip(product(*kinks), counts))
+    weight_counts = {e: int(t.sum()) for e, t in sorted(table.items())}
     return InvariantResult(
-        per_framing=tuple(per_framing),
-        phi_z=total,
-        poly=poly,
-        multiset=tuple(sorted(weight_counts.items())),
+        per_framing=per_framing,
+        phi_z=sum(count for _, count in per_framing),
+        poly=LaurentPolynomial(weight_counts),
+        multiset=tuple(weight_counts.items()),
         warnings=warn_messages,
     )
 
 
-def _tile(d: LinkDiagram, b: AugmentedBirack, max_tile) -> list[LinkDiagram]:
+def _tile(d: LinkDiagram, b: AugmentedBirack, max_tile):
     c = d.component_count
     N = b.characteristic
     limit = _tile_limit(max_tile)
     needed = N**c
     if needed > limit:
         raise ResourceLimitExceeded(f"framing tile of {N}^{c} vectors", needed, limit)
-    return [_with_kinks(d, kinks) for kinks in product(range(N), repeat=c)]
+    return [range(N)] * c
 
 
 def counting_invariant(d: LinkDiagram, b: AugmentedBirack,
@@ -344,4 +586,4 @@ def framed_invariants(d: LinkDiagram, b: AugmentedBirack,
                 f"base framing {base}; only positive kinks can be added")
         kinks.append(target - base)
     messages = _check_cochain(b, phi, quiet=True)
-    return _collect(d, b, phi, [_with_kinks(d, kinks)], messages)
+    return _collect(d, b, phi, [[k] for k in kinks], messages)

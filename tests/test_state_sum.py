@@ -1,0 +1,196 @@
+"""The tile contraction against a labeling search, and its size guard.
+
+`search_reference` is the tile loop the contraction replaced: it rebuilds
+each framing's diagram with add_positive_kink, lists its labelings, and
+sums their Boltzmann weights one by one.
+"""
+
+import contextlib
+import io
+import json
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from biracks import (
+    LaurentPolynomial,
+    add_positive_kink,
+    available_diagrams,
+    boltzmann_weight,
+    brute_force_labelings,
+    cocycle_invariant,
+    counting_invariant,
+    enumerate_labelings,
+    framed_invariants,
+    from_crossings,
+    load_cochain,
+    load_diagram,
+    tsr_birack,
+)
+from biracks import cli, invariants
+from biracks.errors import ResourceLimitExceeded
+from biracks.homology import Cochain2
+
+HERE = Path(__file__).resolve().parent
+TILE_N10 = json.loads((HERE / "tile_n10_search.json").read_text())
+
+
+def with_kinks(d, kinks):
+    for comp, count in enumerate(kinks):
+        for _ in range(count):
+            d = add_positive_kink(d, comp)
+    return d
+
+
+def search_reference(d, b, phi, kink_vectors, labelings=enumerate_labelings):
+    """(per_framing, phi_z, poly, multiset) from listed labelings."""
+    per_framing, weights = [], {}
+    for kinks in kink_vectors:
+        kd = with_kinks(d, kinks)
+        found = labelings(kd, b)
+        per_framing.append((kd.framing, len(found)))
+        for f in found:
+            w = boltzmann_weight(kd, f, phi) if phi is not None else 0
+            weights[w] = weights.get(w, 0) + 1
+    return (tuple(per_framing), sum(c for _, c in per_framing),
+            LaurentPolynomial(weights), tuple(sorted(weights.items())))
+
+
+def summary(result):
+    return result.per_framing, result.phi_z, result.poly, result.multiset
+
+
+def tile(d, b):
+    return list(product(range(b.characteristic), repeat=d.component_count))
+
+
+def test_small_diagrams_match_brute_force(ab4, tsr3, dih3, one_element, phi4,
+                                          kinked_unknot):
+    """Acceptance 11's diagrams: brute force at the base framing, and the
+    search (which acceptance 11 checks against brute force) over the tile."""
+    small = [load_diagram(name) for name in available_diagrams()
+             if load_diagram(name).semiarc_count <= 6]
+    for d in small + [kinked_unknot]:
+        base = [(0,) * d.component_count]
+        for b, phi in ((ab4, phi4), (tsr3, None), (dih3, None), (one_element, None)):
+            want = search_reference(d, b, phi, base, brute_force_labelings)
+            assert summary(framed_invariants(d, b, phi)) == want
+        assert (summary(cocycle_invariant(d, ab4, phi4))
+                == search_reference(d, ab4, phi4, tile(d, ab4)))
+        for b in (tsr3, dih3, one_element):
+            assert summary(counting_invariant(d, b)) == search_reference(
+                d, b, None, tile(d, b), brute_force_labelings)
+
+
+@pytest.mark.parametrize("name", ["ab4", "ab5"])
+def test_bundled_diagrams_match_search(name, ab4, ab5):
+    b = {"ab4": ab4, "ab5": ab5}[name]
+    phi = load_cochain(f"{name}_phi", b.size)
+    for diagram in available_diagrams():
+        d = load_diagram(diagram)
+        want = search_reference(d, b, phi, tile(d, b))
+        assert summary(cocycle_invariant(d, b, phi)) == want, diagram
+
+
+def test_large_characteristic_tiles_match_recorded_search():
+    """tsr_birack(11, 1, 0, 2) has N = 10; the recorded values came from the
+    search loop above, over all 10^c framings of each tile."""
+    b = tsr_birack(*TILE_N10["birack"])
+    phi = Cochain2.from_pairs(b.size, TILE_N10["phi"])
+    for key, want in TILE_N10["results"].items():
+        kind, name = key.split()
+        d = load_diagram(name)
+        result = (counting_invariant(d, b) if kind == "counting"
+                  else cocycle_invariant(d, b, phi))
+        assert result.to_json_dict() == want, key
+    # a live search on single framings of the same tiles
+    for name, kinks in (("l2a1", (3, 7)), ("k4_1", (9,)), ("l4a1", (0, 5))):
+        d = load_diagram(name)
+        framing = tuple(f + k for f, k in zip(d.framing, kinks))
+        assert (summary(framed_invariants(d, b, phi, framing))
+                == search_reference(d, b, phi, [kinks]))
+
+
+def test_framed_invariants_far_above_the_base(ab4, ab5, phi4, phi5):
+    for b, phi in ((ab4, phi4), (ab5, phi5)):
+        top = 2 * b.characteristic
+        for name in ("l2a1", "unknot", "k3_1", "v2_1"):
+            d = load_diagram(name)
+            for kinks in product(range(top + 1), repeat=d.component_count):
+                framing = tuple(f + k for f, k in zip(d.framing, kinks))
+                assert (summary(framed_invariants(d, b, phi, framing))
+                        == search_reference(d, b, phi, [kinks])), (name, kinks)
+
+
+def test_more_semiarcs_than_einsum_indices(ab4, phi4):
+    d = with_kinks(load_diagram("l2a1"), (15, 15))
+    assert d.semiarc_count > 52
+    assert summary(cocycle_invariant(d, ab4, phi4)) == search_reference(
+        d, ab4, phi4, tile(d, ab4))
+
+
+def test_counts_beyond_int64(ab4, ab5):
+    # each free loop at framing 0 takes every label: n^loops labelings; 100
+    # components are more framing indices than an array has axes
+    assert counting_invariant(from_crossings([], range(100)), ab5).phi_z == 5**100
+    framed = framed_invariants(from_crossings([], range(40)), ab4)
+    assert framed.per_framing == (((0,) * 40, 4**40),)
+
+
+def test_search_is_not_bounded_by_the_recursion_limit(one_element):
+    d = from_crossings([], free_loops=range(1200))
+    assert enumerate_labelings(d, one_element) == [(1,) * 1200]
+
+
+def test_contraction_guard_raises_before_building_tensors(ab4, phi4, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a tensor was built before the guard")
+
+    monkeypatch.setattr(invariants, "_slices", unexpected)
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 100)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        counting_invariant(load_diagram("l2a1"), ab4)
+    assert info.value.limit == 100
+    assert "labeling contraction intermediate" in str(info.value)
+    # a crossing of ab4 holds one 4^4 slice for each of phi4's two values
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 4**4)
+    with pytest.raises(ResourceLimitExceeded, match="4x4x4x4 over 2 weights"):
+        cocycle_invariant(load_diagram("l2a1"), ab4, phi4)
+
+
+def test_contraction_guard_exits_1_from_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 100)
+    assert cli.main(["invariant", "ab4", "l2a1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "labeling contraction intermediate 4x4x4x4" in captured.err
+
+
+def test_weight_slices_count_toward_the_guard(ab4, phi4, monkeypatch):
+    # the inputs fit, but the first step makes 3 weights of 4^4 cells
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 2 * 4**4)
+    assert counting_invariant(load_diagram("l2a1"), ab4).phi_z == 16
+    with pytest.raises(ResourceLimitExceeded, match="4x4x4x4 over 3 weights"):
+        cocycle_invariant(load_diagram("l2a1"), ab4, phi4)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("name", ["ab4", "ab5"])
+def test_invariant_cli_output_is_unchanged(name, mode):
+    """`birack invariant` prints exactly its recorded output on every
+    bundled diagram."""
+    recorded = json.loads((HERE / "invariant_cli_output.json").read_text())
+    extra = ["--json"] if mode == "json" else []
+    for diagram in available_diagrams():
+        argv = ["invariant", name, diagram, "--phi", f"{name}_phi"] + extra
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == recorded[" ".join(argv)].encode(), argv
