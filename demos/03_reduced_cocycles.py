@@ -14,7 +14,8 @@ b = load_birack("ab4")
 
 # A reduced 2-cocycle is killed by the coboundary and vanishes on the
 # degenerate generators, so its Boltzmann weights ignore framing moves.
-basis = reduced_2_cocycles(b)
+# One call gives the lattice basis and its quotient by coboundaries.
+basis, quotient = reduced_2_cohomology(b)
 print(f"reduced 2-cocycle lattice has rank {len(basis)}")
 for phi in basis:
     print("  pairs with coefficient:", phi.pairs())
@@ -25,8 +26,7 @@ assert phi.pairs() == basis[0].pairs()
 assert is_reduced_2_cocycle(b, phi)
 
 # Coboundaries of 1-cochains are cocycles too, just useless ones: the
-# quotient below counts cocycles modulo these.
-quotient = reduced_2_cohomology(b)
+# quotient counts cocycles modulo these.
 print("reduced cocycles mod coboundaries:", quotient.describe())
 
 chi1 = Cochain1.chi(b.size, 1)

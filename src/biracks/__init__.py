@@ -50,6 +50,7 @@ from .errors import (
     DanglingSemiarc,
     DiagramError,
     DuplicateEndpoint,
+    InputError,
     InvalidLabeling,
     KinkMapMissing,
     KinkMapNotUnique,
@@ -96,8 +97,7 @@ from .invariants import (
 from .linalg import (
     IntegerMatrix,
     SmithDecomposition,
-    kernel_basis,
-    kernel_lattice_mod,
+    kernel_lattice,
     smith_normal_form,
 )
 

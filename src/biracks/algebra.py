@@ -31,6 +31,7 @@ from math import gcd, lcm
 
 from .errors import (
     AxiomViolation,
+    InputError,
     KinkMapMissing,
     KinkMapNotUnique,
     NonBijectiveColumn,
@@ -89,7 +90,7 @@ def _normalize_tables(alpha, beta):
     beta = tuple(tuple(int(v) for v in row) for row in beta)
     n = len(alpha)
     if n == 0 or len(beta) != n:
-        raise ValueError("alpha and beta must be nonempty tables of equal size")
+        raise InputError("alpha and beta must be nonempty tables of equal size")
     target = set(range(1, n + 1))
     for kind, table in (("alpha", alpha), ("beta", beta)):
         for x, row in enumerate(table, start=1):
@@ -123,22 +124,6 @@ def _sideways_inverse_tables(alpha, beta, n):
         tuple(tuple(r) for r in beta_bar),
         [],
     )
-
-
-def _inversion_identity_failures(alpha, beta, alpha_bar, beta_bar, n):
-    """All four inversion identities of axiom (ii), checked on every pair."""
-    bad = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            ok = (
-                alpha_bar[beta[x - 1][y - 1] - 1][alpha[y - 1][x - 1] - 1] == x
-                and beta_bar[alpha[x - 1][y - 1] - 1][beta[y - 1][x - 1] - 1] == x
-                and alpha[beta_bar[x - 1][y - 1] - 1][alpha_bar[y - 1][x - 1] - 1] == x
-                and beta[alpha_bar[x - 1][y - 1] - 1][beta_bar[y - 1][x - 1] - 1] == x
-            )
-            if not ok:
-                bad.append((x, y))
-    return bad
 
 
 def _exchange_failures(alpha, beta, n):
@@ -282,7 +267,7 @@ class AugmentedBirack:
     def _check(self, *vals: int):
         for v in vals:
             if not 1 <= v <= self.size:
-                raise ValueError(f"element {v} out of range 1..{self.size}")
+                raise InputError(f"element {v} out of range 1..{self.size}")
 
     def __repr__(self):
         return (f"AugmentedBirack(size={self.size}, "
@@ -298,12 +283,10 @@ def _check_tables(alpha, beta):
     """
     alpha, beta, n = _normalize_tables(alpha, beta)
 
+    # alpha_bar and beta_bar are built as the inverse of S, so the inversion
+    # identities hold whenever S is a bijection
     alpha_bar, beta_bar, collisions = _sideways_inverse_tables(alpha, beta, n)
-    if collisions:
-        axiom_ii = AxiomCheck("ii", False, tuple(collisions))
-    else:
-        bad = _inversion_identity_failures(alpha, beta, alpha_bar, beta_bar, n)
-        axiom_ii = AxiomCheck("ii", not bad, tuple(bad))
+    axiom_ii = AxiomCheck("ii", not collisions, tuple(collisions))
 
     axiom_iii = AxiomCheck("iii", True, ())
     bad = _exchange_failures(alpha, beta, n)
@@ -396,10 +379,10 @@ def matrix_to_tables(matrix):
     """
     rows = [list(map(int, row)) for row in matrix]
     if not rows or len(rows) % 2 != 0:
-        raise ValueError("matrix must have 2n rows")
+        raise InputError("matrix must have 2n rows")
     n = len(rows) // 2
     if any(len(row) != n for row in rows):
-        raise ValueError(f"matrix must have {n} columns to match its 2n rows")
+        raise InputError(f"matrix must have {n} columns to match its 2n rows")
     alpha = [[rows[i][j] for i in range(n)] for j in range(n)]
     beta = [[rows[n + i][j] for i in range(n)] for j in range(n)]
     return alpha, beta
@@ -418,7 +401,7 @@ def tsr_birack(n: int, t: int, s: int, r: int) -> AugmentedBirack:
     map comes out as x -> (t^-1 r + s)x, so these do not all have pi = id.
     """
     if n < 1:
-        raise ValueError("modulus must be positive")
+        raise InputError("modulus must be positive")
     for name, value in (("t", t), ("r", r)):
         if gcd(value % n if n > 1 else 1, n) != 1:
             raise NotAUnit(name, value, n)
@@ -448,18 +431,18 @@ def parse_birack_tables(text: str):
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     if not tokens:
-        raise ValueError("empty birack file")
+        raise InputError("empty birack file")
     try:
         values = [int(tok) for tok in tokens]
     except ValueError as e:
-        raise ValueError(f"birack file has a non-integer token: {e}") from None
+        raise InputError(f"birack file has a non-integer token: {e}") from None
     n = values[0]
     if n < 1:
-        raise ValueError("size must be a positive integer")
+        raise InputError("size must be a positive integer")
     need = 2 * n * n
     body = values[1:]
     if len(body) != need:
-        raise ValueError(
+        raise InputError(
             f"expected {need} table entries for size {n}, found {len(body)}")
     rows = [body[i * n:(i + 1) * n] for i in range(2 * n)]
     return matrix_to_tables(rows)

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import data
 from .algebra import check_axioms, cycle_notation, parse_birack, parse_birack_tables
 from .diagram import parse_crossing_list, parse_gauss, reverse_component
-from .errors import BirackError, ResourceLimitExceeded
+from .errors import BirackError, InputError, ResourceLimitExceeded
 from .homology import (
     cohomology_group,
     homology_group,
@@ -29,17 +29,13 @@ from .homology import (
 from .invariants import cocycle_invariant, counting_invariant, framed_invariants
 
 
-class _InputError(Exception):
-    pass
-
-
 def _read_path(value: str) -> str | None:
     p = Path(value)
     if p.is_file():
         try:
             return p.read_text()
-        except OSError as e:
-            raise _InputError(f"cannot read {value}: {e}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read {value}: {e}") from None
     return None
 
 
@@ -49,7 +45,7 @@ def _load_bundled(kind: str, value: str, *args):
         return getattr(data, f"load_{kind}")(value, *args)
     except KeyError:
         available = getattr(data, f"available_{kind}s")()
-        raise _InputError(
+        raise InputError(
             f"{value!r} is neither a readable file nor a bundled {kind} "
             f"(bundled: {', '.join(available) or 'none'})") from None
 
@@ -127,19 +123,29 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_homology(args) -> int:
+def _reduced(args, quotient: bool):
+    """The reduced basis, with the quotient's lines and payload if asked: one call."""
     b = _load_birack(args.birack)
+    if not quotient:
+        return reduced_2_cocycles(b, modulus=args.mod, max_cells=args.max_cells), [], {}
+    basis, group = reduced_2_cohomology(b, max_cells=args.max_cells)
+    return (basis, [f"quotient by coboundaries: {group.describe()}"],
+            {"quotient": group.to_json_dict()})
+
+
+def cmd_homology(args) -> int:
     if args.reduced:
-        basis = reduced_2_cocycles(b, modulus=args.mod, max_cells=args.max_cells)
+        if args.degree != 2:  # the report is fixed; reject what it would ignore
+            raise InputError(f"--reduced reports degree 2 only; drop -n {args.degree}")
+        if args.cohomology:
+            raise InputError("--reduced cannot be combined with --cohomology")
+        basis, quotient_lines, quotient = _reduced(args, quotient=args.mod is None)
         lines = [f"reduced 2-cocycle space: dimension {len(basis)}"
                  + (f" over Z_{args.mod}" if args.mod else " over Z")]
-        payload = {"reduced_dimension": len(basis), "mod": args.mod}
-        if args.mod is None:
-            quotient = reduced_2_cohomology(b, max_cells=args.max_cells)
-            lines.append(f"quotient by coboundaries: {quotient.describe()}")
-            payload["quotient"] = quotient.to_json_dict()
-        _emit(payload, args.json, lines)
+        payload = {"reduced_dimension": len(basis), "mod": args.mod, **quotient}
+        _emit(payload, args.json, lines + quotient_lines)
         return 0
+    b = _load_birack(args.birack)
     fn = cohomology_group if args.cohomology else homology_group
     group = fn(b, args.degree, modulus=args.mod, max_cells=args.max_cells)
     letter = "H^" if args.cohomology else "H_"
@@ -156,8 +162,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_cocycles(args) -> int:
-    b = _load_birack(args.birack)
-    basis = reduced_2_cocycles(b, modulus=args.mod, max_cells=args.max_cells)
+    if args.quotient and args.mod is not None:
+        raise InputError("--quotient needs Z coefficients; drop --mod")
+    basis, quotient_lines, quotient = _reduced(args, quotient=args.quotient)
     ring = f"Z_{args.mod}" if args.mod else "Z"
     lines = [f"reduced 2-cocycles over {ring}: {len(basis)} basis elements"]
     lines.extend(f"  {phi}" for phi in basis)
@@ -165,12 +172,9 @@ def cmd_cocycles(args) -> int:
         "mod": args.mod,
         "dimension": len(basis),
         "basis": [[[i, j, c] for i, j, c in phi.pairs()] for phi in basis],
+        **quotient,
     }
-    if args.quotient and args.mod is None:
-        quotient = reduced_2_cohomology(b, max_cells=args.max_cells)
-        lines.append(f"quotient by coboundaries: {quotient.describe()}")
-        payload["quotient"] = quotient.to_json_dict()
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lines + quotient_lines)
     return 0
 
 
@@ -185,7 +189,7 @@ def cmd_invariant(args) -> int:
         try:
             framing = tuple(int(t) for t in args.framed.replace(",", " ").split())
         except ValueError:
-            raise _InputError(f"--framed expects integers, got {args.framed!r}") from None
+            raise InputError(f"--framed expects integers, got {args.framed!r}") from None
         result = framed_invariants(d, b, phi, framing)
     elif phi is not None:
         import warnings as _w
@@ -210,6 +214,12 @@ def cmd_invariant(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="birack",
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohomology", action="store_true")
     p.add_argument("--reduced", action="store_true",
                    help="report the reduced 2-cocycle space instead")
-    p.add_argument("--max-cells", type=int, default=None,
+    p.add_argument("--max-cells", type=_budget, default=None,
                    help="override the chain-basis size guard "
                         "(also: BIRACKS_MAX_CELLS)")
     p.add_argument("--json", action="store_true")
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=None, metavar="M")
     p.add_argument("--quotient", action="store_true",
                    help="also report cocycles modulo coboundaries")
-    p.add_argument("--max-cells", type=int, default=None)
+    p.add_argument("--max-cells", type=_budget, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_cocycles)
 
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate at one fixed framing instead of the tile")
     p.add_argument("--reverse", type=int, action="append", metavar="COMP",
                    help="reverse a component (0-based) before computing")
-    p.add_argument("--max-tile", type=int, default=None,
+    p.add_argument("--max-tile", type=_budget, default=None,
                    help="override the framing-tile size guard "
                         "(also: BIRACKS_MAX_TILE)")
     p.add_argument("--json", action="store_true")
@@ -270,7 +280,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (_InputError, BirackError, ValueError) as e:
+    except BirackError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,7 @@ from .errors import (
     DanglingSemiarc,
     DiagramError,
     DuplicateEndpoint,
+    InputError,
     SignMismatch,
     UnmatchedCrossingLabel,
 )
@@ -138,7 +139,7 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
 
     mentioned = set(ins) | set(outs)
     if not mentioned:
-        raise ValueError("diagram has no semiarcs; declare at least a free loop")
+        raise InputError("diagram has no semiarcs; declare at least a free loop")
     if min(mentioned) < 0:
         raise DiagramError(f"semiarc id {min(mentioned)} is negative")
     count = max(mentioned) + 1
@@ -201,7 +202,7 @@ def parse_crossing_list(text: str) -> LinkDiagram:
         tag = tokens[0].upper()
         if tag == "X":
             if len(tokens) != 6:
-                raise ValueError(
+                raise InputError(
                     f"line {lineno}: expected `X sign o_in o_out u_in u_out`")
             try:
                 sign = int(tokens[1])
@@ -210,16 +211,19 @@ def parse_crossing_list(text: str) -> LinkDiagram:
             try:
                 ids = [int(t) for t in tokens[2:]]
             except ValueError:
-                raise ValueError(f"line {lineno}: semiarc ids must be integers") from None
+                raise InputError(f"line {lineno}: semiarc ids must be integers") from None
             if sign not in (1, -1):
                 raise BadSign(sign)
             crossings.append(Crossing(sign, *ids))
         elif tag == "L":
             if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: expected `L semiarc`")
-            free_loops.append(int(tokens[1]))
+                raise InputError(f"line {lineno}: expected `L semiarc`")
+            try:
+                free_loops.append(int(tokens[1]))
+            except ValueError:
+                raise InputError(f"line {lineno}: semiarc id must be an integer") from None
         else:
-            raise ValueError(f"line {lineno}: unknown record {tokens[0]!r}")
+            raise InputError(f"line {lineno}: unknown record {tokens[0]!r}")
     return from_crossings(crossings, free_loops)
 
 
@@ -252,10 +256,10 @@ def parse_gauss(text: str) -> LinkDiagram:
         tokens = _GAUSS_TOKEN.findall(body)
         stripped = _GAUSS_TOKEN.sub("", body).strip()
         if stripped or not tokens:
-            raise ValueError(f"unrecognized Gauss code text: {body!r}")
+            raise InputError(f"unrecognized Gauss code text: {body!r}")
         component_tokens.append(tokens)
     if not component_tokens:
-        raise ValueError("empty Gauss code")
+        raise InputError("empty Gauss code")
 
     passes: dict[int, dict] = {}
     base = 0
@@ -343,7 +347,7 @@ def parse_pd(text: str) -> LinkDiagram:
     """
     quads = [tuple(int(v) for v in q) for q in _PD_QUAD.findall(text)]
     if not quads:
-        raise ValueError("no X[a,b,c,d] crossings found")
+        raise InputError("no X[a,b,c,d] crossings found")
 
     occurrences: dict[int, list] = {}
     for ci, (a, b, c, dd) in enumerate(quads):
@@ -353,7 +357,7 @@ def parse_pd(text: str) -> LinkDiagram:
         occurrences.setdefault(dd, []).append((ci, "d"))
     for e, occ in occurrences.items():
         if len(occ) != 2:
-            raise ValueError(f"edge {e} appears {len(occ)} times; expected 2")
+            raise InputError(f"edge {e} appears {len(occ)} times; expected 2")
 
     # bit per crossing: True when the over strand runs b -> d
     bits: dict[int, bool] = {}
@@ -376,7 +380,7 @@ def parse_pd(text: str) -> LinkDiagram:
             dirs = [direction(ci, kind) for ci, kind in occ]
             if None not in dirs:
                 if dirs[0] == dirs[1]:
-                    raise ValueError(f"edge {e} is oriented inconsistently")
+                    raise InputError(f"edge {e} is oriented inconsistently")
                 continue
             if dirs.count(None) == 2:
                 continue
@@ -385,11 +389,11 @@ def parse_pd(text: str) -> LinkDiagram:
             ci, kind = occ[i]
             bit = (want == "head") if kind == "b" else (want == "tail")
             if bits.setdefault(ci, bit) != bit:
-                raise ValueError(f"edge {e} is oriented inconsistently")
+                raise InputError(f"edge {e} is oriented inconsistently")
             changed = True
 
     if len(bits) < len(quads):
-        raise ValueError(
+        raise InputError(
             "over-strand directions are ambiguous in this code; refusing to guess")
 
     ids = {e: i for i, e in enumerate(sorted(occurrences))}
@@ -415,7 +419,7 @@ def add_positive_kink(d: LinkDiagram, component: int) -> LinkDiagram:
     component rises by one.
     """
     if not 0 <= component < d.component_count:
-        raise ValueError(f"no component {component}")
+        raise InputError(f"no component {component}")
     s = min(d.components[component])
     loop = d.semiarc_count
     crossings = list(d.crossings)
@@ -444,7 +448,7 @@ def reverse_component(d: LinkDiagram, component: int) -> LinkDiagram:
     self-crossings and crossings not involving the component keep theirs.
     """
     if not 0 <= component < d.component_count:
-        raise ValueError(f"no component {component}")
+        raise InputError(f"no component {component}")
     crossings = []
     for c in d.crossings:
         on_over = d.semiarc_component[c.over_in] == component

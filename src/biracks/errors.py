@@ -1,10 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget of its size guards."""
 
 from __future__ import annotations
+
+import os
 
 
 class BirackError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InputError(BirackError, ValueError):
+    """Outside input (a file, an argument, an environment variable) is malformed."""
 
 
 class NonBijectiveColumn(BirackError):
@@ -125,6 +131,18 @@ class ResourceLimitExceeded(BirackError):
         super().__init__(
             f"{what} needs {needed} cells, above the limit {limit}; "
             f"raise the limit to proceed")
+
+
+def check_budget(what, needed, override, keyword, variable, default):
+    """Raise ResourceLimitExceeded if needed is above the budget: override,
+    else $variable, else default.  A budget that is not a nonnegative integer
+    is an InputError naming the keyword or variable it came from."""
+    source, value = (keyword, override) if override is not None else (
+        variable, os.environ.get(variable, default))
+    if not str(value).strip().isdecimal():
+        raise InputError(f"{source} must be a nonnegative integer, got {value!r}")
+    if needed > int(value):
+        raise ResourceLimitExceeded(what, needed, int(value))
 
 
 class NotReducedCocycle(Warning):

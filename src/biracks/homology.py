@@ -20,7 +20,6 @@ framings are only defined mod N.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -28,13 +27,8 @@ from math import gcd
 import numpy as np
 
 from .algebra import AugmentedBirack
-from .errors import ResourceLimitExceeded
-from .linalg import (
-    IntegerMatrix,
-    kernel_basis,
-    kernel_lattice_mod,
-    smith_normal_form,
-)
+from .errors import InputError, check_budget
+from .linalg import IntegerMatrix, kernel_lattice, smith_normal_form
 
 __all__ = [
     "Cochain1",
@@ -63,23 +57,15 @@ __all__ = [
 DEFAULT_MAX_CELLS = 20_000
 
 
-def _cell_limit(override=None) -> int:
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("BIRACKS_MAX_CELLS", DEFAULT_MAX_CELLS))
-
-
-def _guard(size: int, degree: int, limit: int):
-    needed = size**degree
-    if needed > limit:
-        raise ResourceLimitExceeded(
-            f"degree-{degree} chain basis on {size} elements", needed, limit)
+def _guard(size: int, degree: int, max_cells):
+    check_budget(f"degree-{degree} chain basis on {size} elements", size**degree,
+                 max_cells, "max_cells", "BIRACKS_MAX_CELLS", DEFAULT_MAX_CELLS)
 
 
 def tuple_basis(size: int, degree: int) -> list[tuple[int, ...]]:
     """Lexicographically ordered basis tuples of C_degree."""
     if degree < 0:
-        raise ValueError("degree must be nonnegative")
+        raise InputError("degree must be nonnegative")
     return list(product(range(1, size + 1), repeat=degree))
 
 
@@ -125,9 +111,8 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     (degree-1)-tuples; degree 0 gives the empty matrix with one column.
     """
     if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    limit = _cell_limit(max_cells)
-    _guard(b.size, degree, limit)
+        raise InputError("degree must be nonnegative")
+    _guard(b.size, degree, max_cells)
     if degree == 0:
         return IntegerMatrix.zeros(0, 1)
     cols = tuple_basis(b.size, degree)
@@ -151,8 +136,7 @@ def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> li
     """
     if degree < 2:
         return []
-    limit = _cell_limit(max_cells)
-    _guard(b.size, degree, limit)
+    _guard(b.size, degree, max_cells)
     N = b.characteristic
     gens: list[dict] = []
     seen = set()
@@ -202,22 +186,19 @@ class HomologyGroup:
         return self.describe()
 
 
-def _group(co_n: IntegerMatrix, co_up: IntegerMatrix, modulus: int | None,
+def _group(size: int, low, high, modulus: int | None,
            cohomology: bool) -> HomologyGroup:
     """H_n or H^n from the invariant factors of the coboundaries d_n^T, d_(n+1)^T.
 
-    With r = rows(d_n^T) - rank d_n - rank d_(n+1), H_n = Z^r + T(d_(n+1))
-    and H^n = Z^r + T(d_n), where T(d) lists the invariant factors of d
-    above 1; a matrix and its transpose have the same ones.  Over Z_m both
-    are Z_m^r plus Z_gcd(t, m) for every invariant factor t of either map
-    (universal coefficients).  Coboundaries are tall, so they eliminate
-    faster than the wide boundaries.  Any co_up whose kernel is saturated
-    and contains the image of co_n works in place of d_(n+1)^T: the
-    reduced 2-cohomology passes its cocycle constraints there.
+    size is the rank of the n-cochains; low and high are the factors of d_n^T
+    and d_(n+1)^T.  With r = size - rank d_n - rank d_(n+1), H_n = Z^r +
+    T(d_(n+1)) and H^n = Z^r + T(d_n), where T(d) lists the invariant factors
+    of d above 1.  Over Z_m both are Z_m^r plus Z_gcd(t, m) for every
+    invariant factor t of either map (universal coefficients).  Any map whose
+    kernel is saturated and contains the image of d_n^T works in place of
+    d_(n+1)^T: the reduced 2-cohomology passes its cocycle constraints.
     """
-    low = smith_normal_form(co_n).invariant_factors
-    high = smith_normal_form(co_up).invariant_factors
-    free = co_n.rows - len(low) - len(high)
+    free = size - len(low) - len(high)
     if modulus is None:
         torsion = low if cohomology else high
         return HomologyGroup(free, tuple(t for t in torsion if t > 1))
@@ -231,12 +212,17 @@ def _group(co_n: IntegerMatrix, co_up: IntegerMatrix, modulus: int | None,
     return HomologyGroup(0, tuple(t for t in orders if t > 1))
 
 
+def _factors(m: IntegerMatrix) -> tuple[int, ...]:
+    # coboundaries are tall, so they eliminate faster than the wide boundaries
+    return smith_normal_form(m.transpose()).invariant_factors
+
+
 def _check_group_args(degree: int, modulus: int | None):
     # before any boundary matrix is built, so bad input never meets the cell guard
     if degree < 0:
-        raise ValueError("degree must be nonnegative")
+        raise InputError("degree must be nonnegative")
     if modulus is not None and modulus <= 0:
-        raise ValueError("modulus must be positive")
+        raise InputError("modulus must be positive")
 
 
 def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
@@ -245,7 +231,7 @@ def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
     _check_group_args(degree, modulus)
     d_n = boundary_matrix(b, degree, max_cells=max_cells)
     d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
-    return _group(d_n.transpose(), d_up.transpose(), modulus, cohomology=False)
+    return _group(d_n.cols, _factors(d_n), _factors(d_up), modulus, cohomology=False)
 
 
 def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
@@ -254,7 +240,7 @@ def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None
     _check_group_args(degree, modulus)
     d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
     d_n = boundary_matrix(b, degree, max_cells=max_cells)
-    return _group(d_n.transpose(), d_up.transpose(), modulus, cohomology=True)
+    return _group(d_n.cols, _factors(d_n), _factors(d_up), modulus, cohomology=True)
 
 
 # -- cochains -----------------------------------------------------------
@@ -273,7 +259,7 @@ class Cochain1:
     @classmethod
     def chi(cls, n: int, i: int, coeff: int = 1):
         if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range 1..{n}")
+            raise InputError(f"index {i} out of range 1..{n}")
         vals = [0] * n
         vals[i - 1] = coeff
         return cls(tuple(vals))
@@ -321,14 +307,14 @@ class Cochain2:
             else:
                 i, j, c = entry
             if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"pair ({i}, {j}) out of range 1..{n}")
+                raise InputError(f"pair ({i}, {j}) out of range 1..{n}")
             table[i - 1][j - 1] += c
         return cls(tuple(tuple(row) for row in table))
 
     @classmethod
     def from_vector(cls, n: int, vec):
         if len(vec) != n * n:
-            raise ValueError("vector length must be n^2")
+            raise InputError("vector length must be n^2")
         it = iter(vec)
         return cls(tuple(tuple(int(next(it)) for _ in range(n)) for _ in range(n)))
 
@@ -393,11 +379,11 @@ def parse_cochain(text: str, size: int) -> Cochain2:
             continue
         tokens = body.split()
         if len(tokens) != 3:
-            raise ValueError(f"line {lineno}: expected `i j c`, got {body!r}")
+            raise InputError(f"line {lineno}: expected `i j c`, got {body!r}")
         try:
             i, j, c = (int(t) for t in tokens)
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer token in {body!r}") from None
+            raise InputError(f"line {lineno}: non-integer token in {body!r}") from None
         entries.append((i, j, c))
     return Cochain2.from_pairs(size, entries)
 
@@ -414,7 +400,7 @@ def evaluate_coboundary(b: AugmentedBirack, psi: Cochain1) -> Cochain2:
                           = psi(x) - psi(y) + psi(alpha_x(y)) - psi(beta_y(x))
     """
     if psi.size != b.size:
-        raise ValueError("cochain size does not match the birack")
+        raise InputError("cochain size does not match the birack")
     n = b.size
     table = [
         [
@@ -443,6 +429,18 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
     return IntegerMatrix(np.vstack([d3.array.T, degenerate]))
 
 
+def _reduced_cocycles(b: AugmentedBirack, modulus: int | None, max_cells):
+    """C, its Smith form, and the basis over Z or Z_modulus read off it: the
+    one factorization of C that every reduced result comes from."""
+    constraints = reduced_cocycle_constraints(b, max_cells=max_cells)
+    snf = smith_normal_form(constraints)
+    columns = kernel_lattice(snf, modulus).columns()
+    if modulus is not None:
+        columns = [[v % modulus for v in col] for col in columns]
+    basis = [Cochain2.from_vector(b.size, col) for col in columns if any(col)]
+    return constraints, snf, basis
+
+
 def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
                        max_cells=None) -> list[Cochain2]:
     """Basis of the reduced 2-cocycle space over Z, or generators over Z_modulus.
@@ -452,17 +450,7 @@ def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
     to 0..modulus-1 and zero generators are dropped.
     """
     _check_group_args(2, modulus)
-    constraints = reduced_cocycle_constraints(b, max_cells=max_cells)
-    n = b.size
-    if modulus is None:
-        return [Cochain2.from_vector(n, col) for col in kernel_basis(constraints)]
-    lattice = kernel_lattice_mod(constraints, modulus)
-    out = []
-    for col in lattice.columns():
-        reduced = [v % modulus for v in col]
-        if any(reduced):
-            out.append(Cochain2.from_vector(n, reduced))
-    return out
+    return _reduced_cocycles(b, modulus, max_cells)[2]
 
 
 def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
@@ -494,18 +482,21 @@ def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
     return True
 
 
-def reduced_2_cohomology(b: AugmentedBirack, max_cells=None) -> HomologyGroup:
-    """Reduced 2-cocycles modulo coboundaries of 1-cochains.
+def reduced_2_cohomology(b: AugmentedBirack,
+                         max_cells=None) -> tuple[list[Cochain2], HomologyGroup]:
+    """(cocycles, group): the basis reduced_2_cocycles(b) gives, in its
+    order, and its quotient by the coboundaries of 1-cochains.
 
     The reduced cocycles are K = ker C for the constraint matrix C, and the
     coboundaries are the image of d_2^T.  K is saturated, so
     K / im d_2^T = Z^(n^2 - rank C - rank d_2) + T(d_2): the cohomology
-    formula of _group with C in place of d_3^T.  Degenerate chains need two
-    adjacent slots, so every coboundary lies in K; the exact product
-    C * d_2^T == 0 certifies it on every call.
+    formula of _group with C, factored once for the basis, in place of
+    d_3^T.  Degenerate chains need two adjacent slots, so every coboundary
+    lies in K; the exact product C * d_2^T == 0 certifies it on every call.
     """
-    constraints = reduced_cocycle_constraints(b, max_cells=max_cells)
-    cob = boundary_matrix(b, 2, max_cells=max_cells).transpose()
-    if not (constraints @ cob).is_zero():
+    constraints, snf, cocycles = _reduced_cocycles(b, None, max_cells)
+    d_2 = boundary_matrix(b, 2, max_cells=max_cells)
+    if not (constraints @ d_2.transpose()).is_zero():
         raise AssertionError("a coboundary is not a reduced 2-cocycle")
-    return _group(cob, constraints, None, cohomology=True)
+    return cocycles, _group(d_2.cols, _factors(d_2), snf.invariant_factors, None,
+                            cohomology=True)

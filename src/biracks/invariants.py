@@ -42,7 +42,6 @@ one, for inspection and as oracles for the contraction.
 
 from __future__ import annotations
 
-import os
 import warnings as _warnings
 from dataclasses import dataclass
 from itertools import product
@@ -52,18 +51,13 @@ import numpy as np
 
 from .algebra import AugmentedBirack
 from .diagram import LinkDiagram
-from .errors import InvalidLabeling, NotReducedCocycle, ResourceLimitExceeded
+from .errors import InputError, InvalidLabeling, NotReducedCocycle
+from .errors import ResourceLimitExceeded, check_budget
 from .homology import Cochain2, is_reduced_2_cocycle
 
 DEFAULT_MAX_TILE = 4096
 MAX_CONTRACTION_CELLS = 1 << 24
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def _tile_limit(override=None) -> int:
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("BIRACKS_MAX_TILE", DEFAULT_MAX_TILE))
 
 
 class LaurentPolynomial:
@@ -537,12 +531,9 @@ def _collect(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None,
 
 
 def _tile(d: LinkDiagram, b: AugmentedBirack, max_tile):
-    c = d.component_count
-    N = b.characteristic
-    limit = _tile_limit(max_tile)
-    needed = N**c
-    if needed > limit:
-        raise ResourceLimitExceeded(f"framing tile of {N}^{c} vectors", needed, limit)
+    c, N = d.component_count, b.characteristic
+    check_budget(f"framing tile of {N}^{c} vectors", N**c,
+                 max_tile, "max_tile", "BIRACKS_MAX_TILE", DEFAULT_MAX_TILE)
     return [range(N)] * c
 
 
@@ -576,12 +567,12 @@ def framed_invariants(d: LinkDiagram, b: AugmentedBirack,
         framing = d.framing
     framing = tuple(int(v) for v in framing)
     if len(framing) != d.component_count:
-        raise ValueError(
+        raise InputError(
             f"framing needs {d.component_count} coordinates, got {len(framing)}")
     kinks = []
     for i, (target, base) in enumerate(zip(framing, d.framing)):
         if target < base:
-            raise ValueError(
+            raise InputError(
                 f"framing {target} on component {i} is below the diagram's "
                 f"base framing {base}; only positive kinks can be added")
         kinks.append(target - base)

@@ -4,9 +4,9 @@ No floating point is used anywhere.  An IntegerMatrix is one 2-D numpy
 array: int64 while every |entry| is below 2^62, and Python ints in an
 object array otherwise, so matrices stay arrays from the boundary build
 through the Smith form and its checks.  The Smith normal form routine keeps
-the unimodular transforms U and V; the reduced-cocycle code reads kernels
-and kernels mod m off V, and every group (homology, cohomology, and reduced
-2-cohomology) needs only the invariant factors.
+the unimodular transforms U and V; kernel_lattice reads kernels and
+kernels mod m off a given decomposition's V, and every group (homology,
+cohomology, and reduced 2-cohomology) needs only the invariant factors.
 
 Elimination uses one set of row primitives (add a multiple, combine two
 rows by a gcd step, swap) for both sides: a column operation on A is the
@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+
+from .errors import InputError
 
 _INT64_SAFE = 2**62
 
@@ -300,19 +302,19 @@ def _validate_snf(snf: SmithDecomposition, M: IntegerMatrix):
         raise AssertionError("Smith decomposition does not reproduce the matrix")
 
 
-def kernel_basis(M) -> list[list[int]]:
-    """A basis (as columns) of the integer kernel {x : M x = 0}."""
-    snf = smith_normal_form(M)
-    # the zero diagonal entries come last, so columns rank.. of V span the kernel
-    return [snf.v.column(j) for j in range(snf.rank, snf.shape[1])]
+def kernel_lattice(snf: SmithDecomposition, modulus: int | None = None) -> IntegerMatrix:
+    """The kernel of M as the columns of a matrix, read off its Smith form.
 
-
-def kernel_lattice_mod(M: IntegerMatrix, modulus: int) -> IntegerMatrix:
-    """Basis of the full-rank lattice {x in Z^n : M x = 0 (mod modulus)}."""
+    Over Z, columns rank.. of V: the zero diagonal entries come last, so
+    they are a basis of {x : M x = 0}.  Over Z_modulus, every column j of V
+    scaled by modulus / gcd(d_j, modulus), with d_j = 0 past the diagonal: a
+    basis of the full-rank lattice {x in Z^n : M x = 0 (mod modulus)}.
+    """
+    if modulus is None:
+        return IntegerMatrix._of(snf.v.array[:, snf.rank:].copy())
     if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    snf = smith_normal_form(M)
-    d = snf.d + (0,) * (M.cols - len(snf.d))
-    # column j of V scaled by the order of d_j mod modulus, in Python ints
-    scale = np.array([modulus // gcd(x, modulus) if x else 1 for x in d], dtype=object)
+        raise InputError("modulus must be positive")
+    d = snf.d + (0,) * (snf.shape[1] - len(snf.d))
+    # in Python ints, so the scaled columns cannot overflow
+    scale = np.array([modulus // gcd(x, modulus) for x in d], dtype=object)
     return IntegerMatrix._of(snf.v.array * scale)

@@ -169,6 +169,19 @@ def test_sideways_roundtrip(ab4, ab5, tsr3):
         assert len(seen) == b.size * b.size
 
 
+def test_inversion_identities_hold(ab4, ab5, tsr3, dih3, random_biracks):
+    # axiom (ii) is checked only as "S is a bijection": alpha_bar and beta_bar
+    # are built as S's inverse, so these four identities follow from it
+    for b in (ab4, ab5, tsr3, dih3, *random_biracks):
+        a, bt, abar, bbar = b.alpha, b.beta, b.alpha_bar, b.beta_bar
+        for x in range(1, b.size + 1):
+            for y in range(1, b.size + 1):
+                assert abar[bt[x - 1][y - 1] - 1][a[y - 1][x - 1] - 1] == x
+                assert bbar[a[x - 1][y - 1] - 1][bt[y - 1][x - 1] - 1] == x
+                assert a[bbar[x - 1][y - 1] - 1][abar[y - 1][x - 1] - 1] == x
+                assert bt[abar[x - 1][y - 1] - 1][bbar[y - 1][x - 1] - 1] == x
+
+
 def test_kink_identity_iterates(ab4, ab5, tsr3, dih3):
     # alpha_{pi(x)}(x) = beta_x(pi(x)) keeps holding along the orbit of pi
     for b in (ab4, ab5, tsr3, dih3):

@@ -3,12 +3,23 @@
 import contextlib
 import io
 import json
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from biracks import format_birack, load_diagram, parse_crossing_list, render_crossing_list
+from biracks import (
+    format_birack,
+    load_diagram,
+    parse_crossing_list,
+    render_crossing_list,
+    tsr_birack,
+)
 from biracks.cli import main
-from biracks.errors import DiagramError
+from biracks.errors import BirackError, DiagramError, InputError
+from test_homology import count_calls
+
+HERE = Path(__file__).resolve().parent
 
 FAILING_BIRACK = "3\n1 1 1\n2 2 2\n3 3 3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -100,6 +111,106 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(homology, "boundary_matrix", broken)
     with pytest.raises(KeyError):
         main(["homology", "ab4"])
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    from biracks import homology
+
+    def broken(m):
+        raise ValueError("inner dimensions do not match")
+
+    monkeypatch.setattr(homology, "smith_normal_form", broken)
+    with pytest.raises(ValueError, match="inner dimensions"):
+        main(["homology", "ab4"])
+
+
+def test_non_integer_free_loop_is_a_usage_error(tmp_path):
+    text = "X 1 0 1 1 0\nL abc\n"
+    with pytest.raises(InputError, match="line 2: semiarc id must be an integer"):
+        parse_crossing_list(text)
+    path = tmp_path / "loop.txt"
+    path.write_text(text)
+    assert run(["invariant", "ab4", str(path)]) == (
+        2, "", "error: line 2: semiarc id must be an integer\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "ab4", "-n", "0", "--max-cells", "-5"],
+    ["cocycles", "ab4", "--max-cells", "-1"],
+    ["invariant", "ab4", "l2a1", "--max-tile", "-1"],
+])
+def test_negative_budget_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    flag = argv[-2]
+    assert f"argument {flag}: must be a nonnegative integer, got {argv[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable, argv", [
+    ("BIRACKS_MAX_CELLS", ["homology", "ab4"]),
+    ("BIRACKS_MAX_TILE", ["invariant", "ab4", "l2a1"]),
+])
+@pytest.mark.parametrize("value", ["abc", "-3", "2.5"])
+def test_bad_budget_variable_is_a_usage_error(monkeypatch, variable, argv, value):
+    monkeypatch.setenv(variable, value)
+    assert run(argv) == (
+        2, "", f"error: {variable} must be a nonnegative integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["homology", "ab4", "-n", "3", "--reduced"],
+     "--reduced reports degree 2 only; drop -n 3"),
+    (["homology", "ab4", "--reduced", "--cohomology"],
+     "--reduced cannot be combined with --cohomology"),
+    (["cocycles", "ab4", "--quotient", "--mod", "2"],
+     "--quotient needs Z coefficients; drop --mod"),
+])
+def test_ignored_reduced_options_are_rejected(argv, message, monkeypatch):
+    counts = count_calls(monkeypatch)
+    assert run(argv) == (2, "", f"error: {message}\n")
+    assert counts == {"constraints": 0, "boundary": 0, "smith": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycles", "ab4", "--quotient"],
+    ["homology", "ab4", "--reduced"],
+])
+def test_reduced_report_factors_the_constraints_once(argv, monkeypatch):
+    counts = count_calls(monkeypatch)
+    assert run(argv)[0] == 0
+    # C with d_3 inside it, then d_2; one Smith form of each
+    assert counts == {"constraints": 1, "boundary": 2, "smith": 2}
+
+
+def test_reduced_cli_output_is_unchanged(tmp_path):
+    """The reduced reports print exactly their recorded output on ab4, ab5
+    and every valid tsr_birack with n <= 4, in text and JSON mode."""
+    recorded = json.loads((HERE / "reduced_cli_output.json").read_text())
+    targets = {"ab4": "ab4", "ab5": "ab5"}
+    for n in range(1, 5):
+        for t, s, r in product(range(n), repeat=3):
+            try:
+                b = tsr_birack(n, t, s, r)
+            except BirackError:
+                continue
+            path = tmp_path / f"tsr_{n}_{t}_{s}_{r}.txt"
+            path.write_text(format_birack(b))
+            targets[f"tsr({n},{t},{s},{r})"] = str(path)
+    assert len(targets) == 18
+    shapes = (["cocycles", "{}", "--quotient"], ["cocycles", "{}", "--mod", "2"],
+              ["homology", "{}", "--reduced"], ["homology", "{}", "--reduced", "--mod", "2"])
+    seen = 0
+    for label, target in targets.items():
+        for shape in shapes:
+            for extra in ([], ["--json"]):
+                key = " ".join([a.format(label) for a in shape] + extra)
+                code, out, err = run([a.format(target) for a in shape] + extra)
+                want = recorded[key]
+                assert (code, out.encode(), err.encode()) == (
+                    want["code"], want["stdout"].encode(), want["stderr"].encode()), key
+                seen += 1
+    assert seen == len(recorded)
 
 
 def test_homology_one_element(tmp_path):

@@ -16,12 +16,13 @@ from biracks import (
     evaluate_coboundary,
     homology_group,
     is_reduced_2_cocycle,
-    kernel_basis,
+    kernel_lattice,
     partial_dprime,
     partial_prime,
     reduced_2_cocycles,
     reduced_2_cohomology,
     reduced_cocycle_constraints,
+    smith_normal_form,
     tsr_birack,
     tuple_basis,
 )
@@ -287,7 +288,7 @@ def test_one_element_homology(one_element):
 def test_known_groups(ab4):
     assert homology_group(ab4, 2).describe() == "Z^2"
     assert cohomology_group(ab4, 2).describe() == "Z^2 + Z/2"
-    quotient = reduced_2_cohomology(ab4)
+    _, quotient = reduced_2_cohomology(ab4)
     assert (quotient.free_rank, tuple(quotient.torsion)) == (1, (2,))
 
 
@@ -372,16 +373,49 @@ def test_reduced_cohomology_matches_lattice_quotient(ab4, ab5, tsr3):
     with_torsion = 0
     for b in (ab4, ab5, tsr3, *valid_tsr_biracks(5)):
         n2 = b.size * b.size
-        cocycles = IntegerMatrix.from_columns(
-            kernel_basis(reduced_cocycle_constraints(b)), n2)
+        cocycles = kernel_lattice(smith_normal_form(reduced_cocycle_constraints(b)))
         cobs = IntegerMatrix.from_columns(
             [evaluate_coboundary(b, Cochain1.chi(b.size, i)).to_vector()
              for i in range(1, b.size + 1)], n2)
         free, torsion = quotient_invariants(cocycles, cobs)
-        group = reduced_2_cohomology(b)
+        basis, group = reduced_2_cohomology(b)
         assert (group.free_rank, list(group.torsion)) == (free, torsion)
+        assert basis == reduced_2_cocycles(b)
         with_torsion += bool(torsion)
     assert with_torsion >= 2
+
+
+def count_calls(monkeypatch):
+    """Count constraint builds, boundary builds and Smith calls from here on."""
+    from biracks import homology, linalg
+
+    counts = {"constraints": 0, "boundary": 0, "smith": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(homology, "reduced_cocycle_constraints",
+                        counting("constraints", homology.reduced_cocycle_constraints))
+    monkeypatch.setattr(homology, "boundary_matrix",
+                        counting("boundary", homology.boundary_matrix))
+    smith = counting("smith", linalg.smith_normal_form)
+    monkeypatch.setattr(homology, "smith_normal_form", smith)
+    monkeypatch.setattr(linalg, "smith_normal_form", smith)
+    return counts
+
+
+def test_reduced_path_factors_the_constraints_once(ab4, monkeypatch):
+    counts = count_calls(monkeypatch)
+    reduced_2_cocycles(ab4)
+    assert counts == {"constraints": 1, "boundary": 1, "smith": 1}
+    reduced_2_cocycles(ab4, modulus=2)
+    assert counts == {"constraints": 2, "boundary": 2, "smith": 2}
+    # the quotient adds d_2 and its Smith form, and no second one of C
+    reduced_2_cohomology(ab4)
+    assert counts == {"constraints": 3, "boundary": 4, "smith": 4}
 
 
 def test_reduced_cohomology_certificate_fires(ab4, monkeypatch):

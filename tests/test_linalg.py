@@ -12,10 +12,10 @@ import pytest
 
 from biracks import (
     IntegerMatrix,
-    kernel_basis,
-    kernel_lattice_mod,
+    kernel_lattice,
     smith_normal_form,
 )
+from biracks.errors import InputError
 
 
 def bareiss_determinant(rows):
@@ -204,12 +204,13 @@ def test_rank_deficient_matrix():
 
 def test_kernel_basis_annihilates():
     M = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
-    kern = kernel_basis(M)
-    assert len(kern) == 2
-    K = IntegerMatrix.from_columns(kern, 3)
+    K = kernel_lattice(smith_normal_form(M))
+    assert K.cols == 2
     assert (M @ K).is_zero()
+    # the kernel is saturated: [1, 1, 0] is not a multiple of a member
+    assert smith_normal_form(K).invariant_factors == (1, 1)
     # full column rank leaves nothing in the kernel
-    assert kernel_basis([[1, 0], [0, 1], [1, 1]]) == []
+    assert kernel_lattice(smith_normal_form([[1, 0], [0, 1], [1, 1]])).cols == 0
 
 
 def test_solve_and_span():
@@ -258,13 +259,14 @@ def _det2(M):
 
 def test_kernel_lattice_mod():
     M = IntegerMatrix([[2]])
-    L = kernel_lattice_mod(M, 4)
+    L = kernel_lattice(smith_normal_form(M), 4)
     assert L.rows == 1 and L.cols == 1
     # {x : 2x = 0 mod 4} is exactly 2Z
     assert abs(L.data[0][0]) == 2
 
     M = IntegerMatrix([[1, 1]])
-    L = kernel_lattice_mod(M, 2)
+    snf = smith_normal_form(M)
+    L = kernel_lattice(snf, 2)
     for col in L.columns():
         assert sum(col) % 2 == 0
     # index of the lattice in Z^2 is exactly the modulus here
@@ -274,8 +276,9 @@ def test_kernel_lattice_mod():
         target = [0, 0]
         target[i] = 2
         assert column_span_contains(L, target)
-    with pytest.raises(ValueError):
-        kernel_lattice_mod(M, 0)
+    for modulus in (0, -2):
+        with pytest.raises(InputError, match="modulus must be positive"):
+            kernel_lattice(snf, modulus)
 
 
 def test_kernel_lattice_mod_members_verify():
@@ -286,7 +289,7 @@ def test_kernel_lattice_mod_members_verify():
         M = IntegerMatrix(
             [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         )
-        L = kernel_lattice_mod(M, modulus)
+        L = kernel_lattice(smith_normal_form(M), modulus)
         for col in L.columns():
             image = [sum(M.data[i][j] * col[j] for j in range(cols)) for i in range(rows)]
             assert all(v % modulus == 0 for v in image)
