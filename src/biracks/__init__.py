@@ -51,7 +51,6 @@ from .errors import (
     DiagramError,
     DuplicateEndpoint,
     InputError,
-    InvalidLabeling,
     KinkMapMissing,
     KinkMapNotUnique,
     NonBijectiveColumn,
@@ -85,14 +84,9 @@ from .homology import (
 from .invariants import (
     InvariantResult,
     LaurentPolynomial,
-    boltzmann_weight,
-    brute_force_labelings,
     cocycle_invariant,
     counting_invariant,
-    crossing_equations,
-    enumerate_labelings,
     framed_invariants,
-    labeling_is_valid,
 )
 from .linalg import (
     IntegerMatrix,

@@ -60,8 +60,9 @@ def _load_birack(value: str):
 def _load_diagram(value: str):
     text = _read_path(value)
     if text is not None:
-        stripped = text.lstrip()
-        if value.endswith(".gauss") or stripped[:1] in ("O", "U", "o", "u"):
+        bodies = (line.split("#", 1)[0].strip() for line in text.splitlines())
+        first = next((body for body in bodies if body), "")
+        if value.endswith(".gauss") or first[:1] in ("O", "U", "o", "u"):
             return parse_gauss(text)
         return parse_crossing_list(text)
     return _load_bundled("diagram", value)

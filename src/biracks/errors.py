@@ -117,10 +117,6 @@ class SignMismatch(DiagramError):
             f"crossing label {label} has different signs on its over and under passes")
 
 
-class InvalidLabeling(BirackError):
-    """A proposed labeling violates a crossing equation."""
-
-
 class ResourceLimitExceeded(BirackError):
     """A computation would exceed the configured size budget."""
 

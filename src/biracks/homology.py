@@ -48,9 +48,7 @@ __all__ = [
     "reduced_2_cocycles",
     "reduced_2_cohomology",
     "reduced_cocycle_constraints",
-    "smith_normal_form",
     "tuple_basis",
-    "IntegerMatrix",
     "DEFAULT_MAX_CELLS",
 ]
 
@@ -253,10 +251,6 @@ class Cochain1:
     values: tuple[int, ...]
 
     @classmethod
-    def zero(cls, n: int):
-        return cls((0,) * n)
-
-    @classmethod
     def chi(cls, n: int, i: int, coeff: int = 1):
         if not 1 <= i <= n:
             raise InputError(f"index {i} out of range 1..{n}")
@@ -270,11 +264,6 @@ class Cochain1:
 
     def __call__(self, x: int) -> int:
         return self.values[x - 1]
-
-    def __add__(self, other):
-        if not isinstance(other, Cochain1) or other.size != self.size:
-            return NotImplemented
-        return Cochain1(tuple(a + b for a, b in zip(self.values, other.values)))
 
 
 @dataclass(frozen=True)
@@ -291,10 +280,6 @@ class Cochain2:
     @classmethod
     def zero(cls, n: int):
         return cls(tuple((0,) * n for _ in range(n)))
-
-    @classmethod
-    def chi(cls, n: int, i: int, j: int, coeff: int = 1):
-        return cls.from_pairs(n, [(i, j, coeff)])
 
     @classmethod
     def from_pairs(cls, n: int, pairs):
@@ -346,19 +331,6 @@ class Cochain2:
         return Cochain2(tuple(
             tuple(a + b for a, b in zip(r1, r2))
             for r1, r2 in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        if not isinstance(other, Cochain2) or other.size != self.size:
-            return NotImplemented
-        return Cochain2(tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.values, other.values)))
-
-    def __neg__(self):
-        return Cochain2(tuple(tuple(-v for v in row) for row in self.values))
-
-    def scaled(self, k: int):
-        return Cochain2(tuple(tuple(k * v for v in row) for row in self.values))
 
     def __str__(self):
         parts = []

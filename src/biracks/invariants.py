@@ -36,8 +36,9 @@ checked against MAX_CONTRACTION_CELLS, and each step checks its cells times
 its number of weights before it allocates; each check raises
 ResourceLimitExceeded.
 
-enumerate_labelings and brute_force_labelings still list labelings one by
-one, for inspection and as oracles for the contraction.
+This contraction is the package's only labeling engine.  The tests keep a
+backtracking search and brute force that list labelings one by one, as
+independent oracles for it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .algebra import AugmentedBirack
 from .diagram import LinkDiagram
-from .errors import InputError, InvalidLabeling, NotReducedCocycle
+from .errors import InputError, NotReducedCocycle
 from .errors import ResourceLimitExceeded, check_budget
 from .homology import Cochain2, is_reduced_2_cocycle
 
@@ -71,18 +72,6 @@ class LaurentPolynomial:
             if coeff:
                 clean[int(exp)] = int(coeff)
         self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def constant(cls, c: int):
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1):
-        return cls({exp: coeff})
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -165,121 +154,6 @@ class InvariantResult:
             "multiset": [[w, m] for w, m in self.multiset],
             "warnings": list(self.warnings),
         }
-
-
-# -- labeling enumeration -------------------------------------------------
-
-
-def crossing_equations(d: LinkDiagram):
-    """Constraint list: (table, subscript, source, target) per crossing side.
-
-    Each entry demands labels[target] = map_{labels[subscript]}(labels[source])
-    where table 'a' is alpha and 'b' is beta.
-    """
-    eqs = []
-    for c in d.crossings:
-        if c.sign > 0:
-            eqs.append(("a", c.under_out, c.over_in, c.over_out))
-            eqs.append(("b", c.over_in, c.under_out, c.under_in))
-        else:
-            eqs.append(("a", c.under_in, c.over_out, c.over_in))
-            eqs.append(("b", c.over_out, c.under_in, c.under_out))
-    return eqs
-
-
-def _propagate(b: AugmentedBirack, by_var, labels, queue) -> bool:
-    """Fixpoint unit propagation; False on contradiction."""
-    while queue:
-        v = queue.pop()
-        for kind, sub, src, dst in by_var[v]:
-            ls = labels[sub]
-            if not ls:
-                continue
-            fwd = b.alpha if kind == "a" else b.beta
-            lsrc, ldst = labels[src], labels[dst]
-            if lsrc:
-                want = fwd[ls - 1][lsrc - 1]
-                if not ldst:
-                    labels[dst] = want
-                    queue.append(dst)
-                elif ldst != want:
-                    return False
-            elif ldst:
-                inv = b.alpha_inv if kind == "a" else b.beta_inv
-                labels[src] = inv[ls - 1][ldst - 1]
-                queue.append(src)
-    return True
-
-
-def enumerate_labelings(d: LinkDiagram, b: AugmentedBirack) -> list[tuple[int, ...]]:
-    """All valid labelings, lexicographic by (semiarc 0, semiarc 1, ...).
-
-    Backtracking on the lowest unassigned semiarc with unit propagation
-    through the crossing equations; bijectivity of the alpha and beta rows
-    lets a known subscript force source from target and vice versa.  The
-    search keeps its own stack, so its depth is not bounded by Python's
-    recursion limit.
-    """
-    count = d.semiarc_count
-    by_var = [[] for _ in range(count)]
-    for eq in crossing_equations(d):
-        for v in {eq[1], eq[2], eq[3]}:
-            by_var[v].append(eq)
-
-    out: list[tuple[int, ...]] = []
-    stack = [[0] * count]
-    while stack:
-        labels = stack.pop()
-        try:
-            v = labels.index(0)
-        except ValueError:
-            out.append(tuple(labels))
-            continue
-        # pushed in reverse so the smallest value is searched first
-        for value in range(b.size, 0, -1):
-            trial = labels[:]
-            trial[v] = value
-            if _propagate(b, by_var, trial, [v]):
-                stack.append(trial)
-    return out
-
-
-def labeling_is_valid(d: LinkDiagram, b: AugmentedBirack, labeling) -> bool:
-    if len(labeling) != d.semiarc_count:
-        return False
-    if any(not 1 <= v <= b.size for v in labeling):
-        return False
-    for kind, sub, src, dst in crossing_equations(d):
-        fwd = b.alpha if kind == "a" else b.beta
-        if labeling[dst] != fwd[labeling[sub] - 1][labeling[src] - 1]:
-            return False
-    return True
-
-
-def brute_force_labelings(d: LinkDiagram, b: AugmentedBirack) -> list[tuple[int, ...]]:
-    """Filter every assignment; exponential, for cross-checking small diagrams."""
-    return [
-        labels
-        for labels in product(range(1, b.size + 1), repeat=d.semiarc_count)
-        if labeling_is_valid(d, b, labels)
-    ]
-
-
-# -- weights and invariants ----------------------------------------------
-
-
-def boltzmann_weight(d: LinkDiagram, labeling, phi: Cochain2,
-                     birack: AugmentedBirack | None = None) -> int:
-    """Signed sum of phi over crossings at the left-side labels, under first."""
-    if birack is not None and not labeling_is_valid(d, birack, labeling):
-        raise InvalidLabeling(f"labeling {labeling} fails the crossing equations")
-    total = 0
-    for c in d.crossings:
-        if c.sign > 0:
-            total += phi(labeling[c.under_out], labeling[c.over_in])
-        else:
-            total -= phi(labeling[c.under_in], labeling[c.over_out])
-    return total
 
 
 def _check_cochain(b: AugmentedBirack, phi: Cochain2 | None, quiet: bool):

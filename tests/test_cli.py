@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from importlib import resources
 from itertools import product
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from biracks.errors import BirackError, DiagramError, InputError
 from test_homology import count_calls
 
 HERE = Path(__file__).resolve().parent
+DATA = resources.files("biracks.data")
 
 FAILING_BIRACK = "3\n1 1 1\n2 2 2\n3 3 3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -321,6 +323,22 @@ def test_invariant_diagram_from_file(tmp_path):
     code, out, _ = run(["invariant", "ab4", str(path)])
     assert code == 0
     assert "counting invariant: 16" in out
+
+
+@pytest.mark.parametrize("bundled, source", [
+    ("k3_1", "knots/k3_1.gauss"),
+    ("l2a1", "links/l2a1.txt"),
+])
+def test_diagram_file_format_skips_leading_comments(tmp_path, bundled, source):
+    """A file not named .gauss is read by its first line that is not a
+    comment: the bundled Gauss code and crossing list both start with one."""
+    path = tmp_path / "diagram.txt"
+    text = (DATA / source).read_text()
+    assert text.startswith("#")
+    path.write_text(text)
+    for extra in ([], ["--phi", "ab4_phi", "--json"]):
+        assert (run(["invariant", "ab4", str(path)] + extra)
+                == run(["invariant", "ab4", bundled] + extra))
 
 
 def test_invariant_tile_guard():

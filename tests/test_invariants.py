@@ -1,4 +1,8 @@
-"""Counting and cocycle invariants, Boltzmann weights, and the framing tile."""
+"""Counting and cocycle invariants, Boltzmann weights, and the framing tile.
+
+The labeling search, brute force and per-labeling weights tested here are
+the oracles in labeling_oracles, not package code.
+"""
 
 import warnings
 
@@ -6,19 +10,20 @@ import pytest
 
 from biracks import (
     LaurentPolynomial,
-    add_positive_kink,
-    boltzmann_weight,
-    brute_force_labelings,
     cocycle_invariant,
     counting_invariant,
-    enumerate_labelings,
     framed_invariants,
-    labeling_is_valid,
     load_diagram,
     reverse_component,
 )
-from biracks.errors import InvalidLabeling, NotReducedCocycle, ResourceLimitExceeded
+from biracks.errors import NotReducedCocycle, ResourceLimitExceeded
 from biracks.homology import Cochain1, Cochain2, evaluate_coboundary
+from labeling_oracles import (
+    boltzmann_weight,
+    brute_force_labelings,
+    enumerate_labelings,
+    labeling_is_valid,
+)
 
 
 def P(pairs):
@@ -109,13 +114,6 @@ def test_boltzmann_weight_matches_hand_sum(ab4, ab5, tsr3, phi4, phi5):
         d = load_diagram(name)
         for f in enumerate_labelings(d, b):
             assert boltzmann_weight(d, f, phi) == manual_weight(d, f, phi)
-            assert boltzmann_weight(d, f, phi, birack=b) == manual_weight(d, f, phi)
-
-
-def test_boltzmann_weight_validates_when_asked(ab4, phi4):
-    d = load_diagram("l2a1")
-    with pytest.raises(InvalidLabeling):
-        boltzmann_weight(d, (1, 1, 1, 1), phi4, birack=ab4)
 
 
 def test_classical_link_values(ab5, phi5):
@@ -196,7 +194,7 @@ def test_coboundary_weights_vanish(ab4, ab5, kinked_unknot):
             for i in range(1, b.size + 1):
                 delta = evaluate_coboundary(b, Cochain1.chi(b.size, i))
                 r = cocycle_invariant(d, b, delta)
-                assert r.poly == LaurentPolynomial.constant(r.phi_z)
+                assert r.poly == LaurentPolynomial({0: r.phi_z})
                 assert r.multiset in ((), ((0, r.phi_z),))
 
 
@@ -240,10 +238,10 @@ def test_laurent_polynomial_behaviour():
     assert str(P([(-1, 6), (0, 7)])) == "6u^-1+7"
     assert str(P([(0, 16)])) == "16"
     assert str(P([(0, 1), (2, -3)])) == "1-3u^2"
-    assert str(LaurentPolynomial.zero()) == "0"
-    assert str(LaurentPolynomial.monomial(1)) == "u"
+    assert str(LaurentPolynomial()) == "0"
+    assert str(LaurentPolynomial({1: 1})) == "u"
     assert P([(1, 2), (1, -2), (0, 5)]) == 5
     assert P([(0, 5)]).pairs() == [(0, 5)]
     assert P([(2, 1), (-1, 4)]).pairs() == [(-1, 4), (2, 1)]
-    assert P([(1, 3)]) + P([(1, -3)]) == LaurentPolynomial.zero()
+    assert P([(1, 3)]) + P([(1, -3)]) == LaurentPolynomial()
     assert P([(-2, 6), (0, 19)]).evaluate(1) == 25

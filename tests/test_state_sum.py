@@ -1,8 +1,8 @@
 """The tile contraction against a labeling search, and its size guard.
 
-`search_reference` is the tile loop the contraction replaced: it rebuilds
-each framing's diagram with add_positive_kink, lists its labelings, and
-sums their Boltzmann weights one by one.
+`search_reference` (in labeling_oracles) is the tile loop the contraction
+replaced: it rebuilds each framing's diagram with add_positive_kink, lists
+its labelings, and sums their Boltzmann weights one by one.
 """
 
 import contextlib
@@ -14,14 +14,9 @@ from pathlib import Path
 import pytest
 
 from biracks import (
-    LaurentPolynomial,
-    add_positive_kink,
     available_diagrams,
-    boltzmann_weight,
-    brute_force_labelings,
     cocycle_invariant,
     counting_invariant,
-    enumerate_labelings,
     framed_invariants,
     from_crossings,
     load_cochain,
@@ -31,38 +26,17 @@ from biracks import (
 from biracks import cli, invariants
 from biracks.errors import ResourceLimitExceeded
 from biracks.homology import Cochain2
+from labeling_oracles import (
+    brute_force_labelings,
+    enumerate_labelings,
+    search_reference,
+    summary,
+    tile,
+    with_kinks,
+)
 
 HERE = Path(__file__).resolve().parent
 TILE_N10 = json.loads((HERE / "tile_n10_search.json").read_text())
-
-
-def with_kinks(d, kinks):
-    for comp, count in enumerate(kinks):
-        for _ in range(count):
-            d = add_positive_kink(d, comp)
-    return d
-
-
-def search_reference(d, b, phi, kink_vectors, labelings=enumerate_labelings):
-    """(per_framing, phi_z, poly, multiset) from listed labelings."""
-    per_framing, weights = [], {}
-    for kinks in kink_vectors:
-        kd = with_kinks(d, kinks)
-        found = labelings(kd, b)
-        per_framing.append((kd.framing, len(found)))
-        for f in found:
-            w = boltzmann_weight(kd, f, phi) if phi is not None else 0
-            weights[w] = weights.get(w, 0) + 1
-    return (tuple(per_framing), sum(c for _, c in per_framing),
-            LaurentPolynomial(weights), tuple(sorted(weights.items())))
-
-
-def summary(result):
-    return result.per_framing, result.phi_z, result.poly, result.multiset
-
-
-def tile(d, b):
-    return list(product(range(b.characteristic), repeat=d.component_count))
 
 
 def test_small_diagrams_match_brute_force(ab4, tsr3, dih3, one_element, phi4,
