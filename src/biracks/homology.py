@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import AugmentedBirack
 from .errors import InputError, check_budget
-from .linalg import IntegerMatrix, kernel_lattice, smith_normal_form
+from .linalg import IntegerMatrix, invariant_factors, kernel_lattice, smith_normal_form
 
 __all__ = [
     "Cochain1",
@@ -211,8 +211,9 @@ def _group(size: int, low, high, modulus: int | None,
 
 
 def _factors(m: IntegerMatrix) -> tuple[int, ...]:
+    # groups need the factors only: no transforms, certified mod p; the
     # coboundaries are tall, so they eliminate faster than the wide boundaries
-    return smith_normal_form(m.transpose()).invariant_factors
+    return invariant_factors(m.transpose())
 
 
 def _check_group_args(degree: int, modulus: int | None):

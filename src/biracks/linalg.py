@@ -3,19 +3,31 @@
 No floating point is used anywhere.  An IntegerMatrix is one 2-D numpy
 array: int64 while every |entry| is below 2^62, and Python ints in an
 object array otherwise, so matrices stay arrays from the boundary build
-through the Smith form and its checks.  The Smith normal form routine keeps
-the unimodular transforms U and V; kernel_lattice reads kernels and
-kernels mod m off a given decomposition's V, and every group (homology,
-cohomology, and reduced 2-cohomology) needs only the invariant factors.
+through the Smith form and its checks.  smith_normal_form keeps the
+unimodular transforms U and V; kernel_lattice reads kernels and kernels
+mod m off a given decomposition's V.  Every group (homology, cohomology,
+and reduced 2-cohomology) needs only invariant factors, which
+invariant_factors computes with no transforms at all.
 
-Elimination uses one set of row primitives (add a multiple, combine two
-rows by a gcd step, swap) for both sides: a column operation on A is the
-same row operation on A.T, so each primitive acts on a pair of numpy
-views, (A, U) for rows and (A.T, V.T) for columns.  On int64 a
-conservative bound is checked before every arithmetic step; if entries
-could reach 2^62 the whole computation restarts on Python ints.  The
-result is verified (D == U*M*V, divisibility chain) before it is returned,
-so a decomposition coming out of here is always exact.
+Both run one elimination core, _eliminate, with the transforms optional.
+Its row primitives (add a multiple, combine two rows by a gcd step, swap)
+serve both sides: a column operation on A is the same row operation on
+A.T, so each primitive acts on a list of numpy views, (A, U) for rows and
+(A.T, V.T) for columns, or A and A.T alone.  The pivot is the first entry of
+least |value|, so a +-1 whenever one exists; the rows that it divides take
+one vectorized Schur step, and only the rows meeting the pivot column
+change.  On int64 each step first checks a bound from the entries it
+touches; if entries could reach 2^62 the whole computation restarts on
+Python ints.
+
+No result leaves here unchecked.  smith_normal_form verifies D == U*M*V exactly
+and the divisibility chain.  invariant_factors checks that the core left a
+diagonal with a divisibility chain, then certifies the factors with code
+that shares nothing with the core: the rank over GF(p) for a large prime p
+dividing no factor, and for every prime q dividing a factor the q-adic
+valuations from an elimination over Z/q^(e+1).  A factor with a prime part
+that trial division cannot find below 2^31 sends it to the exact check of
+smith_normal_form instead.
 """
 
 from __future__ import annotations
@@ -175,39 +187,49 @@ class SmithDecomposition:
         return IntegerMatrix._of(a)
 
 
-def _snf_eliminate(M, dtype):
-    """Core elimination; returns (diag, U, V) with U, V as numpy arrays.
+def _eliminate(M, dtype, transforms):
+    """The elimination core: diagonalize M by unimodular row and column steps.
 
-    Raises _NeedExact if dtype is int64 and the guard bound would be crossed.
+    Returns (A, U, V) with A the diagonal result and A = U * M * V; U and V
+    are None unless transforms is true.  Raises _NeedExact if dtype is int64
+    and the guard bound would be crossed.
     """
     A = np.array(M, dtype=dtype)
     m, n = A.shape
-    U = np.eye(m, dtype=dtype)
-    V = np.eye(n, dtype=dtype)
+    # Each primitive is a row operation on a list of views: the matrix, then
+    # the transform that records the operation when transforms are carried.
+    rows, cols = [A], [A.T]
+    U = V = None
+    if transforms:
+        U = np.eye(m, dtype=dtype)
+        V = np.eye(n, dtype=dtype)
+        rows.append(U)
+        cols.append(V.T)
     guarded = dtype == np.int64
-    # Each primitive is a row operation on views (X, T): X the matrix and T
-    # the transform recording the operation.
-    rows = (A, U)
-    cols = (A.T, V.T)
 
-    def check(views, i, j, factor):
-        if guarded:
-            big = int(max(np.abs(X[[i, j]]).max(initial=0) for X in views))
-            if factor * big >= _INT64_SAFE:
-                raise _NeedExact
+    def check(bound):
+        if guarded and bound >= _INT64_SAFE:
+            raise _NeedExact
 
-    def add(views, i, j, q):
-        # row i += q * row j
-        if q == 0:
-            return
-        check(views, i, j, 1 + abs(q))
+    def add(views, targets, j, q):
+        # rows targets += q * row j, one vectorized step with one guard; only
+        # the columns where row j is nonzero change
+        targets = targets[:, None]
         for Y in views:
-            Y[i] += q * Y[j]
+            source = Y[j]
+            support = source.nonzero()[0]
+            source = source[support]
+            block = Y[targets, support]
+            if guarded:
+                check(_max_abs(block) + _max_abs(q) * _max_abs(source))
+            Y[targets, support] = block + np.outer(q, source)
 
     def combine(views, i, j, x, y, xj, yj):
         # rows i, j <- (x*row_i + y*row_j, xj*row_i + yj*row_j); det must be +-1
-        check(views, i, j, abs(x) + abs(y) + abs(xj) + abs(yj))
         for Y in views:
+            if guarded:
+                check((abs(x) + abs(y) + abs(xj) + abs(yj))
+                      * max(_max_abs(Y[i]), _max_abs(Y[j])))
             Y[[i, j]] = np.stack([x * Y[i] + y * Y[j], xj * Y[i] + yj * Y[j]])
 
     def swap(views, i, j):
@@ -217,52 +239,86 @@ def _snf_eliminate(M, dtype):
             Y[[i, j]] = Y[[j, i]]
 
     def clear(views, t):
-        # zero column t of X below the pivot; True when a gcd step ran
+        # zero column t of views[0] below the pivot, in row order: the rows up
+        # to the first one the pivot does not divide take one Schur step, that
+        # row a gcd step, and so on; True when a gcd step ran
         X = views[0]
         combined = False
-        for i in range(t + 1, X.shape[0]):
-            a = int(X[i, t])
-            if a == 0:
-                continue
-            p = int(X[t, t])
-            if a % p == 0:
-                add(views, i, t, -(a // p))
-            else:
-                g, x, y = _xgcd(p, a)
-                combine(views, t, i, x, y, -(a // g), p // g)
-                combined = True
-        return combined
+        while True:
+            below = X[t + 1:, t].nonzero()[0] + (t + 1)
+            if not len(below):
+                return combined
+            p = X[t, t]
+            a = X[below, t]
+            bad = (a % p).nonzero()[0]
+            k = int(bad[0]) if len(bad) else len(below)
+            if k:
+                add(views, below[:k], t, -(a[:k] // p))
+            if k == len(below):
+                return combined
+            p, ai = int(p), int(a[k])
+            g, x, y = _xgcd(p, ai)
+            combine(views, t, int(below[k]), x, y, -(ai // g), p // g)
+            combined = True
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        sub = A[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
+        pivot = _first_least_entry(A[t:, t:])
+        if pivot is None:
             break
-        vals = np.abs(sub[nz])
-        k = int(np.argmin(vals))
-        swap(rows, t, t + int(nz[0][k]))
-        swap(cols, t, t + int(nz[1][k]))
-
+        swap(rows, t, t + pivot[0])
+        swap(cols, t, t + pivot[1])
         while True:
             clear(rows, t)
-            if clear(cols, t) and np.any(A[t + 1:, t]):
+            if clear(cols, t) and A[t + 1:, t].any():
                 continue  # column gcd steps refilled the pivot column
             # force the divisibility chain: pivot must divide the rest
-            p = int(A[t, t])
-            rest = A[t + 1:, t + 1:]
-            bad = np.nonzero(rest % p)
+            p = A[t, t]
+            if abs(p) == 1:
+                break
+            bad = np.nonzero(A[t + 1:, t + 1:] % p)
             if len(bad[0]) == 0:
                 break
-            add(rows, t, t + 1 + int(bad[0][0]), 1)
-        if int(A[t, t]) < 0:
+            add(rows, np.array([t]), t + 1 + int(bad[0][0]), np.ones(1, dtype=A.dtype))
+        if A[t, t] < 0:
             for Y in rows:
                 Y[t] = -Y[t]
         t += 1
+    return A, U, V
 
-    diag = [int(A[i, i]) for i in range(limit)]
-    return diag, U, V
+
+def _max_abs(a):
+    return int(np.abs(a).max(initial=0))
+
+
+def _first_least_entry(S):
+    """(i, j) of the first entry of least |value| in row-major order, or None
+    when S is zero.  A +-1 is looked for first, in growing row blocks, so the
+    usual unit pivot costs a scan of the first rows only."""
+    start, size = 0, 32
+    while start < S.shape[0]:
+        block = S[start:start + size]
+        unit = (block == 1) | (block == -1)
+        hit = np.flatnonzero(unit.any(axis=1))
+        if len(hit):
+            i = int(hit[0])
+            return start + i, int(np.argmax(unit[i]))
+        start += size
+        size *= 2
+    nz = np.nonzero(S)
+    if len(nz[0]) == 0:
+        return None
+    k = int(np.argmin(np.abs(S[nz])))
+    return int(nz[0][k]), int(nz[1][k])
+
+
+def _run_core(a, transforms):
+    try:
+        # int64 runs guarded; an object array already needs Python ints
+        return _eliminate(a, a.dtype, transforms)
+    except (_NeedExact, OverflowError):
+        return _eliminate(a, object, transforms)
 
 
 def smith_normal_form(M) -> SmithDecomposition:
@@ -270,7 +326,7 @@ def smith_normal_form(M) -> SmithDecomposition:
 
     M may be an IntegerMatrix or any nested sequence of integers.  The
     returned diagonal is nonnegative and satisfies d[i] | d[i+1]; U, V are
-    unimodular.
+    unimodular.  The exact product U * M * V == D is checked before return.
     """
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
@@ -278,19 +334,16 @@ def smith_normal_form(M) -> SmithDecomposition:
     if m == 0 or n == 0:
         return SmithDecomposition(
             (m, n), (), IntegerMatrix.identity(m), IntegerMatrix.identity(n))
-    try:
-        # int64 runs guarded; an object array already needs Python ints
-        diag, U, V = _snf_eliminate(M.array, M.array.dtype)
-    except (_NeedExact, OverflowError):
-        diag, U, V = _snf_eliminate(M.array, object)
-    snf = SmithDecomposition(
-        (m, n), tuple(diag), IntegerMatrix._of(U), IntegerMatrix._of(V))
-    _validate_snf(snf, M)
+    A, U, V = _run_core(M.array, transforms=True)
+    snf = SmithDecomposition((m, n), tuple(int(x) for x in A.diagonal()),
+                             IntegerMatrix._of(U), IntegerMatrix._of(V))
+    _check_chain(snf.d)
+    if (snf.u @ M) @ snf.v != snf.diagonal_matrix():
+        raise AssertionError("Smith decomposition does not reproduce the matrix")
     return snf
 
 
-def _validate_snf(snf: SmithDecomposition, M: IntegerMatrix):
-    d = snf.d
+def _check_chain(d):
     if any(x < 0 for x in d):
         raise AssertionError("negative diagonal in Smith form")
     for a, b in zip(d, d[1:]):
@@ -298,8 +351,141 @@ def _validate_snf(snf: SmithDecomposition, M: IntegerMatrix):
             raise AssertionError("zero before nonzero in Smith diagonal")
         if a != 0 and b % a != 0:
             raise AssertionError("divisibility chain broken in Smith form")
-    if (snf.u @ M) @ snf.v != snf.diagonal_matrix():
-        raise AssertionError("Smith decomposition does not reproduce the matrix")
+
+
+def invariant_factors(M) -> tuple[int, ...]:
+    """The nonzero diagonal entries of M's Smith form, in divisibility order.
+
+    Equal to smith_normal_form(M).invariant_factors, but the elimination
+    carries no transforms and no product checks it: the factors are
+    certified mod p instead (_certify_factors).
+    """
+    if not isinstance(M, IntegerMatrix):
+        M = IntegerMatrix(M)
+    if M.rows == 0 or M.cols == 0:
+        return ()
+    A, _, _ = _run_core(M.array, transforms=False)
+    d = [int(x) for x in A.diagonal()]
+    if np.count_nonzero(A) != np.count_nonzero(d):
+        raise AssertionError("the elimination left a nonzero entry off the diagonal")
+    _check_chain(d)
+    factors = tuple(x for x in d if x)
+    _certify_factors(M, factors)
+    return factors
+
+
+# -- the certificate of invariant_factors ---------------------------------
+# It shares no code with the elimination core above.
+
+# primes below 2^31, so products of two residues stay below 2^62 in int64
+_LARGE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+                 2147483549)
+_MODULUS_LIMIT = 2**31
+
+
+def _certify_factors(M: IntegerMatrix, factors):
+    """Raise AssertionError unless `factors` (nonzero, in divisibility order)
+    are the invariant factors of M.
+
+    Over GF(p), for a prime p < 2^31 that divides no factor, M has rank
+    len(factors).  For each prime q dividing a factor, with e the largest
+    exponent of q in one, an elimination over Z/q^(e+1) gives as many pivots
+    of each q-adic valuation as there are factors of it, which separates Z/9
+    from Z/3.  When a factor has a prime part that trial division cannot find
+    below 2^31, or every listed p divides a factor, the exact check of
+    smith_normal_form decides instead.
+    """
+    exponents = _prime_exponents(factors)
+    p = next((p for p in _LARGE_PRIMES if all(d % p for d in factors)), None)
+    if exponents is None or p is None:
+        if smith_normal_form(M).invariant_factors != tuple(factors):
+            raise AssertionError("invariant factors differ from the exact Smith form")
+        return
+    if _valuation_pivots(M.array, p, 1) != [len(factors)]:
+        raise AssertionError(f"rank mod {p} differs from the number of invariant factors")
+    for q, e in exponents.items():
+        expected = [0] * (e + 1)
+        for d in factors:
+            expected[_valuation(d, q)] += 1
+        if _valuation_pivots(M.array, q, e + 1) != expected:
+            raise AssertionError(f"the {q}-parts of the invariant factors are wrong")
+
+
+def _valuation(d, q):
+    v = 0
+    while d % q == 0:
+        d //= q
+        v += 1
+    return v
+
+
+def _prime_exponents(factors):
+    """{q: largest exponent of q in a factor} for the primes q dividing a
+    factor, by trial division, or None when some q^(e+1) would reach 2^31."""
+    exponents = {}
+    for d in set(factors):
+        f = 2
+        while d > 1:
+            if f * f > d:
+                f = d  # no factor up to sqrt(d): d is prime
+            elif f * f >= _MODULUS_LIMIT:
+                return None  # what is left of d has only primes q with q^2 >= 2^31
+            e = 0
+            while d % f == 0:
+                d //= f
+                e += 1
+            if e:
+                exponents[f] = max(exponents.get(f, 0), e)
+            f += 1 if f == 2 else 2
+    for q, e in exponents.items():
+        if q ** (e + 1) >= _MODULUS_LIMIT:
+            return None
+    return exponents
+
+
+def _valuation_pivots(M, q, k):
+    """Pivot counts of M over Z/q^k by q-adic valuation: entry v is the number
+    of Smith factors of M of valuation v, for v < k.  With k = 1 and q prime
+    this is the rank over GF(q).
+
+    Valuation levels are taken in increasing order, so at level v every
+    entry left is divisible by q^v.  Each pivot is an entry of valuation v in
+    the row with the fewest nonzeros that holds one; only the rows meeting
+    the pivot column are updated, and the pivot row and column then drop out.
+    """
+    Q = q ** k
+    A = (M % Q).astype(np.int64)
+    nonzeros = np.count_nonzero(A, axis=1)
+    counts = []
+    for v in range(k):
+        low, step = q ** v, q ** (v + 1)
+        live = np.count_nonzero(A % step, axis=1)  # entries of valuation v
+        count = 0
+        while True:
+            candidates = live.nonzero()[0]
+            if not len(candidates):
+                break
+            r = candidates[np.argmin(nonzeros[candidates])]
+            row = A[r]
+            c = (row % step).nonzero()[0][0]
+            inverse = pow(int(row[c]) // low, -1, Q)
+            others = A[:, c].nonzero()[0]
+            others = others[others != r]
+            if len(others):
+                support = row.nonzero()[0]
+                f = (A[others, c] // low) * inverse % Q
+                old = A[others[:, None], support]
+                new = (old - f[:, None] * row[support]) % Q
+                A[others[:, None], support] = new
+                nonzeros[others] += (np.count_nonzero(new, axis=1)
+                                     - np.count_nonzero(old, axis=1))
+                live[others] += (np.count_nonzero(new % step, axis=1)
+                                 - np.count_nonzero(old % step, axis=1))
+            A[r] = 0
+            nonzeros[r] = live[r] = 0
+            count += 1
+        counts.append(count)
+    return counts
 
 
 def kernel_lattice(snf: SmithDecomposition, modulus: int | None = None) -> IntegerMatrix:

@@ -19,6 +19,7 @@ from biracks import (
 from biracks.cli import main
 from biracks.errors import BirackError, DiagramError, InputError
 from test_homology import count_calls
+from test_linalg import corrupt_core, drop_last_factor
 
 HERE = Path(__file__).resolve().parent
 DATA = resources.files("biracks.data")
@@ -121,8 +122,14 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(m):
         raise ValueError("inner dimensions do not match")
 
-    monkeypatch.setattr(homology, "smith_normal_form", broken)
+    monkeypatch.setattr(homology, "invariant_factors", broken)
     with pytest.raises(ValueError, match="inner dimensions"):
+        main(["homology", "ab4"])
+
+
+def test_failed_factor_certificate_is_not_a_usage_error(monkeypatch):
+    corrupt_core(monkeypatch, drop_last_factor)
+    with pytest.raises(AssertionError, match="rank mod"):
         main(["homology", "ab4"])
 
 
@@ -171,7 +178,7 @@ def test_bad_budget_variable_is_a_usage_error(monkeypatch, variable, argv, value
 def test_ignored_reduced_options_are_rejected(argv, message, monkeypatch):
     counts = count_calls(monkeypatch)
     assert run(argv) == (2, "", f"error: {message}\n")
-    assert counts == {"constraints": 0, "boundary": 0, "smith": 0}
+    assert counts == {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -181,8 +188,8 @@ def test_ignored_reduced_options_are_rejected(argv, message, monkeypatch):
 def test_reduced_report_factors_the_constraints_once(argv, monkeypatch):
     counts = count_calls(monkeypatch)
     assert run(argv)[0] == 0
-    # C with d_3 inside it, then d_2; one Smith form of each
-    assert counts == {"constraints": 1, "boundary": 2, "smith": 2}
+    # C with d_3 inside it, then d_2; a Smith form of C, the factors of d_2
+    assert counts == {"constraints": 1, "boundary": 2, "smith": 1, "factors": 1}
 
 
 def test_reduced_cli_output_is_unchanged(tmp_path):

@@ -28,6 +28,7 @@ from biracks import (
 )
 from biracks.errors import BirackError, ResourceLimitExceeded
 from biracks.homology import Cochain1
+from biracks.linalg import invariant_factors
 from test_linalg import column_span_contains, quotient_invariants
 
 
@@ -385,11 +386,22 @@ def test_reduced_cohomology_matches_lattice_quotient(ab4, ab5, tsr3):
     assert with_torsion >= 2
 
 
+def test_invariant_factors_match_the_smith_form(ab4, ab5):
+    matrices = [reduced_cocycle_constraints(ab4), reduced_cocycle_constraints(ab5)]
+    for b in (ab4, ab5, *valid_tsr_biracks(5)):
+        for degree in (1, 2, 3):
+            d = boundary_matrix(b, degree)
+            matrices += [d, d.transpose()]
+    for M in matrices:
+        assert invariant_factors(M) == smith_normal_form(M).invariant_factors
+
+
 def count_calls(monkeypatch):
-    """Count constraint builds, boundary builds and Smith calls from here on."""
+    """Count constraint builds, boundary builds, Smith forms (with transforms)
+    and factor-only calls from here on."""
     from biracks import homology, linalg
 
-    counts = {"constraints": 0, "boundary": 0, "smith": 0}
+    counts = {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -404,18 +416,36 @@ def count_calls(monkeypatch):
     smith = counting("smith", linalg.smith_normal_form)
     monkeypatch.setattr(homology, "smith_normal_form", smith)
     monkeypatch.setattr(linalg, "smith_normal_form", smith)
+    factors = counting("factors", linalg.invariant_factors)
+    monkeypatch.setattr(homology, "invariant_factors", factors)
+    monkeypatch.setattr(linalg, "invariant_factors", factors)
     return counts
+
+
+def test_groups_need_no_transforms_and_no_products(ab4, monkeypatch):
+    counts = count_calls(monkeypatch)
+    products = []
+    real = IntegerMatrix.__matmul__
+
+    def counting(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(IntegerMatrix, "__matmul__", counting)
+    assert homology_group(ab4, 4).describe() == "Z^8"
+    assert counts == {"constraints": 0, "boundary": 2, "smith": 0, "factors": 2}
+    assert products == []
 
 
 def test_reduced_path_factors_the_constraints_once(ab4, monkeypatch):
     counts = count_calls(monkeypatch)
     reduced_2_cocycles(ab4)
-    assert counts == {"constraints": 1, "boundary": 1, "smith": 1}
+    assert counts == {"constraints": 1, "boundary": 1, "smith": 1, "factors": 0}
     reduced_2_cocycles(ab4, modulus=2)
-    assert counts == {"constraints": 2, "boundary": 2, "smith": 2}
-    # the quotient adds d_2 and its Smith form, and no second one of C
+    assert counts == {"constraints": 2, "boundary": 2, "smith": 2, "factors": 0}
+    # the quotient adds d_2 and its factors, and no second Smith form of C
     reduced_2_cohomology(ab4)
-    assert counts == {"constraints": 3, "boundary": 4, "smith": 4}
+    assert counts == {"constraints": 3, "boundary": 4, "smith": 3, "factors": 1}
 
 
 def test_reduced_cohomology_certificate_fires(ab4, monkeypatch):

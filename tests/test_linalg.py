@@ -13,9 +13,11 @@ import pytest
 from biracks import (
     IntegerMatrix,
     kernel_lattice,
+    linalg,
     smith_normal_form,
 )
 from biracks.errors import InputError
+from biracks.linalg import invariant_factors
 
 
 def bareiss_determinant(rows):
@@ -174,11 +176,27 @@ def test_huge_entries_use_exact_arithmetic():
     assert snf.d == (1, 1)
 
 
+def scrambled(diagonal, shear, rng):
+    """L * diag(diagonal) * R for unimodular L and R made of random shears
+    by multiples of `shear`."""
+    n = len(diagonal)
+    M = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        i, j = rng.sample(range(n), 2)
+        q = shear * rng.choice((-1, 1))
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]  # a row shear on the left
+        i, j = rng.sample(range(n), 2)
+        for row in M:  # a column shear on the right
+            row[i] += q * row[j]
+    return M
+
+
 def test_invariant_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
     rng = random.Random(23)
+    cases = []
     for k in range(80):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         if k % 4 == 3:
@@ -191,8 +209,86 @@ def test_invariant_factors_match_sympy():
         else:
             bound = (1, 9, 2**70)[k % 4]
             data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-        expected = invariant_factors(sympy.Matrix(data), domain=sympy.ZZ)
-        assert smith_normal_form(data).d == tuple(int(x) for x in expected)
+        cases.append(data)
+    # mixed torsion (Z/2 + Z/4, Z/3 + Z/9) hidden by unimodular factors,
+    # small and with entries past 2^62, which restart on Python ints
+    for diagonal in ((2, 4, 0), (3, 9, 0), (1, 3, 9)):
+        for shear in (3, 2**40):
+            data = scrambled(diagonal, shear, rng)
+            assert (max(abs(v) for row in data for v in row) >= 2**62) == (shear > 3)
+            cases.append(data)
+    for data in cases:
+        expected = tuple(int(x) for x in sympy_factors(sympy.Matrix(data), domain=sympy.ZZ))
+        assert smith_normal_form(data).d == expected
+        assert invariant_factors(data) == tuple(x for x in expected if x)
+
+
+def test_certificate_primes_are_large_primes():
+    sympy = pytest.importorskip("sympy")
+    assert all(sympy.isprime(p) and 2**30 < p < 2**31 for p in linalg._LARGE_PRIMES)
+
+
+def corrupt_core(monkeypatch, change):
+    """Make the elimination core return its diagonal after change(A)."""
+    real = linalg._eliminate
+
+    def wrong(M, dtype, transforms):
+        A, U, V = real(M, dtype, transforms)
+        change(A)
+        return A, U, V
+
+    monkeypatch.setattr(linalg, "_eliminate", wrong)
+
+
+def drop_last_factor(A):
+    r = np.count_nonzero(A.diagonal()) - 1
+    A[r, r] = 0
+
+
+def triple_last_factor(A):
+    r = np.count_nonzero(A.diagonal()) - 1
+    A[r, r] *= 3
+
+
+def add_unit_factor(A):
+    r = np.count_nonzero(A.diagonal())
+    A[r, r] = 1
+
+
+@pytest.mark.parametrize("M, change, message", [
+    ([[1, 0], [0, 1]], drop_last_factor, "rank mod"),
+    ([[0, 3], [3, 3]], triple_last_factor, "3-parts"),  # Z/3 + Z/9 for Z/3 + Z/3
+    ([[3]], triple_last_factor, "3-parts"),  # Z/9 for Z/3
+    ([[1, 1], [1, 1]], add_unit_factor, "rank mod"),
+])
+def test_invariant_factor_certificate_fires(monkeypatch, M, change, message):
+    assert invariant_factors(M) == smith_normal_form(M).invariant_factors
+    corrupt_core(monkeypatch, change)
+    with pytest.raises(AssertionError, match=message):
+        invariant_factors(M)
+
+
+def test_invariant_factor_certificate_falls_back_to_the_exact_check(monkeypatch):
+    calls = []
+    real = linalg.smith_normal_form
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    # 2^61 - 1 is prime: trial division stops at sqrt(2^31)
+    assert invariant_factors([[2**61 - 1]]) == (2**61 - 1,)
+    assert invariant_factors([[2, 0], [0, 2 * (2**61 - 1)]]) == (2, 2 * (2**61 - 1))
+    # 46349 is prime, but 46349^2 reaches 2^31, past the int64-safe moduli
+    assert invariant_factors([[46349]]) == (46349,)
+    assert len(calls) == 3
+    assert invariant_factors([[9, 0], [0, 6]]) == (3, 18)
+    assert len(calls) == 3
+    # the exact check catches a wrong core too
+    corrupt_core(monkeypatch, triple_last_factor)
+    with pytest.raises(AssertionError):
+        invariant_factors([[2**61 - 1]])
 
 
 def test_rank_deficient_matrix():
