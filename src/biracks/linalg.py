@@ -22,12 +22,14 @@ Python ints.
 
 No result leaves here unchecked.  smith_normal_form verifies D == U*M*V exactly
 and the divisibility chain.  invariant_factors checks that the core left a
-diagonal with a divisibility chain, then certifies the factors with code
-that shares nothing with the core: the rank over GF(p) for a large prime p
-dividing no factor, and for every prime q dividing a factor the q-adic
-valuations from an elimination over Z/q^(e+1).  A factor with a prime part
-that trial division cannot find below 2^31 sends it to the exact check of
-smith_normal_form instead.
+diagonal with a divisibility chain, then recomputes the factors with code
+that shares nothing with the core: exact steps on +-1 pivots split off an
+identity block, and for the remainder a fraction-free elimination gives
+the rank and a nonsingular minor D, whose primes are the only ones the
+factors can have; an elimination over Z/q^k for each prime q of D gives
+the q-adic valuations.  Where these cannot decide (an entry near 2^62, a
+prime of D that trial division cannot find, or a valuation too high for a
+modulus below 2^31), the exact check of smith_normal_form decides instead.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ def invariant_factors(M) -> tuple[int, ...]:
 
     Equal to smith_normal_form(M).invariant_factors, but the elimination
     carries no transforms and no product checks it: the factors are
-    certified mod p instead (_certify_factors).
+    recomputed independently instead (_certify_factors).
     """
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
@@ -377,9 +379,7 @@ def invariant_factors(M) -> tuple[int, ...]:
 # -- the certificate of invariant_factors ---------------------------------
 # It shares no code with the elimination core above.
 
-# primes below 2^31, so products of two residues stay below 2^62 in int64
-_LARGE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-                 2147483549)
+# moduli stay below 2^31, so a product of two residues stays below 2^62
 _MODULUS_LIMIT = 2**31
 
 
@@ -387,105 +387,163 @@ def _certify_factors(M: IntegerMatrix, factors):
     """Raise AssertionError unless `factors` (nonzero, in divisibility order)
     are the invariant factors of M.
 
-    Over GF(p), for a prime p < 2^31 that divides no factor, M has rank
-    len(factors).  For each prime q dividing a factor, with e the largest
-    exponent of q in one, an elimination over Z/q^(e+1) gives as many pivots
-    of each q-adic valuation as there are factors of it, which separates Z/9
-    from Z/3.  When a factor has a prime part that trial division cannot find
-    below 2^31, or every listed p divides a factor, the exact check of
-    smith_normal_form decides instead.
+    The factors are recomputed by other means than the core.  Exact steps on
+    +-1 pivots split M over Z into an identity block and a remainder B with
+    no +-1 entry, whose factors _remainder_factors finds.  When an entry of
+    M reaches 2^62, or a step could, the exact check of smith_normal_form
+    decides instead.
     """
-    exponents = _prime_exponents(factors)
-    p = next((p for p in _LARGE_PRIMES if all(d % p for d in factors)), None)
-    if exponents is None or p is None:
-        if smith_normal_form(M).invariant_factors != tuple(factors):
-            raise AssertionError("invariant factors differ from the exact Smith form")
-        return
-    if _valuation_pivots(M.array, p, 1) != [len(factors)]:
-        raise AssertionError(f"rank mod {p} differs from the number of invariant factors")
-    for q, e in exponents.items():
-        expected = [0] * (e + 1)
-        for d in factors:
-            expected[_valuation(d, q)] += 1
-        if _valuation_pivots(M.array, q, e + 1) != expected:
-            raise AssertionError(f"the {q}-parts of the invariant factors are wrong")
+    A, units = M.array, None
+    if A.dtype != object:
+        A = A.copy()
+        units = _sparse_pivots(A, lambda X: abs(X) == 1, lambda a, p: a * p)
+    if units is None:
+        expected = smith_normal_form(M).invariant_factors
+    else:
+        B = A[A.any(axis=1)][:, A.any(axis=0)]
+        expected = (1,) * units + _remainder_factors(B)
+    if tuple(factors) != expected:
+        raise AssertionError("invariant factors differ from an independent computation")
 
 
-def _valuation(d, q):
-    v = 0
-    while d % q == 0:
-        d //= q
-        v += 1
-    return v
+def _remainder_factors(B):
+    """The invariant factors of an int64 matrix B, from its rank, one minor,
+    and its valuations at the primes of that minor.
+
+    Every factor divides the determinant D of a nonsingular rank x rank
+    minor, so the primes q of D are all the primes that occur, and an
+    elimination over Z/q^k gives how many factors have each q-adic valuation
+    below k.  When D has a prime part that trial division cannot find below
+    2^31, or a valuation reaches k, the exact check of smith_normal_form
+    decides instead.
+    """
+    rank, minor = _rank_and_minor(B)
+    primes = _primes_of(minor)
+    factors = [1] * rank
+    for q in primes or ():
+        counts = _valuation_pivots(B, q)
+        if sum(counts) != rank:
+            primes = None
+            break
+        valuations = [v for v, n in enumerate(counts) for _ in range(n)]
+        for i, v in enumerate(valuations):
+            factors[i] *= q ** v
+    if primes is None:
+        return smith_normal_form(B).invariant_factors
+    return tuple(factors)
 
 
-def _prime_exponents(factors):
-    """{q: largest exponent of q in a factor} for the primes q dividing a
-    factor, by trial division, or None when some q^(e+1) would reach 2^31."""
-    exponents = {}
-    for d in set(factors):
-        f = 2
-        while d > 1:
-            if f * f > d:
-                f = d  # no factor up to sqrt(d): d is prime
-            elif f * f >= _MODULUS_LIMIT:
-                return None  # what is left of d has only primes q with q^2 >= 2^31
-            e = 0
-            while d % f == 0:
-                d //= f
-                e += 1
-            if e:
-                exponents[f] = max(exponents.get(f, 0), e)
-            f += 1 if f == 2 else 2
-    for q, e in exponents.items():
-        if q ** (e + 1) >= _MODULUS_LIMIT:
+def _rank_and_minor(B):
+    """(r, |D|): the rank r of B over Q and the determinant D of a
+    nonsingular r x r minor, by fraction-free (Bareiss) elimination in
+    Python ints.  After each step every entry left is a minor of B, so the
+    last pivot is one of size r."""
+    A = B.astype(object)
+    m, n = A.shape
+    rank, last = 0, 1
+    for c in range(n):
+        if rank == m:
+            break
+        below = A[rank:, c].nonzero()[0]
+        if not len(below):
+            continue
+        i = rank + int(below[0])
+        A[[rank, i]] = A[[i, rank]]
+        p = A[rank, c]
+        A[rank + 1:, c + 1:] = (p * A[rank + 1:, c + 1:]
+                                - np.outer(A[rank + 1:, c], A[rank, c + 1:])) // last
+        A[rank + 1:, c] = 0
+        rank, last = rank + 1, p
+    return rank, abs(last)
+
+
+def _primes_of(D):
+    """The primes dividing D > 0, by trial division, or None when D has a
+    prime factor that trial division below sqrt(2^31) cannot find and that
+    is not itself a prime below 2^31."""
+    primes, f = [], 2
+    while f * f <= D:
+        if f * f >= _MODULUS_LIMIT:
             return None
-    return exponents
+        if D % f == 0:
+            primes.append(f)
+            while D % f == 0:
+                D //= f
+        f += 1 if f == 2 else 2
+    if D > 1:
+        if D >= _MODULUS_LIMIT:
+            return None
+        primes.append(D)
+    return primes
 
 
-def _valuation_pivots(M, q, k):
-    """Pivot counts of M over Z/q^k by q-adic valuation: entry v is the number
-    of Smith factors of M of valuation v, for v < k.  With k = 1 and q prime
-    this is the rank over GF(q).
+def _valuation_pivots(B, q):
+    """Factor counts of B by q-adic valuation over Z/q^k, for the largest k
+    with q^k < 2^31: entry v is the number of factors of valuation v.  The
+    list stops once no entry is left, so a sum below B's rank means that
+    some factor has valuation k or more.
 
     Valuation levels are taken in increasing order, so at level v every
-    entry left is divisible by q^v.  Each pivot is an entry of valuation v in
-    the row with the fewest nonzeros that holds one; only the rows meeting
-    the pivot column are updated, and the pivot row and column then drop out.
+    entry left is divisible by q^v, and the pivots are the entries of
+    valuation v.
     """
+    k = 1
+    while q ** (k + 1) < _MODULUS_LIMIT:
+        k += 1
     Q = q ** k
-    A = (M % Q).astype(np.int64)
-    nonzeros = np.count_nonzero(A, axis=1)
+    A = B % Q
     counts = []
     for v in range(k):
+        if not A.any():
+            break
         low, step = q ** v, q ** (v + 1)
-        live = np.count_nonzero(A % step, axis=1)  # entries of valuation v
-        count = 0
-        while True:
-            candidates = live.nonzero()[0]
-            if not len(candidates):
-                break
-            r = candidates[np.argmin(nonzeros[candidates])]
-            row = A[r]
-            c = (row % step).nonzero()[0][0]
-            inverse = pow(int(row[c]) // low, -1, Q)
-            others = A[:, c].nonzero()[0]
-            others = others[others != r]
-            if len(others):
-                support = row.nonzero()[0]
-                f = (A[others, c] // low) * inverse % Q
-                old = A[others[:, None], support]
-                new = (old - f[:, None] * row[support]) % Q
-                A[others[:, None], support] = new
-                nonzeros[others] += (np.count_nonzero(new, axis=1)
-                                     - np.count_nonzero(old, axis=1))
-                live[others] += (np.count_nonzero(new % step, axis=1)
-                                 - np.count_nonzero(old % step, axis=1))
-            A[r] = 0
-            nonzeros[r] = live[r] = 0
-            count += 1
-        counts.append(count)
+        counts.append(_sparse_pivots(
+            A, lambda X: X % step != 0,
+            lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q))
     return counts
+
+
+def _sparse_pivots(A, pivotal, multipliers, modulus=None):
+    """Eliminate, in place, on the entries of the int64 matrix A where
+    pivotal(A) holds, and return how many pivots were taken; over Z when
+    modulus is None, and then None if a step could reach 2^62.
+
+    Each pivot is the first pivotal entry of the row with the fewest
+    nonzeros that holds one.  Only the rows meeting the pivot column change:
+    each loses f times the pivot row, f = multipliers(its entries in the
+    pivot column, the pivot), which clears its entry there.  The pivot row
+    is then cleared, so the pivot drops out with its row and column.
+    """
+    nonzeros = np.count_nonzero(A, axis=1)
+    live = np.count_nonzero(pivotal(A), axis=1)
+    count = 0
+    while True:
+        candidates = live.nonzero()[0]
+        if not len(candidates):
+            return count
+        r = candidates[np.argmin(nonzeros[candidates])]
+        row = A[r]
+        c = pivotal(row).nonzero()[0][0]
+        others = A[:, c].nonzero()[0]
+        others = others[others != r]
+        if len(others):
+            support = row.nonzero()[0]
+            f = multipliers(A[others, c], row[c])
+            old = A[others[:, None], support]
+            if modulus is None:
+                if _max_abs(old) + _max_abs(f) * _max_abs(row) >= _INT64_SAFE:
+                    return None
+                new = old - f[:, None] * row[support]
+            else:
+                new = (old - f[:, None] * row[support]) % modulus
+            A[others[:, None], support] = new
+            nonzeros[others] += (np.count_nonzero(new, axis=1)
+                                 - np.count_nonzero(old, axis=1))
+            live[others] += (np.count_nonzero(pivotal(new), axis=1)
+                             - np.count_nonzero(pivotal(old), axis=1))
+        A[r] = 0
+        nonzeros[r] = live[r] = 0
+        count += 1
 
 
 def kernel_lattice(snf: SmithDecomposition, modulus: int | None = None) -> IntegerMatrix:

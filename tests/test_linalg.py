@@ -223,11 +223,6 @@ def test_invariant_factors_match_sympy():
         assert invariant_factors(data) == tuple(x for x in expected if x)
 
 
-def test_certificate_primes_are_large_primes():
-    sympy = pytest.importorskip("sympy")
-    assert all(sympy.isprime(p) and 2**30 < p < 2**31 for p in linalg._LARGE_PRIMES)
-
-
 def corrupt_core(monkeypatch, change):
     """Make the elimination core return its diagonal after change(A)."""
     real = linalg._eliminate
@@ -250,21 +245,30 @@ def triple_last_factor(A):
     A[r, r] *= 3
 
 
+def halve_last_factor(A):
+    r = np.count_nonzero(A.diagonal()) - 1
+    A[r, r] //= 2
+
+
 def add_unit_factor(A):
     r = np.count_nonzero(A.diagonal())
     A[r, r] = 1
 
 
-@pytest.mark.parametrize("M, change, message", [
-    ([[1, 0], [0, 1]], drop_last_factor, "rank mod"),
-    ([[0, 3], [3, 3]], triple_last_factor, "3-parts"),  # Z/3 + Z/9 for Z/3 + Z/3
-    ([[3]], triple_last_factor, "3-parts"),  # Z/9 for Z/3
-    ([[1, 1], [1, 1]], add_unit_factor, "rank mod"),
+@pytest.mark.parametrize("M, change", [
+    ([[1, 0], [0, 1]], drop_last_factor),
+    ([[0, 3], [3, 3]], triple_last_factor),  # Z/3 + Z/9 for Z/3 + Z/3
+    ([[3]], triple_last_factor),  # Z/9 for Z/3
+    ([[1, 1], [1, 1]], add_unit_factor),
+    # a prime dropped from the only factor it divides
+    ([[2]], halve_last_factor),  # 1 for Z/2
+    ([[6]], halve_last_factor),  # Z/3 for Z/6
+    ([[1, 0], [0, 2]], halve_last_factor),  # 1 + 1 for 1 + Z/2
 ])
-def test_invariant_factor_certificate_fires(monkeypatch, M, change, message):
+def test_invariant_factor_certificate_fires(monkeypatch, M, change):
     assert invariant_factors(M) == smith_normal_form(M).invariant_factors
     corrupt_core(monkeypatch, change)
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(AssertionError, match="invariant factors differ"):
         invariant_factors(M)
 
 
@@ -280,11 +284,16 @@ def test_invariant_factor_certificate_falls_back_to_the_exact_check(monkeypatch)
     # 2^61 - 1 is prime: trial division stops at sqrt(2^31)
     assert invariant_factors([[2**61 - 1]]) == (2**61 - 1,)
     assert invariant_factors([[2, 0], [0, 2 * (2**61 - 1)]]) == (2, 2 * (2**61 - 1))
-    # 46349 is prime, but 46349^2 reaches 2^31, past the int64-safe moduli
+    # 46349 is prime, but 46349^2 reaches 2^31, past the int64-safe moduli,
+    # so Z/46349 cannot tell valuation 1 from higher ones
     assert invariant_factors([[46349]]) == (46349,)
-    assert len(calls) == 3
+    # the unit step would reach 2^122
+    assert invariant_factors([[1, 2**61], [2**61, 1]]) == (1, 2**122 - 1)
+    assert len(calls) == 4
     assert invariant_factors([[9, 0], [0, 6]]) == (3, 18)
-    assert len(calls) == 3
+    # 46349 divides the minor found but no factor
+    assert invariant_factors([[46349, 2]]) == (1,)
+    assert len(calls) == 4
     # the exact check catches a wrong core too
     corrupt_core(monkeypatch, triple_last_factor)
     with pytest.raises(AssertionError):
