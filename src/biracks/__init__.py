@@ -4,13 +4,13 @@ Core objects: AugmentedBirack (validated permutation tables with derived
 inverse maps, kink map, and characteristic), LinkDiagram (semiarc-level
 signed crossing lists for classical and virtual links), Cochain2 and
 LaurentPolynomial (weight data and invariant values), plus exact integer
-homology of the birack chain complex via Smith normal form.
+homology of the birack chain complex, read from the invariant factors of
+its boundary maps.  Errors and the less used types live in their modules:
+biracks.errors.InputError marks unusable input.
 """
 
 from .algebra import (
     AugmentedBirack,
-    AxiomCheck,
-    AxiomReport,
     check_axioms,
     cycle_notation,
     derive_kink_map,
@@ -19,7 +19,6 @@ from .algebra import (
     from_tables,
     matrix_to_tables,
     parse_birack,
-    parse_birack_tables,
     tsr_birack,
 )
 from .data import (
@@ -43,28 +42,9 @@ from .diagram import (
     render_gauss,
     reverse_component,
 )
-from .errors import (
-    AxiomViolation,
-    BadSign,
-    BirackError,
-    DanglingSemiarc,
-    DiagramError,
-    DuplicateEndpoint,
-    InputError,
-    KinkMapMissing,
-    KinkMapNotUnique,
-    NonBijectiveColumn,
-    NotAUnit,
-    NotReducedCocycle,
-    RelationFails,
-    ResourceLimitExceeded,
-    SignMismatch,
-    UnmatchedCrossingLabel,
-)
 from .homology import (
     Cochain1,
     Cochain2,
-    HomologyGroup,
     boundary_matrix,
     boundary_of_tuple,
     cohomology_group,
@@ -73,7 +53,6 @@ from .homology import (
     format_cochain,
     homology_group,
     is_reduced_2_cocycle,
-    parse_cochain,
     partial_dprime,
     partial_prime,
     reduced_2_cocycles,
@@ -82,7 +61,6 @@ from .homology import (
     tuple_basis,
 )
 from .invariants import (
-    InvariantResult,
     LaurentPolynomial,
     cocycle_invariant,
     counting_invariant,
@@ -90,7 +68,6 @@ from .invariants import (
 )
 from .linalg import (
     IntegerMatrix,
-    SmithDecomposition,
     kernel_lattice,
     smith_normal_form,
 )

@@ -29,15 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import (
-    AxiomViolation,
-    InputError,
-    KinkMapMissing,
-    KinkMapNotUnique,
-    NonBijectiveColumn,
-    NotAUnit,
-    RelationFails,
-)
+from .errors import InputError
 
 Perm = tuple[int, ...]  # perm[i-1] is the 1-based image of i
 
@@ -95,7 +87,7 @@ def _normalize_tables(alpha, beta):
     for kind, table in (("alpha", alpha), ("beta", beta)):
         for x, row in enumerate(table, start=1):
             if len(row) != n or set(row) != target:
-                raise NonBijectiveColumn(kind, x, row)
+                raise InputError(f"{kind}_{x} is not a bijection: image {list(row)}")
     return alpha, beta, n
 
 
@@ -324,7 +316,7 @@ def check_axioms(alpha, beta) -> AxiomReport:
     """Check the three augmented-birack identities on permutation tables.
 
     Always returns a report (never raises for axiom failures); tables whose
-    rows are not permutations of 1..n are rejected with NonBijectiveColumn.
+    rows are not permutations of 1..n are rejected with InputError.
     """
     return _check_tables(alpha, beta)[0]
 
@@ -333,13 +325,13 @@ def _kink_map(solutions) -> Perm:
     """pi from the kink solutions of each x, or the error naming the first failure."""
     for x, sols in enumerate(solutions, start=1):
         if not sols:
-            raise KinkMapMissing(x)
+            raise InputError(f"no label y satisfies the kink identity at x={x}")
         if len(sols) > 1:
-            raise KinkMapNotUnique(x, sols)
+            raise InputError(
+                f"kink identity at x={x} has multiple solutions {list(sols)}")
     pi = tuple(sols[0] for sols in solutions)
     if set(pi) != set(range(1, len(pi) + 1)):
-        raise AxiomViolation(
-            "i", pi, "kink map solutions do not form a permutation")
+        raise InputError("kink map solutions do not form a permutation")
     return pi
 
 
@@ -353,12 +345,12 @@ def from_tables(alpha, beta) -> AugmentedBirack:
     """Build and validate a birack from permutation tables alpha, beta."""
     report, (alpha, beta, alpha_bar, beta_bar), solutions = _check_tables(alpha, beta)
     if not report.axiom_ii.passed:
-        raise AxiomViolation("ii", report.axiom_ii.witnesses[0])
+        raise InputError(f"axiom ii fails at {report.axiom_ii.witnesses[0]}")
     if not report.axiom_iii.passed:
-        raise AxiomViolation("iii", report.axiom_iii.witnesses[0])
+        raise InputError(f"axiom iii fails at {report.axiom_iii.witnesses[0]}")
     if not report.axiom_i.passed:
         _kink_map(solutions)  # raises the precise error when pi is not a permutation
-        raise AxiomViolation("i", report.axiom_i.witnesses[0])
+        raise InputError(f"axiom i fails at {report.axiom_i.witnesses[0]}")
     return AugmentedBirack(
         size=report.size,
         alpha=alpha,
@@ -404,10 +396,10 @@ def tsr_birack(n: int, t: int, s: int, r: int) -> AugmentedBirack:
         raise InputError("modulus must be positive")
     for name, value in (("t", t), ("r", r)):
         if gcd(value % n if n > 1 else 1, n) != 1:
-            raise NotAUnit(name, value, n)
+            raise InputError(f"{name}={value} is not a unit mod {n}")
     t_inv = pow(t, -1, n)
     if (s * s - (1 - t_inv * r) * s) % n != 0:
-        raise RelationFails(
+        raise InputError(
             f"s^2 = (1 - t^-1 r)s fails mod {n} for t={t}, s={s}, r={r}")
 
     def mod1(v):

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import data
 from .algebra import check_axioms, cycle_notation, parse_birack, parse_birack_tables
 from .diagram import parse_crossing_list, parse_gauss, reverse_component
-from .errors import BirackError, InputError, ResourceLimitExceeded
+from .errors import InputError, ResourceLimitExceeded
 from .homology import (
     cohomology_group,
     homology_group,
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except BirackError as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -32,15 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (
-    BadSign,
-    DanglingSemiarc,
-    DiagramError,
-    DuplicateEndpoint,
-    InputError,
-    SignMismatch,
-    UnmatchedCrossingLabel,
-)
+from .errors import InputError
 
 
 class Crossing(NamedTuple):
@@ -116,7 +108,7 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
     for c in crossings:
         sign, o_in, o_out, u_in, u_out = c
         if sign not in (1, -1):
-            raise BadSign(sign)
+            raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
         cleaned.append(Crossing(int(sign), int(o_in), int(o_out),
                                 int(u_in), int(u_out)))
     free_loops = tuple(int(s) for s in free_loops)
@@ -125,29 +117,29 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
     outs: dict[int, int] = {}
     for s in free_loops:
         if s in ins:
-            raise DuplicateEndpoint(s, "in")
+            raise InputError(f"semiarc {s} appears more than once as in")
         ins[s] = outs[s] = 1
     for c in cleaned:
         for s in (c.over_in, c.under_in):
             if s in ins:
-                raise DuplicateEndpoint(s, "in")
+                raise InputError(f"semiarc {s} appears more than once as in")
             ins[s] = 1
         for s in (c.over_out, c.under_out):
             if s in outs:
-                raise DuplicateEndpoint(s, "out")
+                raise InputError(f"semiarc {s} appears more than once as out")
             outs[s] = 1
 
     mentioned = set(ins) | set(outs)
     if not mentioned:
         raise InputError("diagram has no semiarcs; declare at least a free loop")
     if min(mentioned) < 0:
-        raise DiagramError(f"semiarc id {min(mentioned)} is negative")
+        raise InputError(f"semiarc id {min(mentioned)} is negative")
     count = max(mentioned) + 1
     for s in range(count):
         if s not in ins:
-            raise DanglingSemiarc(s, "in")
+            raise InputError(f"semiarc {s} has no in endpoint")
         if s not in outs:
-            raise DanglingSemiarc(s, "out")
+            raise InputError(f"semiarc {s} has no out endpoint")
 
     succ = [None] * count
     for c in cleaned:
@@ -207,13 +199,14 @@ def parse_crossing_list(text: str) -> LinkDiagram:
             try:
                 sign = int(tokens[1])
             except ValueError:
-                raise BadSign(tokens[1]) from None
+                raise InputError(
+                    f"crossing sign must be +1 or -1, got {tokens[1]!r}") from None
             try:
                 ids = [int(t) for t in tokens[2:]]
             except ValueError:
                 raise InputError(f"line {lineno}: semiarc ids must be integers") from None
             if sign not in (1, -1):
-                raise BadSign(sign)
+                raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
             crossings.append(Crossing(sign, *ids))
         elif tag == "L":
             if len(tokens) != 2:
@@ -271,8 +264,8 @@ def parse_gauss(text: str) -> LinkDiagram:
             entry = passes.setdefault(label, {})
             kind = kind.upper()
             if kind in entry:
-                raise UnmatchedCrossingLabel(
-                    label, f"appears more than once as {kind}")
+                raise InputError(
+                    f"crossing label {label}: appears more than once as {kind}")
             entry[kind] = (sign, base + (j - 1) % m, base + j)
         base += m
 
@@ -280,12 +273,13 @@ def parse_gauss(text: str) -> LinkDiagram:
     for label in sorted(passes):
         entry = passes[label]
         if "O" not in entry or "U" not in entry:
-            missing = "U" if "U" in entry else "O"
-            raise UnmatchedCrossingLabel(label, f"has no {missing} pass")
+            missing = "O" if "U" in entry else "U"
+            raise InputError(f"crossing label {label}: has no {missing} pass")
         o_sign, o_in, o_out = entry["O"]
         u_sign, u_in, u_out = entry["U"]
         if o_sign != u_sign:
-            raise SignMismatch(label)
+            raise InputError(f"crossing label {label} has different signs "
+                             "on its over and under passes")
         crossings.append(Crossing(o_sign, o_in, o_out, u_in, u_out))
     return from_crossings(crossings)
 

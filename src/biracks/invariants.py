@@ -157,7 +157,12 @@ class InvariantResult:
 
 
 def _check_cochain(b: AugmentedBirack, phi: Cochain2 | None, quiet: bool):
-    if phi is None or is_reduced_2_cocycle(b, phi):
+    if phi is None:
+        return ()
+    if phi.size != b.size:
+        raise InputError(
+            f"cochain size {phi.size} does not match the birack size {b.size}")
+    if is_reduced_2_cocycle(b, phi):
         return ()
     message = ("cochain is not a reduced 2-cocycle for this birack; "
                "tile-summed values may depend on the chosen diagram")

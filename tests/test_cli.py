@@ -17,7 +17,7 @@ from biracks import (
     tsr_birack,
 )
 from biracks.cli import main
-from biracks.errors import BirackError, DiagramError, InputError
+from biracks.errors import BirackError, InputError
 from test_homology import count_calls
 from test_linalg import corrupt_core, drop_last_factor
 
@@ -95,7 +95,7 @@ def test_unknown_bundled_name(argv, kind, bundled):
     "X 1 0 1 1 0\nL -1\n",  # would drop the free loop
 ], ids=["crossing", "free-loop"])
 def test_negative_semiarc_id_is_a_usage_error(tmp_path, text):
-    with pytest.raises(DiagramError, match="semiarc id -1 is negative"):
+    with pytest.raises(InputError, match="semiarc id -1 is negative"):
         parse_crossing_list(text)
     path = tmp_path / "negative.txt"
     path.write_text(text)
@@ -103,6 +103,39 @@ def test_negative_semiarc_id_is_a_usage_error(tmp_path, text):
     assert code == 2
     assert out == ""
     assert err == "error: semiarc id -1 is negative\n"
+
+
+_SHEAR_BIRACK = "3\n1 1 1\n2 2 2\n3 3 3\n2 3 1\n3 1 2\n1 2 3\n"  # demo 01's
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["check"], "columns.txt", "2\n1 2\n1 1\n1 2\n2 1\n",
+     "alpha_1 is not a bijection: image [1, 1]"),
+    (["homology"], "shear.txt", _SHEAR_BIRACK, "axiom iii fails at (1, 1)"),
+    (["homology"], "shear.txt", FAILING_BIRACK, "axiom iii fails at (1, 2)"),
+    (["invariant", "ab4"], "dangling.txt", "X +1 0 1 2 9\n",
+     "semiarc 0 has no out endpoint"),
+    (["invariant", "ab4"], "duplicate.txt", "X +1 0 1 0 1\n",
+     "semiarc 0 appears more than once as in"),
+    (["invariant", "ab4"], "sign.txt", "X 2 0 1 1 0\n",
+     "crossing sign must be +1 or -1, got 2"),
+    (["invariant", "ab4"], "sign.txt", "X + 0 1 1 0\n",
+     "crossing sign must be +1 or -1, got '+'"),
+    (["invariant", "ab4"], "negative.txt", "X 1 -1 0 0 -1\n",
+     "semiarc id -1 is negative"),
+    (["invariant", "ab4"], "code.gauss", "O1+U2+\n",
+     "crossing label 1: has no U pass"),
+    (["invariant", "ab4"], "code.gauss", "O1+O1+U1+U1+\n",
+     "crossing label 1: appears more than once as O"),
+    (["invariant", "ab4"], "code.gauss", "O1+U1-\n",
+     "crossing label 1 has different signs on its over and under passes"),
+], ids=["non-permutation-column", "shear", "shear-2", "dangling", "duplicate",
+        "sign-2", "sign-plus", "negative-id", "gauss-unmatched", "gauss-repeated",
+        "gauss-sign-mismatch"])
+def test_malformed_input_error_text(tmp_path, argv, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(argv + [str(path)]) == (2, "", f"error: {message}\n")
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):

@@ -1,7 +1,11 @@
 """The bundled data files: names, integrity, and agreement with the fixtures."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import biracks
 from biracks import (
     available_biracks,
     available_cochains,
@@ -59,3 +63,14 @@ def test_unknown_names_raise():
         load_diagram("nosuch")
     with pytest.raises(KeyError):
         load_cochain("nosuch", 4)
+
+
+def test_build_script_uses_only_root_names():
+    """tools/build_data.py, which writes these files, reaches the package as
+    `bk`; every bk.<name> it uses must be exported by the package root."""
+    script = Path(__file__).resolve().parent.parent / "tools" / "build_data.py"
+    used = {node.attr for node in ast.walk(ast.parse(script.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "bk"}
+    assert used
+    assert sorted(name for name in used if not hasattr(biracks, name)) == []

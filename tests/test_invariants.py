@@ -16,7 +16,7 @@ from biracks import (
     load_diagram,
     reverse_component,
 )
-from biracks.errors import NotReducedCocycle, ResourceLimitExceeded
+from biracks.errors import InputError, NotReducedCocycle, ResourceLimitExceeded
 from biracks.homology import Cochain1, Cochain2, evaluate_coboundary
 from labeling_oracles import (
     boltzmann_weight,
@@ -175,7 +175,7 @@ def test_framing_periodicity(ab4, ab5):
             assert bumped.per_framing[0][1] == base
 
 
-def test_framed_invariants_defaults_and_errors(ab4, ab5, phi5):
+def test_framed_invariants_defaults_and_errors(ab4, ab5, phi4, phi5):
     l2a1 = load_diagram("l2a1")
     r = framed_invariants(l2a1, ab5, phi5)
     assert r.per_framing == (((0, 0), 13),)
@@ -186,6 +186,12 @@ def test_framed_invariants_defaults_and_errors(ab4, ab5, phi5):
         framed_invariants(l2a1, ab4, framing=(1,))
     with pytest.raises(ValueError):
         framed_invariants(l2a1, ab4, framing=(-1, 0))
+    for b, phi in ((ab4, phi5), (ab5, phi4)):
+        message = f"cochain size {phi.size} does not match the birack size {b.size}"
+        with pytest.raises(InputError, match=message):
+            cocycle_invariant(l2a1, b, phi)
+        with pytest.raises(InputError, match=message):
+            framed_invariants(l2a1, b, phi)
 
 
 def test_coboundary_weights_vanish(ab4, ab5, kinked_unknot):
