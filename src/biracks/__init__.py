@@ -53,8 +53,6 @@ from .homology import (
     format_cochain,
     homology_group,
     is_reduced_2_cocycle,
-    partial_dprime,
-    partial_prime,
     reduced_2_cocycles,
     reduced_2_cohomology,
     reduced_cocycle_constraints,

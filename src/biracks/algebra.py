@@ -41,39 +41,31 @@ def _invert_perm(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def _perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
+def _cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p as 0-based walks i, p(i), p(p(i)), ..., each from its
+    least element, in the order of those elements."""
+    seen = [False] * len(p)
+    cycles = []
+    for start in range(len(p)):
+        cycle = []
         i = start
         while not seen[i]:
             seen[i] = True
+            cycle.append(i)
             i = p[i] - 1
-            length += 1
-        order = lcm(order, length)
-    return order
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _perm_order(p: Perm) -> int:
+    return lcm(*(len(cycle) for cycle in _cycles(p)))
 
 
 def cycle_notation(p: Perm) -> str:
     """Render a permutation as disjoint cycles, e.g. "(1 4)(2 3)" or "id"."""
-    n = len(p)
-    seen = [False] * n
-    parts = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i + 1)
-            i = p[i] - 1
-        if len(cyc) > 1:
-            parts.append("(" + " ".join(str(v) for v in cyc) + ")")
+    parts = ["(" + " ".join(str(i + 1) for i in cycle) + ")"
+             for cycle in _cycles(p) if len(cycle) > 1]
     return "".join(parts) if parts else "id"
 
 

@@ -11,6 +11,7 @@ resource guard); 2 bad usage, unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -221,6 +222,7 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # the parser holds no per-call state: build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="birack",

@@ -205,8 +205,6 @@ def parse_crossing_list(text: str) -> LinkDiagram:
                 ids = [int(t) for t in tokens[2:]]
             except ValueError:
                 raise InputError(f"line {lineno}: semiarc ids must be integers") from None
-            if sign not in (1, -1):
-                raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
             crossings.append(Crossing(sign, *ids))
         elif tag == "L":
             if len(tokens) != 2:

@@ -8,14 +8,17 @@ degree-1 boundary the zero map.
 The boundary is an alternating sum of two face maps: the deleting face and
 the twisted face that acts by beta_{x_k} before the deleted slot and
 alpha_{x_k} after it.  Each alternating sum is a boundary map on its own;
-their difference is the one used here.
+their difference is the one used here.  Both faces of every tuple of a
+degree come from lookups in the alpha and beta arrays at once; chains are
+{tuple: coefficient} dicts only in boundary_of_tuple and
+degenerate_generators.
 
 The kink map pi determines the degenerate subcomplex: degree-n generators
 are sums over k = 1..N of tuples carrying (pi^k(x), pi^{k-1}(x)) in a fixed
-adjacent pair of slots.  A reduced 2-cocycle is an integer 2-cochain killed
-by the degree-3 boundary and vanishing on every degenerate 2-generator;
-those are exactly the cochains usable as crossing weights for links whose
-framings are only defined mod N.
+adjacent pair of slots, one per cycle of pi.  A reduced 2-cocycle is an
+integer 2-cochain killed by the degree-3 boundary and vanishing on every
+degenerate 2-generator; those are exactly the cochains usable as crossing
+weights for links whose framings are only defined mod N.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import AugmentedBirack
+from .algebra import AugmentedBirack, _cycles
 from .errors import InputError, check_budget
 from .linalg import IntegerMatrix, invariant_factors, kernel_lattice, smith_normal_form
 
@@ -43,8 +46,6 @@ __all__ = [
     "is_reduced_2_cocycle",
     "parse_cochain",
     "format_cochain",
-    "partial_dprime",
-    "partial_prime",
     "reduced_2_cocycles",
     "reduced_2_cohomology",
     "reduced_cocycle_constraints",
@@ -67,38 +68,37 @@ def tuple_basis(size: int, degree: int) -> list[tuple[int, ...]]:
     return list(product(range(1, size + 1), repeat=degree))
 
 
-def partial_prime(k: int, tup: tuple[int, ...]) -> tuple[int, ...]:
-    """Deleting face: remove entry k (1-based)."""
-    if not 1 <= k <= len(tup):
-        raise IndexError(f"face index {k} out of range for length {len(tup)}")
-    return tup[: k - 1] + tup[k:]
+def _faces(b: AugmentedBirack, tuples: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The signed faces of the 0-based tuples in the columns of a degree x M array.
 
-
-def partial_dprime(b: AugmentedBirack, k: int, tup: tuple[int, ...]) -> tuple[int, ...]:
-    """Twisted face: delete entry k, apply beta_{x_k} before it, alpha_{x_k} after."""
-    if not 1 <= k <= len(tup):
-        raise IndexError(f"face index {k} out of range for length {len(tup)}")
-    xk = tup[k - 1]
-    beta_row = b.beta[xk - 1]
-    alpha_row = b.alpha[xk - 1]
-    return tuple(beta_row[v - 1] for v in tup[: k - 1]) + tuple(
-        alpha_row[v - 1] for v in tup[k:])
+    For k = 1..degree, in that order: the deleting face (entry k removed)
+    with sign (-1)^k, then the twisted face with sign -(-1)^k, each a
+    (degree-1) x M array.  The twisted face applies beta_{x_k} to the
+    entries before slot k and alpha_{x_k} to those after it.
+    """
+    alpha = np.array(b.alpha) - 1
+    beta = np.array(b.beta) - 1
+    faces = []
+    for k in range(len(tuples)):  # 0-based slot k is face k + 1
+        sign = 1 if k % 2 else -1
+        xk = tuples[k]
+        twisted = np.concatenate([beta[xk, tuples[:k]], alpha[xk, tuples[k + 1:]]])
+        faces += [(sign, np.delete(tuples, k, axis=0)), (-sign, twisted)]
+    return faces
 
 
 def boundary_of_tuple(b: AugmentedBirack, tup) -> dict:
-    """Boundary of a basis tuple: sum over k of (-1)^k (prime - dprime).
+    """Boundary of a basis tuple: sum over k of (-1)^k (deleting - twisted face).
 
-    A chain is a dict from tuples to nonzero integer coefficients; zero
-    terms are dropped, so a cycle's boundary is the empty dict.
+    A chain is a dict from tuples to nonzero integer coefficients, keyed in
+    face order; zero terms are dropped, so a cycle's boundary is the empty
+    dict.
     """
-    tup = tuple(tup)
+    column = np.array(tup, dtype=np.intp).reshape(-1, 1) - 1
     terms: dict = {}
-    for k in range(1, len(tup) + 1):
-        sign = -1 if k % 2 else 1
-        t1 = partial_prime(k, tup)
-        terms[t1] = terms.get(t1, 0) + sign
-        t2 = partial_dprime(b, k, tup)
-        terms[t2] = terms.get(t2, 0) - sign
+    for sign, face in _faces(b, column):
+        t = tuple(int(v) + 1 for v in face[:, 0])
+        terms[t] = terms.get(t, 0) + sign
     return {t: c for t, c in terms.items() if c}
 
 
@@ -106,20 +106,21 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     """Matrix of the boundary C_degree -> C_(degree-1) in the tuple bases.
 
     Columns follow the lexicographic order of degree-tuples, rows of
-    (degree-1)-tuples; degree 0 gives the empty matrix with one column.
+    (degree-1)-tuples; degree 0 gives the empty matrix with one column.  A
+    face's row is its tuple read as base-size digits.
     """
     if degree < 0:
         raise InputError("degree must be nonnegative")
     _guard(b.size, degree, max_cells)
     if degree == 0:
         return IntegerMatrix.zeros(0, 1)
-    cols = tuple_basis(b.size, degree)
-    rows = tuple_basis(b.size, degree - 1)
-    row_index = {t: i for i, t in enumerate(rows)}
-    m = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, tup in enumerate(cols):
-        for t, c in boundary_of_tuple(b, tup).items():
-            m[row_index[t], j] = c
+    n = b.size
+    tuples = np.indices((n,) * degree).reshape(degree, -1)
+    places = n ** np.arange(degree - 2, -1, -1)
+    columns = np.arange(tuples.shape[1])
+    m = np.zeros((n ** (degree - 1), len(columns)), dtype=np.int64)
+    for sign, face in _faces(b, tuples):
+        np.add.at(m, (places @ face, columns), sign)
     return IntegerMatrix(m)
 
 
@@ -129,32 +130,22 @@ def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> li
     For each adjacent slot pair (j, j+1), each filling of the remaining
     slots, and each element x, the chain sums (pi^k(x), pi^(k-1)(x)) over
     k = 1..N in those slots, as a dict from tuples to their (positive)
-    coefficients.  x and pi(x) give the same chain, so duplicates are
-    removed; order is deterministic.
+    coefficients.  Every x of one cycle of pi gives the same chain, N/|cycle|
+    times the cycle's pairs, so each cycle is taken once, walked from its
+    least element; order is deterministic.
     """
     if degree < 2:
         return []
     _guard(b.size, degree, max_cells)
     N = b.characteristic
+    cycles = _cycles(b.pi)
     gens: list[dict] = []
-    seen = set()
-    carrier = range(1, b.size + 1)
-    for j in range(1, degree):
-        for rest in product(carrier, repeat=degree - 2):
-            head, tail = rest[: j - 1], rest[j - 1:]
-            for x in carrier:
-                terms: dict = {}
-                cur = x
-                for _k in range(N):
-                    nxt = b.pi[cur - 1]
-                    tup = head + (nxt, cur) + tail
-                    terms[tup] = terms.get(tup, 0) + 1
-                    cur = nxt
-                key = (j, tuple(sorted(terms.items())))
-                if key in seen:
-                    continue
-                seen.add(key)
-                gens.append(terms)
+    for j in range(degree - 1):
+        for rest in product(range(1, b.size + 1), repeat=degree - 2):
+            head, tail = rest[:j], rest[j:]
+            for cycle in cycles:
+                gens.append({head + (b.pi[x], x + 1) + tail: N // len(cycle)
+                             for x in cycle})
     return gens
 
 
@@ -394,12 +385,12 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
     over the lexicographic pair basis of 2-cochains.
     """
     d3 = boundary_matrix(b, 3, max_cells=max_cells)
-    pair_index = {t: i for i, t in enumerate(tuple_basis(b.size, 2))}
-    gens = degenerate_generators(b, 2, max_cells=max_cells)
-    degenerate = np.zeros((len(gens), len(pair_index)), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        for pair, c in gen.items():
-            degenerate[r, pair_index[pair]] = c
+    n = b.size
+    cycles = _cycles(b.pi)
+    degenerate = np.zeros((len(cycles), n * n), dtype=np.int64)
+    for r, cycle in enumerate(cycles):
+        degenerate[r, [(b.pi[x] - 1) * n + x for x in cycle]] = (
+            b.characteristic // len(cycle))
     return IntegerMatrix(np.vstack([d3.array.T, degenerate]))
 
 
@@ -429,31 +420,26 @@ def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
 
 def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
                          modulus: int | None = None) -> bool:
-    """Direct check: cocycle identity on all triples, zero on degenerates."""
+    """Direct check, independent of the constraint matrix: the cocycle
+    identity on all triples (x, y, z) as one array expression, and a zero
+    sum of phi(pi^k(x), pi^(k-1)(x)) over k = 1..N for every x at once."""
     if phi.size != b.size:
         return False
-    n = b.size
-
-    def vanishes(value: int) -> bool:
-        return value % modulus == 0 if modulus else value == 0
-
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            axy = b.alpha[x - 1][y - 1]
-            byx = b.beta[y - 1][x - 1]
-            for z in range(1, n + 1):
-                lhs = (phi(y, z)
-                       + phi(byx, b.alpha[y - 1][z - 1])
-                       + phi(x, y))
-                rhs = (phi(axy, b.alpha[x - 1][z - 1])
-                       + phi(x, z)
-                       + phi(b.beta[z - 1][x - 1], b.beta[z - 1][y - 1]))
-                if not vanishes(lhs - rhs):
-                    return False
-    for gen in degenerate_generators(b, 2):
-        if not vanishes(sum(c * phi(x, y) for (x, y), c in gen.items())):
-            return False
-    return True
+    table = np.array(phi.values, dtype=object)
+    alpha = np.array(b.alpha) - 1
+    beta = np.array(b.beta) - 1
+    pi = np.array(b.pi) - 1
+    x, y, z = np.ix_(*[range(b.size)] * 3)
+    defect = (table[y, z] + table[beta[y, x], alpha[y, z]] + table[x, y]
+              - table[alpha[x, y], alpha[x, z]] - table[x, z]
+              - table[beta[z, x], beta[z, y]])
+    degenerate = 0
+    cur = np.arange(b.size)
+    for _k in range(b.characteristic):
+        degenerate = degenerate + table[pi[cur], cur]
+        cur = pi[cur]
+    return all(((v % modulus if modulus else v) == 0).all()
+               for v in (defect, degenerate))
 
 
 def reduced_2_cohomology(b: AugmentedBirack,

@@ -64,6 +64,14 @@ def test_parse_crossing_list_errors():
         parse_crossing_list("X +1 0 1 2\n")
 
 
+def test_sign_is_checked_after_every_line_is_read():
+    # a sign that is an integer is checked once, by from_crossings, after
+    # parsing: a bad token on a later line is reported before it
+    text = "X 2 0 1 1 0\nX +1 2 3 3 2\nX +1 4 5 x 4\n"
+    with pytest.raises(InputError, match="^line 3: semiarc ids must be integers$"):
+        parse_crossing_list(text)
+
+
 def test_crossing_list_roundtrip():
     for name in ("l2a1", "l4a1", "l6a4", "l7n1", "hopf_kink_pair"):
         d = load_diagram(name)

@@ -1,9 +1,11 @@
 """Birack chain complex, degenerate subcomplex, and reduced 2-cocycles."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 
 from biracks import (
@@ -17,8 +19,6 @@ from biracks import (
     homology_group,
     is_reduced_2_cocycle,
     kernel_lattice,
-    partial_dprime,
-    partial_prime,
     reduced_2_cocycles,
     reduced_2_cohomology,
     reduced_cocycle_constraints,
@@ -29,6 +29,8 @@ from biracks import (
 from biracks.errors import BirackError, ResourceLimitExceeded
 from biracks.homology import Cochain1
 from biracks.linalg import invariant_factors
+import chain_oracles
+from chain_oracles import partial_dprime, partial_prime
 from test_linalg import column_span_contains, quotient_invariants
 
 
@@ -166,6 +168,22 @@ def test_face_families_square_to_zero_alone(ab4, tsr3):
                 assert (lower @ upper).is_zero()
 
 
+def test_boundary_matrix_matches_the_per_tuple_oracle(ab4, ab5, tsr3, random_biracks):
+    cases = [(b, degree) for b in (ab4, ab5, tsr3, *random_biracks)
+             for degree in range(1, 5)]
+    cases += [(ab4, 5), (ab5, 5), (tsr_birack(11, 1, 0, 2), 3)]
+    for b, degree in cases:
+        assert boundary_matrix(b, degree) == chain_oracles.boundary_matrix(b, degree)
+
+
+def test_boundary_of_tuple_matches_the_oracle_in_order(ab4, ab5, tsr3):
+    for b in (ab4, ab5, tsr3):
+        for degree in range(4):
+            for tup in tuple_basis(b.size, degree):
+                assert (list(boundary_of_tuple(b, tup).items())
+                        == list(chain_oracles.boundary_of_tuple(b, tup).items()))
+
+
 def test_degenerate_generators_ab4(ab4):
     gens = degenerate_generators(ab4, 2)
     assert gens == [
@@ -197,6 +215,24 @@ def test_degenerate_three_boundaries_in_degenerate_span(ab4, ab5, tsr3):
         for g in degenerate_generators(b, 3):
             bd = boundary_of_chain(b, g)
             assert column_span_contains(span, chain_vector(bd, basis_index))
+
+
+def test_degenerate_generators_match_the_orbit_walk(ab4, ab5):
+    for b in (ab4, ab5, *valid_tsr_biracks(5)):
+        for degree in (2, 3):
+            gens = degenerate_generators(b, degree)
+            want = chain_oracles.degenerate_generators(b, degree)
+            assert [list(g.items()) for g in gens] == [list(g.items()) for g in want]
+        # the rows of C below d_3^T are the degree-2 generators as vectors
+        index = {t: i for i, t in enumerate(tuple_basis(b.size, 2))}
+        assert ([list(row) for row in reduced_cocycle_constraints(b).data[b.size**3:]]
+                == [chain_vector(g, index)
+                    for g in chain_oracles.degenerate_generators(b, 2)])
+    # tsr_birack(3, 1, 0, 2) has N = 2 and a fixed point of pi, whose chain
+    # repeats one pair N times
+    gens = degenerate_generators(tsr_birack(3, 1, 0, 2), 2)
+    fixed_point_weights = [c for g in gens if len(g) == 1 for c in g.values()]
+    assert fixed_point_weights == [2]
 
 
 def test_phi4_is_reduced_and_in_the_computed_basis(ab4, phi4):
@@ -365,6 +401,43 @@ def valid_tsr_biracks(max_n):
             except BirackError:
                 pass
     return out
+
+
+def test_reduced_cocycle_check_agrees_with_the_constraints(ab4, ab5):
+    # two independent formulations: the array check on the tables, and C * phi;
+    # the kernel of d_3^T adds cocycles that fail only on the degenerate sums
+    rng = random.Random(11)
+
+    def combination(vectors, size):
+        return [sum(rng.randint(-3, 3) * v[i] for v in vectors) for i in range(size)]
+
+    kinds = set()
+    # the last two have a fixed point of pi that counts N = 4 and N = 3 times
+    for b in (ab4, ab5, *valid_tsr_biracks(4), tsr_birack(5, 1, 0, 2),
+              tsr_birack(7, 1, 0, 2)):
+        n2 = b.size * b.size
+        constraints = reduced_cocycle_constraints(b).array
+        d3t = constraints[:b.size**3]
+        cocycles = kernel_lattice(smith_normal_form(IntegerMatrix(d3t))).columns()
+        for modulus in (None, 2, 3):
+            lattice = [c.to_vector() for c in reduced_2_cocycles(b, modulus=modulus)]
+            vectors = lattice + cocycles
+            for _ in range(6):
+                combo = combination(lattice, n2)
+                shift = [0] * n2
+                shift[rng.randrange(n2)] = 1
+                vectors += [combo, [a + s for a, s in zip(combo, shift)],
+                            combination(cocycles, n2),
+                            [rng.randint(-5, 5) for _ in range(n2)]]
+            for vec in vectors:
+                image = constraints @ np.array(vec, dtype=np.int64)
+                if modulus:
+                    image %= modulus
+                want = not image.any()
+                phi = Cochain2.from_vector(b.size, vec)
+                assert is_reduced_2_cocycle(b, phi, modulus=modulus) == want
+                kinds.add((want, not image[:b.size**3].any()))
+    assert kinds == {(True, True), (False, True), (False, False)}
 
 
 def test_reduced_cohomology_matches_lattice_quotient(ab4, ab5, tsr3):
