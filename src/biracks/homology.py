@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import AugmentedBirack, _cycles
 from .errors import InputError, check_budget
-from .linalg import IntegerMatrix, invariant_factors, kernel_lattice, smith_normal_form
+from .linalg import IntegerMatrix, _certified_kernel, invariant_factors
 
 __all__ = [
     "Cochain1",
@@ -92,8 +92,10 @@ def boundary_of_tuple(b: AugmentedBirack, tup) -> dict:
 
     A chain is a dict from tuples to nonzero integer coefficients, keyed in
     face order; zero terms are dropped, so a cycle's boundary is the empty
-    dict.
+    dict.  Every entry must be an int in 1..b.size.
     """
+    if not all(isinstance(v, (int, np.integer)) and 1 <= v <= b.size for v in tup):
+        raise InputError(f"tuple entries must be integers in 1..{b.size}, got {tup!r}")
     column = np.array(tup, dtype=np.intp).reshape(-1, 1) - 1
     terms: dict = {}
     for sign, face in _faces(b, column):
@@ -395,15 +397,15 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
 
 
 def _reduced_cocycles(b: AugmentedBirack, modulus: int | None, max_cells):
-    """C, its Smith form, and the basis over Z or Z_modulus read off it: the
-    one factorization of C that every reduced result comes from."""
+    """C, its certified invariant factors, and the basis over Z or Z_modulus
+    of its kernel: one elimination of C, which every reduced result reads."""
     constraints = reduced_cocycle_constraints(b, max_cells=max_cells)
-    snf = smith_normal_form(constraints)
-    columns = kernel_lattice(snf, modulus).columns()
+    lattice, factors = _certified_kernel(constraints, modulus)
+    columns = lattice.columns()
     if modulus is not None:
         columns = [[v % modulus for v in col] for col in columns]
     basis = [Cochain2.from_vector(b.size, col) for col in columns if any(col)]
-    return constraints, snf, basis
+    return constraints, factors, basis
 
 
 def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
@@ -454,9 +456,8 @@ def reduced_2_cohomology(b: AugmentedBirack,
     d_3^T.  Degenerate chains need two adjacent slots, so every coboundary
     lies in K; the exact product C * d_2^T == 0 certifies it on every call.
     """
-    constraints, snf, cocycles = _reduced_cocycles(b, None, max_cells)
+    constraints, factors, cocycles = _reduced_cocycles(b, None, max_cells)
     d_2 = boundary_matrix(b, 2, max_cells=max_cells)
     if not (constraints @ d_2.transpose()).is_zero():
         raise AssertionError("a coboundary is not a reduced 2-cocycle")
-    return cocycles, _group(d_2.cols, _factors(d_2), snf.invariant_factors, None,
-                            cohomology=True)
+    return cocycles, _group(d_2.cols, _factors(d_2), factors, None, cohomology=True)

@@ -4,32 +4,58 @@ No floating point is used anywhere.  An IntegerMatrix is one 2-D numpy
 array: int64 while every |entry| is below 2^62, and Python ints in an
 object array otherwise, so matrices stay arrays from the boundary build
 through the Smith form and its checks.  smith_normal_form keeps the
-unimodular transforms U and V; kernel_lattice reads kernels and kernels
-mod m off a given decomposition's V.  Every group (homology, cohomology,
-and reduced 2-cohomology) needs only invariant factors, which
-invariant_factors computes with no transforms at all.
+unimodular transforms U and V.  Every group (homology, cohomology, and
+reduced 2-cohomology) needs only invariant factors, which
+invariant_factors computes with no transforms at all.  kernel_lattice
+reads kernels, and kernels mod m, off the column transform V alone.
 
-Both run one elimination core, _eliminate, with the transforms optional.
-Its row primitives (add a multiple, combine two rows by a gcd step, swap)
-serve both sides: a column operation on A is the same row operation on
-A.T, so each primitive acts on a list of numpy views, (A, U) for rows and
-(A.T, V.T) for columns, or A and A.T alone.  The pivot is the first entry of
-least |value|, so a +-1 whenever one exists; the rows that it divides take
-one vectorized Schur step, and only the rows meeting the pivot column
-change.  On int64 each step first checks a bound from the entries it
-touches; if entries could reach 2^62 the whole computation restarts on
-Python ints.
+All three run one elimination core, _eliminate, which carries no
+transform, V alone, or U and V.  Its row primitives (add a multiple,
+combine two rows by a gcd step, swap) serve both sides: a column operation
+on A is the same row operation on A.T, so each primitive acts on a list of
+numpy views, (A, U) for rows and (A.T, V.T) for columns, or A and A.T
+alone.  The pivot is the first entry of least |value|, so a +-1 whenever
+one exists; the rows that it divides take one vectorized Schur step, and
+only the rows meeting the pivot column change.  Pivots depend on A alone,
+so V is the same with or without U.  On int64 each step first checks a
+bound from the entries it touches; if entries could reach 2^62 the whole
+computation restarts on Python ints.
 
-No result leaves here unchecked.  smith_normal_form verifies D == U*M*V exactly
-and the divisibility chain.  invariant_factors checks that the core left a
-diagonal with a divisibility chain, then recomputes the factors with code
-that shares nothing with the core: exact steps on +-1 pivots split off an
-identity block, and for the remainder a fraction-free elimination gives
-the rank and a nonsingular minor D, whose primes are the only ones the
-factors can have; an elimination over Z/q^k for each prime q of D gives
-the q-adic valuations.  Where these cannot decide (an entry near 2^62, a
-prime of D that trial division cannot find, or a valuation too high for a
-modulus below 2^31), the exact check of smith_normal_form decides instead.
+No result leaves here unchecked.  smith_normal_form verifies D == U*M*V
+exactly and the divisibility chain.  invariant_factors checks that the
+core left a diagonal with a divisibility chain, then recomputes the
+factors with code that shares nothing with the core (_certify_factors):
+exact steps on +-1 pivots split off an identity block, and for the
+remainder a fraction-free elimination gives the rank and a nonsingular
+minor D, whose primes are the only ones the factors can have; an
+elimination over Z/q^k for each prime q of D gives the q-adic valuations.
+Where these cannot decide (an entry near 2^62, a prime of D that trial
+division cannot find, or a valuation too high for a modulus below 2^31),
+the exact check of smith_normal_form decides instead.
+
+kernel_lattice builds no U and multiplies by none.  Let d be the core's
+diagonal for M (n columns), r the number of nonzero d_j, and d_j = 0 for
+j >= r.  Three checks rest on _certify_factors:
+
+  (a) _certify_factors on M and the nonzero d_j: they are the invariant
+      factors of M, so r is its rank;
+  (b) _certify_factors(K, (1,)*k) on the k columns K that are read, V[:, r:]
+      over Z and all of V over Z_m: K has rank k and spans a primitive
+      sublattice (one whose quotient of Z^n is torsion-free), so over Z_m,
+      where k = n, V is unimodular;
+  (c) column j of M*K is divisible by d_j, which for d_j = 0 means zero.
+
+Over Z, (c) puts the n - r columns of V[:, r:] in ker M, which has rank
+n - r by (a).  As span K has rank n - r too, ker M / span K is torsion; it
+lies in Z^n / span K, which (b) makes torsion-free, so span K = ker M.
+Over Z_m, let L = {x : M x = 0 (mod m)} and s_j = m / gcd(d_j, m).  Column
+j of the result is s_j v_j, and M s_j v_j is divisible by s_j d_j, a
+multiple of m, or is zero when d_j = 0 (c); so every column lies in L.
+Writing M = P D Q with P and Q unimodular (any Smith decomposition) shows
+that L = Q^-1 {y : d_j y_j = 0 (mod m) for all j} has index prod_j s_j in
+Z^n, a number fixed by the factors that (a) certified.  By (b) the columns
+span a lattice of index |det V| prod_j s_j = prod_j s_j.  A sublattice of
+L with the same index is L.
 """
 
 from __future__ import annotations
@@ -192,21 +218,20 @@ class SmithDecomposition:
 def _eliminate(M, dtype, transforms):
     """The elimination core: diagonalize M by unimodular row and column steps.
 
-    Returns (A, U, V) with A the diagonal result and A = U * M * V; U and V
-    are None unless transforms is true.  Raises _NeedExact if dtype is int64
-    and the guard bound would be crossed.
+    transforms names the transforms carried: "" for none, "V" for the column
+    transform alone, "UV" for both.  Returns (A, U, V) with A the diagonal
+    result and A = U * M * V, and None for a transform not carried.  Pivots
+    are chosen from A alone, so V does not depend on whether U is carried.
+    Raises _NeedExact if dtype is int64 and the guard bound would be crossed.
     """
     A = np.array(M, dtype=dtype)
     m, n = A.shape
     # Each primitive is a row operation on a list of views: the matrix, then
-    # the transform that records the operation when transforms are carried.
-    rows, cols = [A], [A.T]
-    U = V = None
-    if transforms:
-        U = np.eye(m, dtype=dtype)
-        V = np.eye(n, dtype=dtype)
-        rows.append(U)
-        cols.append(V.T)
+    # the transform that records the operation when it is carried.
+    U = np.eye(m, dtype=dtype) if "U" in transforms else None
+    V = np.eye(n, dtype=dtype) if "V" in transforms else None
+    rows = [A] if U is None else [A, U]
+    cols = [A.T] if V is None else [A.T, V.T]
     guarded = dtype == np.int64
 
     def check(bound):
@@ -336,7 +361,7 @@ def smith_normal_form(M) -> SmithDecomposition:
     if m == 0 or n == 0:
         return SmithDecomposition(
             (m, n), (), IntegerMatrix.identity(m), IntegerMatrix.identity(n))
-    A, U, V = _run_core(M.array, transforms=True)
+    A, U, V = _run_core(M.array, "UV")
     snf = SmithDecomposition((m, n), tuple(int(x) for x in A.diagonal()),
                              IntegerMatrix._of(U), IntegerMatrix._of(V))
     _check_chain(snf.d)
@@ -366,14 +391,20 @@ def invariant_factors(M) -> tuple[int, ...]:
         M = IntegerMatrix(M)
     if M.rows == 0 or M.cols == 0:
         return ()
-    A, _, _ = _run_core(M.array, transforms=False)
+    A, _, _ = _run_core(M.array, "")
+    factors = _diagonal_factors(A)
+    _certify_factors(M, factors)
+    return factors
+
+
+def _diagonal_factors(A):
+    """The nonzero diagonal of the core's result A, once A is checked to be
+    diagonal with a divisibility chain."""
     d = [int(x) for x in A.diagonal()]
     if np.count_nonzero(A) != np.count_nonzero(d):
         raise AssertionError("the elimination left a nonzero entry off the diagonal")
     _check_chain(d)
-    factors = tuple(x for x in d if x)
-    _certify_factors(M, factors)
-    return factors
+    return tuple(x for x in d if x)
 
 
 # -- the certificate of invariant_factors ---------------------------------
@@ -546,19 +577,45 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
         count += 1
 
 
-def kernel_lattice(snf: SmithDecomposition, modulus: int | None = None) -> IntegerMatrix:
-    """The kernel of M as the columns of a matrix, read off its Smith form.
+def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:
+    """The kernel of M as the columns of a matrix, certified.
 
-    Over Z, columns rank.. of V: the zero diagonal entries come last, so
-    they are a basis of {x : M x = 0}.  Over Z_modulus, every column j of V
-    scaled by modulus / gcd(d_j, modulus), with d_j = 0 past the diagonal: a
-    basis of the full-rank lattice {x in Z^n : M x = 0 (mod modulus)}.
+    Over Z, a basis of {x : M x = 0}: the columns of V past the rank, where
+    V is the column transform of one elimination of M.  Over Z_modulus, a
+    basis of the full-rank lattice {x in Z^n : M x = 0 (mod modulus)}: every
+    column j of V scaled by modulus / gcd(d_j, modulus), with d_j the j-th
+    invariant factor and d_j = 0 past them.  M may be an IntegerMatrix or
+    any nested sequence of integers.
     """
-    if modulus is None:
-        return IntegerMatrix._of(snf.v.array[:, snf.rank:].copy())
-    if modulus <= 0:
+    return _certified_kernel(M, modulus)[0]
+
+
+def _certified_kernel(M, modulus=None):
+    """(kernel_lattice(M, modulus), the invariant factors of M), from one run
+    of the core that carries V alone; the checks (a), (b) and (c) of the
+    module docstring certify both, with no U and no product by it."""
+    if modulus is not None and modulus <= 0:
         raise InputError("modulus must be positive")
-    d = snf.d + (0,) * (snf.shape[1] - len(snf.d))
+    if not isinstance(M, IntegerMatrix):
+        M = IntegerMatrix(M)
+    n = M.cols
+    if M.rows == 0 or n == 0:
+        return IntegerMatrix.identity(n), ()
+    A, _, V = _run_core(M.array, "V")
+    factors = _diagonal_factors(A)
+    _certify_factors(M, factors)  # (a)
+    r = len(factors)
+    # the columns read, and the nonzero d_j of the first of them
+    read, lead = (V[:, r:].copy(), ()) if modulus is None else (V, factors)
+    cols = IntegerMatrix._of(read)
+    _certify_factors(cols, (1,) * cols.cols)  # (b)
+    image = (M @ cols).array  # (c)
+    k = len(lead)
+    if image[:, k:].any() or (k and (image[:, :k] % IntegerMatrix([lead]).array).any()):
+        raise AssertionError("a kernel column fails the divisibility check")
+    if modulus is None:
+        return cols, factors
+    d = factors + (0,) * (n - r)
     # in Python ints, so the scaled columns cannot overflow
     scale = np.array([modulus // gcd(x, modulus) for x in d], dtype=object)
-    return IntegerMatrix._of(snf.v.array * scale)
+    return IntegerMatrix._of(cols.array * scale), factors

@@ -19,7 +19,12 @@ from biracks import (
 from biracks.cli import main
 from biracks.errors import BirackError, InputError
 from test_homology import count_calls
-from test_linalg import corrupt_core, drop_last_factor
+from test_linalg import (
+    add_row_space_column_to_kernel,
+    corrupt_core,
+    corrupt_transform,
+    drop_last_factor,
+)
 
 HERE = Path(__file__).resolve().parent
 DATA = resources.files("biracks.data")
@@ -166,6 +171,13 @@ def test_failed_factor_certificate_is_not_a_usage_error(monkeypatch):
         main(["homology", "ab4"])
 
 
+@pytest.mark.parametrize("argv", [["cocycles", "ab4"], ["cocycles", "ab4", "--mod", "2"]])
+def test_failed_kernel_certificate_is_not_a_usage_error(argv, monkeypatch):
+    corrupt_transform(monkeypatch, add_row_space_column_to_kernel)
+    with pytest.raises(AssertionError, match="divisibility check"):
+        main(argv)
+
+
 def test_non_integer_free_loop_is_a_usage_error(tmp_path):
     text = "X 1 0 1 1 0\nL abc\n"
     with pytest.raises(InputError, match="line 2: semiarc id must be an integer"):
@@ -211,7 +223,7 @@ def test_bad_budget_variable_is_a_usage_error(monkeypatch, variable, argv, value
 def test_ignored_reduced_options_are_rejected(argv, message, monkeypatch):
     counts = count_calls(monkeypatch)
     assert run(argv) == (2, "", f"error: {message}\n")
-    assert counts == {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0}
+    assert counts == {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0, "core": 0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,8 +233,9 @@ def test_ignored_reduced_options_are_rejected(argv, message, monkeypatch):
 def test_reduced_report_factors_the_constraints_once(argv, monkeypatch):
     counts = count_calls(monkeypatch)
     assert run(argv)[0] == 0
-    # C with d_3 inside it, then d_2; a Smith form of C, the factors of d_2
-    assert counts == {"constraints": 1, "boundary": 2, "smith": 1, "factors": 1}
+    # C with d_3 inside it, then d_2; one elimination of C with V alone and
+    # no Smith form, then the factors of d_2
+    assert counts == {"constraints": 1, "boundary": 2, "smith": 0, "factors": 1, "core": 2}
 
 
 def test_reduced_cli_output_is_unchanged(tmp_path):

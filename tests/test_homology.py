@@ -18,7 +18,6 @@ from biracks import (
     evaluate_coboundary,
     homology_group,
     is_reduced_2_cocycle,
-    kernel_lattice,
     reduced_2_cocycles,
     reduced_2_cohomology,
     reduced_cocycle_constraints,
@@ -26,12 +25,12 @@ from biracks import (
     tsr_birack,
     tuple_basis,
 )
-from biracks.errors import BirackError, ResourceLimitExceeded
+from biracks.errors import BirackError, InputError, ResourceLimitExceeded
 from biracks.homology import Cochain1
 from biracks.linalg import invariant_factors
 import chain_oracles
 from chain_oracles import partial_dprime, partial_prime
-from test_linalg import column_span_contains, quotient_invariants
+from test_linalg import column_span_contains, quotient_invariants, snf_kernel_lattice
 
 
 def boundary_of_chain(b, chain):
@@ -128,6 +127,14 @@ def test_boundary_of_tuple_examples(ab4):
     assert boundary_of_tuple(ab4, (1, 1)) == {(2,): 1, (3,): -1}
     # by hand: -(2) + (alpha_1(2)) + (1) - (beta_2(1)) = (1) - 2(2) + (4)
     assert boundary_of_tuple(ab4, (1, 2)) == {(1,): 1, (2,): -2, (4,): 1}
+
+
+@pytest.mark.parametrize("tup", [(0, 1), (5, 1), (1, -1), (1.5, 1), ("1", 2)])
+def test_boundary_of_tuple_rejects_bad_entries(ab4, tup):
+    # 0 and -1 would wrap to the last element, 5 would index past the table,
+    # and 1.5 would be truncated to 1
+    with pytest.raises(InputError, match=r"tuple entries must be integers in 1\.\.4"):
+        boundary_of_tuple(ab4, tup)
 
 
 def test_degree_one_boundary_vanishes(ab4, ab5, tsr3):
@@ -418,7 +425,7 @@ def test_reduced_cocycle_check_agrees_with_the_constraints(ab4, ab5):
         n2 = b.size * b.size
         constraints = reduced_cocycle_constraints(b).array
         d3t = constraints[:b.size**3]
-        cocycles = kernel_lattice(smith_normal_form(IntegerMatrix(d3t))).columns()
+        cocycles = snf_kernel_lattice(smith_normal_form(IntegerMatrix(d3t))).columns()
         for modulus in (None, 2, 3):
             lattice = [c.to_vector() for c in reduced_2_cocycles(b, modulus=modulus)]
             vectors = lattice + cocycles
@@ -447,7 +454,7 @@ def test_reduced_cohomology_matches_lattice_quotient(ab4, ab5, tsr3):
     with_torsion = 0
     for b in (ab4, ab5, tsr3, *valid_tsr_biracks(5)):
         n2 = b.size * b.size
-        cocycles = kernel_lattice(smith_normal_form(reduced_cocycle_constraints(b)))
+        cocycles = snf_kernel_lattice(smith_normal_form(reduced_cocycle_constraints(b)))
         cobs = IntegerMatrix.from_columns(
             [evaluate_coboundary(b, Cochain1.chi(b.size, i)).to_vector()
              for i in range(1, b.size + 1)], n2)
@@ -470,11 +477,11 @@ def test_invariant_factors_match_the_smith_form(ab4, ab5):
 
 
 def count_calls(monkeypatch):
-    """Count constraint builds, boundary builds, Smith forms (with transforms)
-    and factor-only calls from here on."""
+    """Count constraint builds, boundary builds, Smith forms (with transforms),
+    factor-only calls and runs of the elimination core from here on."""
     from biracks import homology, linalg
 
-    counts = {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0}
+    counts = {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0, "core": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -486,12 +493,12 @@ def count_calls(monkeypatch):
                         counting("constraints", homology.reduced_cocycle_constraints))
     monkeypatch.setattr(homology, "boundary_matrix",
                         counting("boundary", homology.boundary_matrix))
-    smith = counting("smith", linalg.smith_normal_form)
-    monkeypatch.setattr(homology, "smith_normal_form", smith)
-    monkeypatch.setattr(linalg, "smith_normal_form", smith)
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        counting("smith", linalg.smith_normal_form))
     factors = counting("factors", linalg.invariant_factors)
     monkeypatch.setattr(homology, "invariant_factors", factors)
     monkeypatch.setattr(linalg, "invariant_factors", factors)
+    monkeypatch.setattr(linalg, "_eliminate", counting("core", linalg._eliminate))
     return counts
 
 
@@ -506,19 +513,46 @@ def test_groups_need_no_transforms_and_no_products(ab4, monkeypatch):
 
     monkeypatch.setattr(IntegerMatrix, "__matmul__", counting)
     assert homology_group(ab4, 4).describe() == "Z^8"
-    assert counts == {"constraints": 0, "boundary": 2, "smith": 0, "factors": 2}
+    assert counts == {"constraints": 0, "boundary": 2, "smith": 0, "factors": 2, "core": 2}
     assert products == []
 
 
 def test_reduced_path_factors_the_constraints_once(ab4, monkeypatch):
     counts = count_calls(monkeypatch)
+    # one elimination of C and no Smith form: the kernel is certified without U
     reduced_2_cocycles(ab4)
-    assert counts == {"constraints": 1, "boundary": 1, "smith": 1, "factors": 0}
+    assert counts == {"constraints": 1, "boundary": 1, "smith": 0, "factors": 0, "core": 1}
     reduced_2_cocycles(ab4, modulus=2)
-    assert counts == {"constraints": 2, "boundary": 2, "smith": 2, "factors": 0}
-    # the quotient adds d_2 and its factors, and no second Smith form of C
+    assert counts == {"constraints": 2, "boundary": 2, "smith": 0, "factors": 0, "core": 2}
+    # the quotient adds d_2 and its factors, and no second elimination of C
     reduced_2_cohomology(ab4)
-    assert counts == {"constraints": 3, "boundary": 4, "smith": 3, "factors": 1}
+    assert counts == {"constraints": 3, "boundary": 4, "smith": 0, "factors": 1, "core": 4}
+
+
+def test_reduced_path_builds_no_row_transform(ab4, monkeypatch):
+    from biracks import linalg
+
+    rows = reduced_cocycle_constraints(ab4).rows
+    products, cores = [], []
+    real_product, real_core = IntegerMatrix.__matmul__, linalg._eliminate
+
+    def product(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return real_product(a, b)
+
+    def core(M, dtype, transforms):
+        cores.append((M.shape, transforms))
+        return real_core(M, dtype, transforms)
+
+    monkeypatch.setattr(IntegerMatrix, "__matmul__", product)
+    monkeypatch.setattr(linalg, "_eliminate", core)
+    reduced_2_cocycles(ab4)
+    reduced_2_cocycles(ab4, modulus=2)
+    reduced_2_cohomology(ab4)
+    # C * (kernel columns) three times, then C * d_2^T; a U of C would be
+    # rows x rows and meet a product as an operand with `rows` columns
+    assert products == [(rows, 16, 4), (rows, 16, 16), (rows, 16, 4), (rows, 16, 4)]
+    assert cores == [((rows, 16), "V")] * 3 + [((16, 4), "")]
 
 
 def test_reduced_cohomology_certificate_fires(ab4, monkeypatch):

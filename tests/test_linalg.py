@@ -3,21 +3,27 @@
 `solve`, `column_span_contains` and `quotient_invariants` live here, not in
 the package: they are the lattice-quotient route that the tests use as an
 independent reference for groups read off invariant factors.
+`snf_kernel_lattice` reads a kernel off a Smith form with both transforms
+and the exact product checked, the reference for `kernel_lattice`.
 """
 
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
 from biracks import (
     IntegerMatrix,
+    from_tables,
     kernel_lattice,
     linalg,
+    reduced_cocycle_constraints,
     smith_normal_form,
 )
 from biracks.errors import InputError
 from biracks.linalg import invariant_factors
+from conftest import AB4_ALPHA, AB4_BETA
 
 
 def bareiss_determinant(rows):
@@ -89,6 +95,18 @@ def solve(M, rhs, snf=None):
             if i < n:
                 z[i] = y[i] // di
     return [sum(v[i][k] * z[k] for k in range(n)) for i in range(n)]
+
+
+def snf_kernel_lattice(snf, modulus=None):
+    """The kernel of M read off its Smith form D = U M V, whose exact product
+    smith_normal_form checked: over Z the columns of V past the rank, over
+    Z_modulus every column j of V scaled by modulus / gcd(d_j, modulus),
+    with d_j = 0 past the diagonal."""
+    if modulus is None:
+        return IntegerMatrix._of(snf.v.array[:, snf.rank:].copy())
+    d = snf.d + (0,) * (snf.shape[1] - len(snf.d))
+    scale = np.array([modulus // gcd(x, modulus) for x in d], dtype=object)
+    return IntegerMatrix._of(snf.v.array * scale)
 
 
 def column_span_contains(M, rhs, snf=None):
@@ -300,6 +318,67 @@ def test_invariant_factor_certificate_falls_back_to_the_exact_check(monkeypatch)
         invariant_factors([[2**61 - 1]])
 
 
+def corrupt_transform(monkeypatch, change):
+    """Make the elimination core return its column transform V after
+    change(V, r), with r the number of nonzero diagonal entries."""
+    real = linalg._eliminate
+
+    def wrong(M, dtype, transforms):
+        A, U, V = real(M, dtype, transforms)
+        if V is not None:
+            change(V, np.count_nonzero(A.diagonal()))
+        return A, U, V
+
+    monkeypatch.setattr(linalg, "_eliminate", wrong)
+
+
+def double_kernel_column(V, r):
+    V[:, r] *= 2
+
+
+def add_row_space_column_to_kernel(V, r):
+    V[:, r] += V[:, 0]
+
+
+def add_unit_column_to_last_factor(V, r):
+    # column r - 1 carries the factor 2 and column 0 the factor 1
+    V[:, r - 1] += V[:, 0]
+
+
+# [[1, 2, 1], [2, 6, 2]] has invariant factors (1, 2) and kernel (1, 0, -1)
+FACTOR_TWO = [[1, 2, 1], [2, 6, 2]]
+# the reduced cocycle constraints of ab4: 66 x 16, twelve factors 1
+AB4_CONSTRAINTS = reduced_cocycle_constraints(from_tables(AB4_ALPHA, AB4_BETA))
+PRIMITIVE = "invariant factors differ"
+DIVISIBILITY = "divisibility check"
+
+
+@pytest.mark.parametrize("M, change, modulus, message", [
+    (FACTOR_TWO, double_kernel_column, None, PRIMITIVE),
+    (FACTOR_TWO, double_kernel_column, 2, PRIMITIVE),
+    (AB4_CONSTRAINTS, double_kernel_column, None, PRIMITIVE),
+    (AB4_CONSTRAINTS, double_kernel_column, 2, PRIMITIVE),
+    (FACTOR_TWO, add_row_space_column_to_kernel, None, DIVISIBILITY),
+    (FACTOR_TWO, add_row_space_column_to_kernel, 2, DIVISIBILITY),
+    (AB4_CONSTRAINTS, add_row_space_column_to_kernel, None, DIVISIBILITY),
+    (AB4_CONSTRAINTS, add_row_space_column_to_kernel, 2, DIVISIBILITY),
+    (FACTOR_TWO, add_unit_column_to_last_factor, 2, DIVISIBILITY),
+])
+def test_kernel_certificate_fires(monkeypatch, M, change, modulus, message):
+    assert kernel_lattice(M, modulus) == snf_kernel_lattice(smith_normal_form(M), modulus)
+    corrupt_transform(monkeypatch, change)
+    with pytest.raises(AssertionError, match=message):
+        kernel_lattice(M, modulus)
+
+
+def test_kernel_certificate_checks_the_factors(monkeypatch):
+    # (a): a rank read one too low would put a row-space column in the basis
+    corrupt_core(monkeypatch, drop_last_factor)
+    for modulus in (None, 2):
+        with pytest.raises(AssertionError, match=PRIMITIVE):
+            kernel_lattice(FACTOR_TWO, modulus)
+
+
 def test_rank_deficient_matrix():
     M = IntegerMatrix([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
     snf = smith_normal_form(M)
@@ -309,13 +388,13 @@ def test_rank_deficient_matrix():
 
 def test_kernel_basis_annihilates():
     M = IntegerMatrix([[1, 2, 3], [2, 4, 6]])
-    K = kernel_lattice(smith_normal_form(M))
+    K = kernel_lattice(M)
     assert K.cols == 2
     assert (M @ K).is_zero()
     # the kernel is saturated: [1, 1, 0] is not a multiple of a member
     assert smith_normal_form(K).invariant_factors == (1, 1)
     # full column rank leaves nothing in the kernel
-    assert kernel_lattice(smith_normal_form([[1, 0], [0, 1], [1, 1]])).cols == 0
+    assert kernel_lattice([[1, 0], [0, 1], [1, 1]]).cols == 0
 
 
 def test_solve_and_span():
@@ -364,14 +443,13 @@ def _det2(M):
 
 def test_kernel_lattice_mod():
     M = IntegerMatrix([[2]])
-    L = kernel_lattice(smith_normal_form(M), 4)
+    L = kernel_lattice(M, 4)
     assert L.rows == 1 and L.cols == 1
     # {x : 2x = 0 mod 4} is exactly 2Z
     assert abs(L.data[0][0]) == 2
 
     M = IntegerMatrix([[1, 1]])
-    snf = smith_normal_form(M)
-    L = kernel_lattice(snf, 2)
+    L = kernel_lattice(M, 2)
     for col in L.columns():
         assert sum(col) % 2 == 0
     # index of the lattice in Z^2 is exactly the modulus here
@@ -383,7 +461,7 @@ def test_kernel_lattice_mod():
         assert column_span_contains(L, target)
     for modulus in (0, -2):
         with pytest.raises(InputError, match="modulus must be positive"):
-            kernel_lattice(snf, modulus)
+            kernel_lattice(M, modulus)
 
 
 def test_kernel_lattice_mod_members_verify():
@@ -394,7 +472,7 @@ def test_kernel_lattice_mod_members_verify():
         M = IntegerMatrix(
             [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         )
-        L = kernel_lattice(smith_normal_form(M), modulus)
+        L = kernel_lattice(M, modulus)
         for col in L.columns():
             image = [sum(M.data[i][j] * col[j] for j in range(cols)) for i in range(rows)]
             assert all(v % modulus == 0 for v in image)

@@ -8,11 +8,17 @@ written.  The script aborts without writing if any value disagrees.
 
 Run from the repository root:
 
-    python3 tools/build_data.py
+    python3 tools/build_data.py           # write the files
+    python3 tools/build_data.py --check   # compare them instead of writing
+
+With --check nothing is written: the script names every file whose content
+differs from what it would write, or that is missing, and exits 1 if there
+is one.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import re
 import sys
@@ -446,7 +452,9 @@ def check_link(name, d):
             raise BuildError(f"{name}: ab4 value {got4} != {EXPECT4[name]}")
 
 
-def main() -> None:
+def main(check: bool = False) -> list[Path]:
+    """Build and validate every data file, then write it, or with check
+    compare it with the file on disk; returns the files that differ."""
     manifest: list[tuple[str, str]] = []
     links: dict[str, bk.LinkDiagram] = {}
     used_sigs: dict[str, object] = {}
@@ -820,40 +828,54 @@ def main() -> None:
         if got != KNOT_EXPECT5[name]:
             raise BuildError(f"{name}: value {got}")
 
-    # --- write everything ------------------------------------------------
-    for sub in ("biracks", "cochains", "links", "knots"):
-        (DATA / sub).mkdir(parents=True, exist_ok=True)
+    # --- write (or check) everything -------------------------------------
+    stale: list[Path] = []
 
-    (DATA / "biracks" / "ab4.txt").write_text(
-        "# 4-element augmented birack (kink map of order 2)\n"
-        + bk.format_birack(AB4))
-    (DATA / "biracks" / "ab5.txt").write_text(
-        "# 5-element augmented birack (a biquandle)\n"
-        + bk.format_birack(AB5))
-    (DATA / "cochains" / "ab4_phi.txt").write_text(
-        "# reduced 2-cocycle for the 4-element birack\n"
-        + bk.format_cochain(PHI4))
-    (DATA / "cochains" / "ab5_phi.txt").write_text(
-        "# reduced 2-cocycle for the 5-element birack\n"
-        + bk.format_cochain(PHI5))
+    def emit(path: Path, text: str) -> None:
+        if not check:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        elif not path.is_file() or path.read_text() != text:
+            stale.append(path)
+
+    emit(DATA / "biracks" / "ab4.txt",
+         "# 4-element augmented birack (kink map of order 2)\n"
+         + bk.format_birack(AB4))
+    emit(DATA / "biracks" / "ab5.txt",
+         "# 5-element augmented birack (a biquandle)\n"
+         + bk.format_birack(AB5))
+    emit(DATA / "cochains" / "ab4_phi.txt",
+         "# reduced 2-cocycle for the 4-element birack\n"
+         + bk.format_cochain(PHI4))
+    emit(DATA / "cochains" / "ab5_phi.txt",
+         "# reduced 2-cocycle for the 5-element birack\n"
+         + bk.format_cochain(PHI5))
 
     notes = dict(manifest)
     for name, d in links.items():
-        text = f"# {name}: {notes[name]}\n" + bk.render_crossing_list(
-            bk.canonical_relabel(d))
-        (DATA / "links" / f"{name}.txt").write_text(text)
+        emit(DATA / "links" / f"{name}.txt",
+             f"# {name}: {notes[name]}\n"
+             + bk.render_crossing_list(bk.canonical_relabel(d)))
     for name, code in knots.items():
-        text = f"# {name}: {notes[name]}\n{code}\n"
-        (DATA / "knots" / f"{name}.gauss").write_text(text)
+        emit(DATA / "knots" / f"{name}.gauss", f"# {name}: {notes[name]}\n{code}\n")
 
-    print("wrote", len(links), "links,", len(knots), "knots")
+    print("checked" if check else "wrote", len(links), "links,", len(knots), "knots")
     for name, note in manifest:
         print(f"  {name}: {note}")
+    return stale
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the data files with what would be written; "
+                             "exit 1 naming each one that differs")
+    args = parser.parse_args()
     try:
-        main()
+        stale = main(check=args.check)
     except BuildError as exc:
         print("BUILD FAILED:", exc, file=sys.stderr)
         sys.exit(1)
+    for path in stale:
+        print(f"stale: {path.relative_to(ROOT)}", file=sys.stderr)
+    sys.exit(1 if stale else 0)
