@@ -204,9 +204,8 @@ def _group(size: int, low, high, modulus: int | None,
 
 
 def _factors(m: IntegerMatrix) -> tuple[int, ...]:
-    # groups need the factors only: no transforms, and a certificate in place
-    # of a product; the coboundaries are tall, so they eliminate faster than
-    # the wide boundaries
+    # groups need the factors only: no transforms, and a check of the sparse
+    # elimination's record in place of a product
     return invariant_factors(m.transpose())
 
 

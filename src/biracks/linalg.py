@@ -9,38 +9,63 @@ reduced 2-cohomology) needs only invariant factors, which
 invariant_factors computes with no transforms at all.  kernel_lattice
 reads kernels, and kernels mod m, off the column transform V alone.
 
-All three run one elimination core, _eliminate, which carries no
-transform, V alone, or U and V.  Its row primitives (add a multiple,
-combine two rows by a gcd step, swap) serve both sides: a column operation
-on A is the same row operation on A.T, so each primitive acts on a list of
-numpy views, (A, U) for rows and (A.T, V.T) for columns, or A and A.T
-alone.  The pivot is the first entry of least |value|, so a +-1 whenever
-one exists; the rows that it divides take one vectorized Schur step, and
-only the rows meeting the pivot column change.  Pivots depend on A alone,
-so V is the same with or without U.  On int64 each step first checks a
-bound from the entries it touches; if entries could reach 2^62 the whole
-computation restarts on Python ints.
+The dense elimination core, _eliminate, carries no transform, V alone, or
+U and V.  It runs in three places: smith_normal_form (U and V), the V of
+kernel_lattice, and the remainder B of invariant_factors below.  Its row
+primitives (add a multiple, combine two rows by a gcd step, swap) serve
+both sides: a column operation on A is the same row operation on A.T, so
+each primitive acts on a list of numpy views, (A, U) for rows and
+(A.T, V.T) for columns, or A and A.T alone.  The pivot is the first entry
+of least |value|, so a +-1 whenever one exists; the rows that it divides
+take one vectorized Schur step, and only the rows meeting the pivot column
+change.  Pivots depend on A alone, so V is the same with or without U.  On
+int64 each step first checks a bound from the entries it touches; if
+entries could reach 2^62 the whole computation restarts on Python ints.
+smith_normal_form verifies D == U*M*V exactly and the divisibility chain.
 
-No result leaves here unchecked.  smith_normal_form verifies D == U*M*V
-exactly and the divisibility chain.  invariant_factors checks that the
-core left a diagonal with a divisibility chain, then recomputes the
-factors with code that shares nothing with the core (_certify_factors):
-exact steps on +-1 pivots split off an identity block, and for the
-remainder a fraction-free elimination gives the rank and a nonsingular
-minor D, whose primes are the only ones the factors can have; an
-elimination over Z/q^k for each prime q of D gives the q-adic valuations.
-Where these cannot decide (an entry near 2^62, a prime of D that trial
-division cannot find, or a valuation too high for a modulus below 2^31),
-the exact check of smith_normal_form decides instead.
+invariant_factors runs one full elimination, the unit split: sparse steps
+on +-1 pivots (_sparse_pivots over Z; Markowitz-style, as in Dumas,
+Saunders and Villard, "On efficient sparse integer matrix Smith normal form
+computations", 2001).  Step k takes the sparsest row that holds a +-1, and
+the first +-1 in it, as the pivot (r_k, c_k), freezes that row as F_k, and
+uses it only in that form: each live row i that meets c_k loses f_ik F_k.
+So M = (I + G) F exactly, with G[i, r_k] = f_ik, and F the frozen rows at
+the r_k and the final remainder rows elsewhere.  _check_split checks the
+record, with no loop over pivots:
+
+  (1) the r_k are distinct, and the c_k are distinct;
+  (2) |F_k[c_k]| = 1, and F_k[c_j] = 0 for j < k;
+  (3) the remainder rows are 0 on every pivot column;
+  (4) G[r_j, r_k] != 0 only for k < j;
+  (5) M == F + G*F exactly: one sparse product over the nonzeros of the
+      frozen rows, in int64 under a bound that keeps every partial sum
+      below 2^62 (past it, smith_normal_form decides instead).
+
+G is nonzero only in the columns r_k.  With the rows ordered r_1..r_u and
+then the rest, (4) makes I + G unit lower triangular, so unimodular, and
+(5) makes M equivalent to F.  With the columns ordered c_1..c_u and then
+the rest, (2) and (3) give F = [[P, X], [0, B]] with P upper triangular
+with +-1 on its diagonal, so unimodular, and [[P, X], [0, B]] times
+[[P^-1, -P^-1 X], [0, I]] is I_u + B.  So the invariant factors of M are u
+ones and those of B, the remainder with its zero rows and columns dropped,
+which has no +-1 entry and is usually empty or small.  B's factors are
+computed twice, by the dense core and by code that shares nothing with it
+(_remainder_factors): a fraction-free elimination gives the rank and a
+nonsingular minor D, whose primes are the only ones the factors can have,
+and an elimination over Z/q^k for each prime q of D gives the q-adic
+valuations.  The two must agree.  Where the second cannot decide (a prime
+of D that trial division cannot find, or a valuation too high for a modulus
+below 2^31), smith_normal_form and its exact check decide instead, as they
+do for M itself when an entry reaches 2^62 or a step could.
 
 kernel_lattice builds no U and multiplies by none.  Let d be the core's
 diagonal for M (n columns), r the number of nonzero d_j, and d_j = 0 for
-j >= r.  Three checks rest on _certify_factors:
+j >= r.  Two of three checks rest on invariant_factors:
 
-  (a) _certify_factors on M and the nonzero d_j: they are the invariant
+  (a) the nonzero d_j equal invariant_factors(M): they are the invariant
       factors of M, so r is its rank;
-  (b) _certify_factors(K, (1,)*k) on the k columns K that are read, V[:, r:]
-      over Z and all of V over Z_m: K has rank k and spans a primitive
+  (b) invariant_factors(K) == (1,)*k for the k columns K that are read,
+      V[:, r:] over Z and all of V over Z_m: K has rank k and spans a primitive
       sublattice (one whose quotient of Z^n is torsion-free), so over Z_m,
       where k = n, V is unimodular;
   (c) column j of M*K is divisible by d_j, which for d_j = 0 means zero.
@@ -383,18 +408,24 @@ def _check_chain(d):
 def invariant_factors(M) -> tuple[int, ...]:
     """The nonzero diagonal entries of M's Smith form, in divisibility order.
 
-    Equal to smith_normal_form(M).invariant_factors, but the elimination
-    carries no transforms and no product checks it: the factors are
-    recomputed independently instead (_certify_factors).
+    Equal to smith_normal_form(M).invariant_factors, from one sparse
+    elimination on +-1 pivots with no transforms, certified as the module
+    docstring says; the dense core runs only on the remainder.
     """
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
     if M.rows == 0 or M.cols == 0:
         return ()
-    A, _, _ = _run_core(M.array, "")
-    factors = _diagonal_factors(A)
-    _certify_factors(M, factors)
-    return factors
+    split = None if M.array.dtype == object else _unit_split(M.array)
+    if split is None:
+        return smith_normal_form(M).invariant_factors
+    units, B = split
+    factors = ()
+    if B.size:
+        factors = _diagonal_factors(_run_core(B, "")[0])
+        if factors != _remainder_factors(B):
+            raise AssertionError("invariant factors differ from an independent computation")
+    return (1,) * units + factors
 
 
 def _diagonal_factors(A):
@@ -407,34 +438,107 @@ def _diagonal_factors(A):
     return tuple(x for x in d if x)
 
 
-# -- the certificate of invariant_factors ---------------------------------
-# It shares no code with the elimination core above.
+# -- the factor engine: sparse pivots, and what checks them -----------------
+# None of this shares code with the elimination core above.
 
 # moduli stay below 2^31, so a product of two residues stays below 2^62
 _MODULUS_LIMIT = 2**31
+# pairs (multiplier, frozen entry) expanded at once by the split's check
+_CHUNK = 1 << 13
 
 
-def _certify_factors(M: IntegerMatrix, factors):
-    """Raise AssertionError unless `factors` (nonzero, in divisibility order)
-    are the invariant factors of M.
+def _unit_split(M):
+    """(u, B) with M ~ I_u + B over Z, B having no +-1 entry, or None when a
+    step or the check could reach 2^62.
 
-    The factors are recomputed by other means than the core.  Exact steps on
-    +-1 pivots split M over Z into an identity block and a remainder B with
-    no +-1 entry, whose factors _remainder_factors finds.  When an entry of
-    M reaches 2^62, or a step could, the exact check of smith_normal_form
-    decides instead.
+    _sparse_pivots takes the +-1 pivots of the int64 matrix M, and its record
+    is checked to give M = (I + G) F as the module docstring says.  B is the
+    remainder with its zero rows and columns dropped.
     """
-    A, units = M.array, None
-    if A.dtype != object:
-        A = A.copy()
-        units = _sparse_pivots(A, lambda X: abs(X) == 1, lambda a, p: a * p)
-    if units is None:
-        expected = smith_normal_form(M).invariant_factors
-    else:
-        B = A[A.any(axis=1)][:, A.any(axis=0)]
-        expected = (1,) * units + _remainder_factors(B)
-    if tuple(factors) != expected:
-        raise AssertionError("invariant factors differ from an independent computation")
+    R = M.copy()
+    steps = _sparse_pivots(R, _is_unit, lambda a, p: a * p)
+    if steps is None:
+        return None
+    R[[s[0] for s in steps]] = 0  # F is the frozen rows there
+    B = R[R.any(axis=1)][:, R.any(axis=0)]
+    return (len(steps), B) if _check_split(M, R, steps) else None
+
+
+def _is_unit(X):
+    return np.abs(X) == 1
+
+
+def _extent(a):
+    # max |entry| with no temporary the size of a
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _check_split(M, F, steps):
+    """Check, with no loop over pivots, that the record of _sparse_pivots
+    over Z gives M = (I + G) F with F unit upper triangular on the pivots;
+    F enters as the remainder, and becomes the full F in place.  False when
+    the product could reach 2^62."""
+    m, n = M.shape
+    u = len(steps)
+    if not u:
+        return True
+    rows, cols, supports, frozen, others, f = (list(x) for x in zip(*steps))
+    rows, cols = np.array(rows), np.array(cols)
+    if np.bincount(rows, minlength=m).max() > 1 or np.bincount(cols, minlength=n).max() > 1:
+        raise AssertionError("the unit split takes a pivot row or column twice")
+    sizes = np.array([len(s) for s in supports])
+    starts = np.cumsum(sizes) - sizes
+    fcol, fval = np.concatenate(supports), np.concatenate(frozen)
+    step = np.repeat(np.arange(u), sizes)  # of each frozen entry
+    # the step at which each column was a pivot, and u for the others
+    order = np.full(n, u)
+    order[cols] = np.arange(u)
+    at = order[fcol]
+    if (at < step).any():
+        raise AssertionError("a frozen row is nonzero on an earlier pivot column")
+    on_pivot = at == step
+    if (np.bincount(step[on_pivot], minlength=u) != 1).any() or (
+            np.abs(fval[on_pivot]) != 1).any():
+        raise AssertionError("a pivot of the unit split is not +-1")
+    if F.any(axis=0)[cols].any():
+        raise AssertionError("the remainder is nonzero on a pivot column")
+    gi, gf = np.concatenate(others), np.concatenate(f)
+    gsizes = np.array([len(x) for x in others])
+    gk = np.repeat(np.arange(u), gsizes)
+    # a pivot row is changed only before it is frozen: I + G is unit lower
+    # triangular in the order of the steps, so unimodular
+    order = np.full(m, u)
+    order[rows] = np.arange(u)
+    if (order[gi] <= gk).any():
+        raise AssertionError("a pivot row changes after it is frozen")
+    # int64 is exact while every partial sum of F + G F stays below 2^62:
+    # (1 + the row sums of |G|) max |F| bounds them, with room for the
+    # rounding of those sums
+    top = max(_extent(F), _max_abs(fval))
+    weight = np.bincount(gi, weights=np.abs(gf.astype(float)), minlength=m)
+    if (weight.max(initial=0) + 1) * top >= _INT64_SAFE / 2:
+        return False
+    np.add.at(F, (rows[step], fcol), fval)
+    flat = F.reshape(-1)
+    counts = sizes[gk]
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(gi):
+        stop = max(int(np.searchsorted(ends, ends[start] - counts[start] + _CHUNK, "right")),
+                   start + 1)
+        c = counts[start:stop]
+        # src runs through the frozen entries of each multiplier's row
+        src = np.repeat(starts[gk[start:stop]] - (np.cumsum(c) - c), c)
+        src += np.arange(len(src))
+        cells = np.repeat(gi[start:stop] * n, c)
+        cells += fcol[src]
+        terms = np.repeat(gf[start:stop], c)
+        terms *= fval[src]
+        np.add.at(flat, cells, terms)
+        start = stop
+    if not np.array_equal(F, M):
+        raise AssertionError("the unit split does not reproduce the matrix")
+    return True
 
 
 def _remainder_factors(B):
@@ -528,53 +632,61 @@ def _valuation_pivots(B, q):
         if not A.any():
             break
         low, step = q ** v, q ** (v + 1)
-        counts.append(_sparse_pivots(
+        counts.append(len(_sparse_pivots(
             A, lambda X: X % step != 0,
-            lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q))
+            lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q)))
     return counts
 
 
 def _sparse_pivots(A, pivotal, multipliers, modulus=None):
     """Eliminate, in place, on the entries of the int64 matrix A where
-    pivotal(A) holds, and return how many pivots were taken; over Z when
-    modulus is None, and then None if a step could reach 2^62.
+    pivotal(A) holds, over Z when modulus is None, and return the record of
+    the steps; None over Z if a step could reach 2^62.
 
     Each pivot is the first pivotal entry of the row with the fewest
-    nonzeros that holds one.  Only the rows meeting the pivot column change:
-    each loses f times the pivot row, f = multipliers(its entries in the
-    pivot column, the pivot), which clears its entry there.  The pivot row
-    is then cleared, so the pivot drops out with its row and column.
+    nonzeros that holds one.  The pivot row is frozen as it stands, and
+    only the rows meeting the pivot column change: each loses f times the
+    frozen row, f = multipliers(its entries in the pivot column, the pivot),
+    which clears its entry there.  The pivot row is then cleared, so the
+    pivot drops out with its row and column.  Step k is recorded as (pivot
+    row, pivot column, the frozen row's support and entries there, the rows
+    changed, their multipliers).
     """
-    nonzeros = np.count_nonzero(A, axis=1)
-    live = np.count_nonzero(pivotal(A), axis=1)
-    count = 0
+    nonzeros = (A != 0).sum(axis=1)
+    live = pivotal(A).sum(axis=1)
+    # over Z every entry stays below top, so a step is safe while
+    # top + top^2 < 2^62; past that each step checks its own entries
+    top = _extent(A)
+    steps = []
     while True:
         candidates = live.nonzero()[0]
         if not len(candidates):
-            return count
+            return steps
         r = candidates[np.argmin(nonzeros[candidates])]
-        row = A[r]
-        c = pivotal(row).nonzero()[0][0]
-        others = A[:, c].nonzero()[0]
-        others = others[others != r]
-        if len(others):
-            support = row.nonzero()[0]
-            f = multipliers(A[others, c], row[c])
-            old = A[others[:, None], support]
-            if modulus is None:
-                if _max_abs(old) + _max_abs(f) * _max_abs(row) >= _INT64_SAFE:
-                    return None
-                new = old - f[:, None] * row[support]
-            else:
-                new = (old - f[:, None] * row[support]) % modulus
-            A[others[:, None], support] = new
-            nonzeros[others] += (np.count_nonzero(new, axis=1)
-                                 - np.count_nonzero(old, axis=1))
-            live[others] += (np.count_nonzero(pivotal(new), axis=1)
-                             - np.count_nonzero(pivotal(old), axis=1))
+        support = A[r].nonzero()[0]
+        frozen = A[r, support]
+        i = np.argmax(pivotal(frozen))
+        c = support[i]
         A[r] = 0
         nonzeros[r] = live[r] = 0
-        count += 1
+        others = A[:, c].nonzero()[0]
+        f = multipliers(A[others, c], frozen[i])
+        steps.append((r, c, support, frozen, others, f))
+        if not len(others):
+            continue
+        rows = others[:, None]
+        old = A[rows, support]
+        if modulus is not None:
+            new = (old - f[:, None] * frozen) % modulus
+        else:
+            if top * (top + 1) >= _INT64_SAFE and (
+                    _max_abs(old) + _max_abs(f) * _max_abs(frozen) >= _INT64_SAFE):
+                return None
+            new = old - f[:, None] * frozen
+            top = max(top, _max_abs(new))
+        A[rows, support] = new
+        nonzeros[others] += (new != 0).sum(axis=1) - (old != 0).sum(axis=1)
+        live[others] += pivotal(new).sum(axis=1) - pivotal(old).sum(axis=1)
 
 
 def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:
@@ -603,12 +715,14 @@ def _certified_kernel(M, modulus=None):
         return IntegerMatrix.identity(n), ()
     A, _, V = _run_core(M.array, "V")
     factors = _diagonal_factors(A)
-    _certify_factors(M, factors)  # (a)
+    if factors != invariant_factors(M):  # (a)
+        raise AssertionError("invariant factors differ from an independent computation")
     r = len(factors)
     # the columns read, and the nonzero d_j of the first of them
     read, lead = (V[:, r:].copy(), ()) if modulus is None else (V, factors)
     cols = IntegerMatrix._of(read)
-    _certify_factors(cols, (1,) * cols.cols)  # (b)
+    if invariant_factors(cols) != (1,) * cols.cols:  # (b)
+        raise AssertionError("invariant factors differ from 1 on the columns read")
     image = (M @ cols).array  # (c)
     k = len(lead)
     if image[:, k:].any() or (k and (image[:, :k] % IntegerMatrix([lead]).array).any()):

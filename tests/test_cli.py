@@ -21,7 +21,9 @@ from biracks.errors import BirackError, InputError
 from test_homology import count_calls
 from test_linalg import (
     add_row_space_column_to_kernel,
+    bump_multiplier,
     corrupt_core,
+    corrupt_split,
     corrupt_transform,
     drop_last_factor,
 )
@@ -171,6 +173,12 @@ def test_failed_factor_certificate_is_not_a_usage_error(monkeypatch):
         main(["homology", "ab4"])
 
 
+def test_failed_split_certificate_is_not_a_usage_error(monkeypatch):
+    corrupt_split(monkeypatch, bump_multiplier)
+    with pytest.raises(AssertionError, match="does not reproduce the matrix"):
+        main(["homology", "ab4"])
+
+
 @pytest.mark.parametrize("argv", [["cocycles", "ab4"], ["cocycles", "ab4", "--mod", "2"]])
 def test_failed_kernel_certificate_is_not_a_usage_error(argv, monkeypatch):
     corrupt_transform(monkeypatch, add_row_space_column_to_kernel)
@@ -234,8 +242,9 @@ def test_reduced_report_factors_the_constraints_once(argv, monkeypatch):
     counts = count_calls(monkeypatch)
     assert run(argv)[0] == 0
     # C with d_3 inside it, then d_2; one elimination of C with V alone and
-    # no Smith form, then the factors of d_2
-    assert counts == {"constraints": 1, "boundary": 2, "smith": 0, "factors": 1, "core": 2}
+    # no Smith form, the factors of C and of its kernel columns that certify
+    # it, then the factors of d_2, whose remainder meets the core
+    assert counts == {"constraints": 1, "boundary": 2, "smith": 0, "factors": 3, "core": 2}
 
 
 def test_reduced_cli_output_is_unchanged(tmp_path):

@@ -478,7 +478,9 @@ def test_invariant_factors_match_the_smith_form(ab4, ab5):
 
 def count_calls(monkeypatch):
     """Count constraint builds, boundary builds, Smith forms (with transforms),
-    factor-only calls and runs of the elimination core from here on."""
+    factor-only calls (the kernel's checks make two) and runs of the dense
+    elimination core, which invariant_factors runs on a remainder only,
+    from here on."""
     from biracks import homology, linalg
 
     counts = {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0, "core": 0}
@@ -513,20 +515,23 @@ def test_groups_need_no_transforms_and_no_products(ab4, monkeypatch):
 
     monkeypatch.setattr(IntegerMatrix, "__matmul__", counting)
     assert homology_group(ab4, 4).describe() == "Z^8"
-    assert counts == {"constraints": 0, "boundary": 2, "smith": 0, "factors": 2, "core": 2}
+    # the unit split leaves no remainder of d_5^T and one of d_4^T, with its Z/2
+    assert counts == {"constraints": 0, "boundary": 2, "smith": 0, "factors": 2, "core": 1}
     assert products == []
 
 
 def test_reduced_path_factors_the_constraints_once(ab4, monkeypatch):
     counts = count_calls(monkeypatch)
-    # one elimination of C and no Smith form: the kernel is certified without U
+    # one elimination of C and no Smith form: the kernel is certified without
+    # U, by the factors of C and of the columns read, which leave no remainder
     reduced_2_cocycles(ab4)
-    assert counts == {"constraints": 1, "boundary": 1, "smith": 0, "factors": 0, "core": 1}
+    assert counts == {"constraints": 1, "boundary": 1, "smith": 0, "factors": 2, "core": 1}
     reduced_2_cocycles(ab4, modulus=2)
-    assert counts == {"constraints": 2, "boundary": 2, "smith": 0, "factors": 0, "core": 2}
-    # the quotient adds d_2 and its factors, and no second elimination of C
+    assert counts == {"constraints": 2, "boundary": 2, "smith": 0, "factors": 4, "core": 2}
+    # the quotient adds d_2 and its factors, whose remainder meets the core,
+    # and no second elimination of C
     reduced_2_cohomology(ab4)
-    assert counts == {"constraints": 3, "boundary": 4, "smith": 0, "factors": 1, "core": 4}
+    assert counts == {"constraints": 3, "boundary": 4, "smith": 0, "factors": 7, "core": 4}
 
 
 def test_reduced_path_builds_no_row_transform(ab4, monkeypatch):
@@ -552,7 +557,8 @@ def test_reduced_path_builds_no_row_transform(ab4, monkeypatch):
     # C * (kernel columns) three times, then C * d_2^T; a U of C would be
     # rows x rows and meet a product as an operand with `rows` columns
     assert products == [(rows, 16, 4), (rows, 16, 16), (rows, 16, 4), (rows, 16, 4)]
-    assert cores == [((rows, 16), "V")] * 3 + [((16, 4), "")]
+    # the last is the remainder of d_2^T (16 x 4) after its unit split
+    assert cores == [((rows, 16), "V")] * 3 + [((8, 2), "")]
 
 
 def test_reduced_cohomology_certificate_fires(ab4, monkeypatch):

@@ -273,11 +273,13 @@ def add_unit_factor(A):
     A[r, r] = 1
 
 
+# The dense core sees only the remainder of the unit split, so each matrix
+# below leaves a remainder; the split itself is checked by the tests after.
 @pytest.mark.parametrize("M, change", [
-    ([[1, 0], [0, 1]], drop_last_factor),
+    ([[2, 3], [3, 5]], drop_last_factor),  # 1 for 1 + 1, with no +-1 entry
     ([[0, 3], [3, 3]], triple_last_factor),  # Z/3 + Z/9 for Z/3 + Z/3
     ([[3]], triple_last_factor),  # Z/9 for Z/3
-    ([[1, 1], [1, 1]], add_unit_factor),
+    ([[2, 3], [2, 3]], add_unit_factor),  # 1 + 1 for 1, with no +-1 entry
     # a prime dropped from the only factor it divides
     ([[2]], halve_last_factor),  # 1 for Z/2
     ([[6]], halve_last_factor),  # Z/3 for Z/6
@@ -288,6 +290,83 @@ def test_invariant_factor_certificate_fires(monkeypatch, M, change):
     corrupt_core(monkeypatch, change)
     with pytest.raises(AssertionError, match="invariant factors differ"):
         invariant_factors(M)
+
+
+def corrupt_split(monkeypatch, change):
+    """Make the unit split hand its record and remainder A to the check
+    after change(A, steps)."""
+    real = linalg._sparse_pivots
+
+    def wrong(A, pivotal, multipliers, modulus=None):
+        steps = real(A, pivotal, multipliers, modulus)
+        if modulus is None:
+            change(A, steps)
+        return steps
+
+    monkeypatch.setattr(linalg, "_sparse_pivots", wrong)
+
+
+def bump_multiplier(A, steps):
+    next(s for s in steps if len(s[4]))[5][0] += 1
+
+
+def bump_frozen_entry(A, steps):
+    # the entry of the first frozen row in column 1, which is no pivot column
+    r, c, support, frozen, *_ = steps[0]
+    frozen[list(support).index(1)] += 1
+
+
+def bump_remainder(A, steps):
+    A[1, 1] += 1  # row 1 and column 1 hold no pivot
+
+
+def fill_pivot_column(A, steps):
+    A[1, steps[0][1]] = 1
+
+
+def update_frozen_row(A, steps):
+    # step 1 also changes the row frozen at step 0, by F_1, and step 0's row
+    # is recorded as F_0 - F_1: the product still holds, but I + G is not
+    # triangular in the order of the steps
+    r0, c0, s0, f0, o0, g0 = steps[0]
+    r1, c1, s1, f1, o1, g1 = steps[1]
+    row = np.zeros(A.shape[1], dtype=np.int64)
+    row[s0] += f0
+    row[s1] -= f1
+    support = row.nonzero()[0]
+    steps[0] = (r0, c0, support, row[support], o0, g0)
+    steps[1] = (r1, c1, s1, f1, np.append(o1, r0), np.append(g1, 1))
+
+
+def double_pivot(A, steps):
+    r, c, support, frozen, *_ = steps[0]
+    frozen[list(support).index(c)] *= 2
+
+
+# two unit pivots, in rows 0 and 3 and columns 0 and 3, and a 2 x 2 remainder
+SPLIT = [[1, 2, 0, 3], [2, 1, 4, 0], [0, 3, 2, 2], [1, 0, 2, 4]]
+
+
+@pytest.mark.parametrize("change, message", [
+    (bump_multiplier, "does not reproduce the matrix"),
+    (bump_frozen_entry, "does not reproduce the matrix"),
+    (bump_remainder, "does not reproduce the matrix"),
+    (fill_pivot_column, "remainder is nonzero on a pivot column"),
+    (update_frozen_row, "pivot row changes after it is frozen"),
+    (double_pivot, "is not [+]-1"),
+])
+def test_unit_split_certificate_fires(monkeypatch, change, message):
+    assert invariant_factors(SPLIT) == smith_normal_form(SPLIT).invariant_factors == (1, 1, 1, 82)
+    corrupt_split(monkeypatch, change)
+    with pytest.raises(AssertionError, match=message):
+        invariant_factors(SPLIT)
+
+
+def test_unit_split_record():
+    A = np.array(SPLIT)
+    steps = linalg._sparse_pivots(A, linalg._is_unit, lambda a, p: a * p)
+    assert [(s[0], s[1]) for s in steps] == [(0, 0), (3, 3)]
+    assert A[[1, 2]][:, [1, 2]].tolist() == [[-15, 16], [7, -2]]
 
 
 def test_invariant_factor_certificate_falls_back_to_the_exact_check(monkeypatch):
@@ -377,6 +456,18 @@ def test_kernel_certificate_checks_the_factors(monkeypatch):
     for modulus in (None, 2):
         with pytest.raises(AssertionError, match=PRIMITIVE):
             kernel_lattice(FACTOR_TWO, modulus)
+
+
+@pytest.mark.parametrize("M, change", [
+    ([[1, 0], [0, 1]], drop_last_factor),
+    ([[1, 1], [1, 1]], add_unit_factor),
+])
+def test_kernel_certificate_checks_the_unit_factors(monkeypatch, M, change):
+    # (a) on unit factors, which invariant_factors never sends to the core
+    corrupt_core(monkeypatch, change)
+    for modulus in (None, 2):
+        with pytest.raises(AssertionError, match=PRIMITIVE):
+            kernel_lattice(M, modulus)
 
 
 def test_rank_deficient_matrix():
