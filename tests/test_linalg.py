@@ -324,20 +324,6 @@ def fill_pivot_column(A, steps):
     A[1, steps[0][1]] = 1
 
 
-def update_frozen_row(A, steps):
-    # step 1 also changes the row frozen at step 0, by F_1, and step 0's row
-    # is recorded as F_0 - F_1: the product still holds, but I + G is not
-    # triangular in the order of the steps
-    r0, c0, s0, f0, o0, g0 = steps[0]
-    r1, c1, s1, f1, o1, g1 = steps[1]
-    row = np.zeros(A.shape[1], dtype=np.int64)
-    row[s0] += f0
-    row[s1] -= f1
-    support = row.nonzero()[0]
-    steps[0] = (r0, c0, support, row[support], o0, g0)
-    steps[1] = (r1, c1, s1, f1, np.append(o1, r0), np.append(g1, 1))
-
-
 def double_pivot(A, steps):
     r, c, support, frozen, *_ = steps[0]
     frozen[list(support).index(c)] *= 2
@@ -352,7 +338,6 @@ SPLIT = [[1, 2, 0, 3], [2, 1, 4, 0], [0, 3, 2, 2], [1, 0, 2, 4]]
     (bump_frozen_entry, "does not reproduce the matrix"),
     (bump_remainder, "does not reproduce the matrix"),
     (fill_pivot_column, "remainder is nonzero on a pivot column"),
-    (update_frozen_row, "pivot row changes after it is frozen"),
     (double_pivot, "is not [+]-1"),
 ])
 def test_unit_split_certificate_fires(monkeypatch, change, message):
@@ -360,6 +345,30 @@ def test_unit_split_certificate_fires(monkeypatch, change, message):
     corrupt_split(monkeypatch, change)
     with pytest.raises(AssertionError, match=message):
         invariant_factors(SPLIT)
+
+
+def test_unit_split_certificate_needs_the_order_of_the_steps(monkeypatch):
+    # A record of [[1, 2], [2, 1]], whose factors are 1 and 3, that claims
+    # two unit pivots: step 0 freezes row 0 and takes 2 F_0 from row 1, and
+    # step 1 freezes row 1 and takes 2 F_1 from row 0, already frozen.  F is
+    # I, so M == F + G F holds, but I + G has determinant -3.
+    M = [[1, 2], [2, 1]]
+    one, two = np.array([1]), np.array([2])
+    steps = [(0, 0, np.array([0]), one, np.array([1]), two),
+             (1, 1, np.array([1]), one, np.array([0]), two)]
+    G = np.array([[0, 2], [2, 0]])
+    assert (np.eye(2, dtype=int) + G).tolist() == M
+
+    def record(A, pivotal, multipliers, modulus=None):
+        if modulus is not None:
+            return real(A, pivotal, multipliers, modulus)
+        A[:] = 0
+        return steps
+
+    real = linalg._sparse_pivots
+    monkeypatch.setattr(linalg, "_sparse_pivots", record)
+    with pytest.raises(AssertionError, match="pivot row changes after it is frozen"):
+        invariant_factors(M)
 
 
 def test_unit_split_record():
