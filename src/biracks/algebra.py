@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import InputError, check_integers
 
 Perm = tuple[int, ...]  # perm[i-1] is the 1-based image of i
 
@@ -70,8 +70,8 @@ def cycle_notation(p: Perm) -> str:
 
 
 def _normalize_tables(alpha, beta):
-    alpha = tuple(tuple(int(v) for v in row) for row in alpha)
-    beta = tuple(tuple(int(v) for v in row) for row in beta)
+    alpha = tuple(check_integers("alpha entries", row) for row in alpha)
+    beta = tuple(check_integers("beta entries", row) for row in beta)
     n = len(alpha)
     if n == 0 or len(beta) != n:
         raise InputError("alpha and beta must be nonempty tables of equal size")
@@ -361,7 +361,7 @@ def matrix_to_tables(matrix):
     beta_j(i).  So the columns of the blocks are the maps, which is why a
     failed permutation check reports a column.
     """
-    rows = [list(map(int, row)) for row in matrix]
+    rows = [list(check_integers("matrix entries", row)) for row in matrix]
     if not rows or len(rows) % 2 != 0:
         raise InputError("matrix must have 2n rows")
     n = len(rows) // 2
@@ -384,6 +384,7 @@ def tsr_birack(n: int, t: int, s: int, r: int) -> AugmentedBirack:
     Requires t, r invertible mod n and s^2 = (1 - t^-1 r)s mod n; the kink
     map comes out as x -> (t^-1 r + s)x, so these do not all have pi = id.
     """
+    n, t, s, r = check_integers("tsr_birack parameters", (n, t, s, r))
     if n < 1:
         raise InputError("modulus must be positive")
     for name, value in (("t", t), ("r", r)):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, check_integers
 
 
 class Crossing(NamedTuple):
@@ -106,12 +106,11 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
     """
     cleaned = []
     for c in crossings:
-        sign, o_in, o_out, u_in, u_out = c
+        sign, o_in, o_out, u_in, u_out = check_integers("crossing entries", c)
         if sign not in (1, -1):
             raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
-        cleaned.append(Crossing(int(sign), int(o_in), int(o_out),
-                                int(u_in), int(u_out)))
-    free_loops = tuple(int(s) for s in free_loops)
+        cleaned.append(Crossing(sign, o_in, o_out, u_in, u_out))
+    free_loops = check_integers("free loop ids", free_loops)
 
     ins: dict[int, int] = {}
     outs: dict[int, int] = {}

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the budget of its size guards."""
+"""Exception types shared across the package, the budget of its size guards,
+and the integer check of outside input."""
 
 from __future__ import annotations
 
 import os
+from numbers import Integral
 
 
 class BirackError(Exception):
@@ -36,6 +38,23 @@ def check_budget(what, needed, override, keyword, variable, default):
         raise InputError(f"{source} must be a nonnegative integer, got {value!r}")
     if needed > int(value):
         raise ResourceLimitExceeded(what, needed, int(value))
+
+
+def check_integers(what, values, size=None):
+    """values as a tuple of Python ints, or InputError naming what when one
+    is not an integer or, with size given, not an element label 1..size.
+
+    numbers.Integral admits Python and numpy integers; a float or a string,
+    which int() would truncate or parse, is refused.
+    """
+    values = tuple(values)
+    if size is None and set(map(type, values)) <= {int}:
+        return values  # the usual case, with no loop in Python
+    span = "" if size is None else f" in 1..{size}"
+    for v in values:
+        if not isinstance(v, Integral) or (size is not None and not 1 <= v <= size):
+            raise InputError(f"{what} must be integers{span}, got {v!r}")
+    return tuple(map(int, values))
 
 
 class NotReducedCocycle(Warning):

@@ -30,7 +30,7 @@ from math import gcd
 import numpy as np
 
 from .algebra import AugmentedBirack, _cycles
-from .errors import InputError, check_budget
+from .errors import InputError, check_budget, check_integers
 from .linalg import IntegerMatrix, _certified_kernel, invariant_factors
 
 __all__ = [
@@ -92,11 +92,9 @@ def boundary_of_tuple(b: AugmentedBirack, tup) -> dict:
 
     A chain is a dict from tuples to nonzero integer coefficients, keyed in
     face order; zero terms are dropped, so a cycle's boundary is the empty
-    dict.  Every entry must be an int in 1..b.size.
+    dict.  Every entry must be an integer in 1..b.size.
     """
-    if not all(isinstance(v, (int, np.integer)) and 1 <= v <= b.size for v in tup):
-        raise InputError(f"tuple entries must be integers in 1..{b.size}, got {tup!r}")
-    column = np.array(tup, dtype=np.intp).reshape(-1, 1) - 1
+    column = np.array(check_integers("tuple entries", tup, b.size), dtype=np.intp)[:, None] - 1
     terms: dict = {}
     for sign, face in _faces(b, column):
         t = tuple(int(v) + 1 for v in face[:, 0])
@@ -205,8 +203,10 @@ def _group(size: int, low, high, modulus: int | None,
 
 def _factors(m: IntegerMatrix) -> tuple[int, ...]:
     # groups need the factors only: no transforms, and a check of the sparse
-    # elimination's record in place of a product
-    return invariant_factors(m.transpose())
+    # elimination's record in place of a product.  The tall d_n^T left the
+    # smaller remainder on d_6(ab4); it goes in as a view, as the split makes
+    # its own C-ordered copy.
+    return invariant_factors(IntegerMatrix._of(m.array.T))
 
 
 def _check_group_args(degree: int, modulus: int | None):
@@ -280,11 +280,8 @@ class Cochain2:
         """Build from (i, j) or (i, j, coeff) entries; repeats accumulate."""
         table = [[0] * n for _ in range(n)]
         for entry in pairs:
-            if len(entry) == 2:
-                i, j = entry
-                c = 1
-            else:
-                i, j, c = entry
+            entry = check_integers("cochain pair entries", entry)
+            i, j, c = entry if len(entry) != 2 else (*entry, 1)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise InputError(f"pair ({i}, {j}) out of range 1..{n}")
             table[i - 1][j - 1] += c
@@ -294,8 +291,8 @@ class Cochain2:
     def from_vector(cls, n: int, vec):
         if len(vec) != n * n:
             raise InputError("vector length must be n^2")
-        it = iter(vec)
-        return cls(tuple(tuple(int(next(it)) for _ in range(n)) for _ in range(n)))
+        values = check_integers("cochain values", vec)
+        return cls(tuple(values[i * n:(i + 1) * n] for i in range(n)))
 
     @property
     def size(self) -> int:

@@ -53,7 +53,7 @@ import numpy as np
 from .algebra import AugmentedBirack
 from .diagram import LinkDiagram
 from .errors import InputError, NotReducedCocycle
-from .errors import ResourceLimitExceeded, check_budget
+from .errors import ResourceLimitExceeded, check_budget, check_integers
 from .homology import Cochain2, is_reduced_2_cocycle
 
 DEFAULT_MAX_TILE = 4096
@@ -444,7 +444,7 @@ def framed_invariants(d: LinkDiagram, b: AugmentedBirack,
     """
     if framing is None:
         framing = d.framing
-    framing = tuple(int(v) for v in framing)
+    framing = check_integers("framing coordinates", framing)
     if len(framing) != d.component_count:
         raise InputError(
             f"framing needs {d.component_count} coordinates, got {len(framing)}")

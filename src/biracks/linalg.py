@@ -39,7 +39,7 @@ record, with no loop over pivots:
   (4) G[r_j, r_k] != 0 only for k < j;
   (5) M == F + G*F exactly: one sparse product over the nonzeros of the
       frozen rows, in int64 under a bound that keeps every partial sum
-      below 2^62 (past it, smith_normal_form decides instead).
+      below 2^62 (past it, _NeedExact).
 
 G is nonzero only in the columns r_k.  With the rows ordered r_1..r_u and
 then the rest, (4) makes I + G unit lower triangular, so unimodular, and
@@ -53,10 +53,10 @@ computed twice, by the dense core and by code that shares nothing with it
 (_remainder_factors): a fraction-free elimination gives the rank and a
 nonsingular minor D, whose primes are the only ones the factors can have,
 and an elimination over Z/q^k for each prime q of D gives the q-adic
-valuations.  The two must agree.  Where the second cannot decide (a prime
-of D that trial division cannot find, or a valuation too high for a modulus
-below 2^31), smith_normal_form and its exact check decide instead, as they
-do for M itself when an entry reaches 2^62 or a step could.
+valuations.  The two must agree.  An int64 step here that cannot stay
+exact or decide (an entry or step at 2^62, a prime of D past trial
+division, a valuation past a modulus below 2^31) raises _NeedExact, and
+then smith_normal_form(M), with its exact check of U*M*V, decides instead.
 
 kernel_lattice builds no U and multiplies by none.  Let d be the core's
 diagonal for M (n columns), r the number of nonzero d_j, and d_j = 0 for
@@ -90,13 +90,13 @@ from math import gcd
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_integers
 
 _INT64_SAFE = 2**62
 
 
 class _NeedExact(Exception):
-    """Raised internally when int64 headroom is about to run out."""
+    """Raised by an int64 step that cannot stay exact or cannot decide."""
 
 
 def _xgcd(a, b):
@@ -120,30 +120,29 @@ class IntegerMatrix:
     that writes into `array` must keep that rule.  `data`, `column` and
     `columns` read Python ints; `data` is a tuple snapshot, not a view.
     Multiplication uses int64 when a product bound rules out overflow and
-    Python ints otherwise.
+    Python ints otherwise.  The matrix is built from integers only: a float
+    or a string is an InputError.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, data, rows=None, cols=None):
-        try:
-            a = np.asarray(data, dtype=np.int64)
-        except OverflowError:  # an entry beyond int64
+        a = np.asarray(data)
+        if a.dtype.kind not in "iub":
+            # floats, strings, or Python ints that numpy read as floats
             a = np.array(data, dtype=object)
         if a.shape == (0,):
             a = a.reshape(0, cols or 0)
         if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
             raise ValueError("ragged or mis-shaped matrix data")
-        if a.dtype == object:
-            a = np.frompyfunc(int, 1, 1)(a)
-        elif _huge(a):
-            a = a.astype(object)
-        self.array = a
+        if a.dtype.kind in "Ou":  # Python ints, so no uint64 entry past 2^63 wraps
+            a = np.array(check_integers("matrix entries", a.flat), dtype=object).reshape(a.shape)
+        self.array = a.astype(object if _extent(a) >= _INT64_SAFE else np.int64, copy=False)
 
     @classmethod
     def _of(cls, a):
         # wrap an exact array, keeping object dtype only where it is needed
-        if a.dtype == object and not _huge(a):
+        if a.dtype == object and _extent(a) < _INT64_SAFE:
             a = a.astype(np.int64)
         m = cls.__new__(cls)
         m.array = a
@@ -205,11 +204,6 @@ class IntegerMatrix:
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
-
-
-def _huge(a) -> bool:
-    """Whether some |entry| of a reaches _INT64_SAFE."""
-    return a.size > 0 and (a.max() >= _INT64_SAFE or a.min() <= -_INT64_SAFE)
 
 
 @dataclass(frozen=True)
@@ -416,15 +410,15 @@ def invariant_factors(M) -> tuple[int, ...]:
         M = IntegerMatrix(M)
     if M.rows == 0 or M.cols == 0:
         return ()
-    split = None if M.array.dtype == object else _unit_split(M.array)
-    if split is None:
+    try:
+        units, B = _unit_split(M.array)
+        factors = ()
+        if B.size:
+            factors = _diagonal_factors(_run_core(B, "")[0])
+            if factors != _remainder_factors(B):
+                raise AssertionError("invariant factors differ from an independent computation")
+    except _NeedExact:
         return smith_normal_form(M).invariant_factors
-    units, B = split
-    factors = ()
-    if B.size:
-        factors = _diagonal_factors(_run_core(B, "")[0])
-        if factors != _remainder_factors(B):
-            raise AssertionError("invariant factors differ from an independent computation")
     return (1,) * units + factors
 
 
@@ -448,20 +442,21 @@ _CHUNK = 1 << 13
 
 
 def _unit_split(M):
-    """(u, B) with M ~ I_u + B over Z, B having no +-1 entry, or None when a
-    step or the check could reach 2^62.
+    """(u, B) with M ~ I_u + B over Z and B having no +-1 entry; _NeedExact
+    when M is not int64, or a step or the check could reach 2^62.
 
-    _sparse_pivots takes the +-1 pivots of the int64 matrix M, and its record
-    is checked to give M = (I + G) F as the module docstring says.  B is the
-    remainder with its zero rows and columns dropped.
+    _sparse_pivots takes the +-1 pivots of a C-ordered copy of M, and its
+    record is checked to give M = (I + G) F as the module docstring says.  B
+    is the remainder with its zero rows and columns dropped.
     """
+    if M.dtype == object:
+        raise _NeedExact
     R = M.copy()
     steps = _sparse_pivots(R, _is_unit, lambda a, p: a * p)
-    if steps is None:
-        return None
     R[[s[0] for s in steps]] = 0  # F is the frozen rows there
     B = R[R.any(axis=1)][:, R.any(axis=0)]
-    return (len(steps), B) if _check_split(M, R, steps) else None
+    _check_split(M, R, steps)
+    return len(steps), B
 
 
 def _is_unit(X):
@@ -476,12 +471,12 @@ def _extent(a):
 def _check_split(M, F, steps):
     """Check, with no loop over pivots, that the record of _sparse_pivots
     over Z gives M = (I + G) F with F unit upper triangular on the pivots;
-    F enters as the remainder, and becomes the full F in place.  False when
-    the product could reach 2^62."""
+    F enters as the remainder, and becomes the full F in place.  _NeedExact
+    when the product could reach 2^62."""
     m, n = M.shape
     u = len(steps)
     if not u:
-        return True
+        return
     rows, cols, supports, frozen, others, f = (list(x) for x in zip(*steps))
     rows, cols = np.array(rows), np.array(cols)
     if np.bincount(rows, minlength=m).max() > 1 or np.bincount(cols, minlength=n).max() > 1:
@@ -517,7 +512,7 @@ def _check_split(M, F, steps):
     top = max(_extent(F), _max_abs(fval))
     weight = np.bincount(gi, weights=np.abs(gf.astype(float)), minlength=m)
     if (weight.max(initial=0) + 1) * top >= _INT64_SAFE / 2:
-        return False
+        raise _NeedExact
     np.add.at(F, (rows[step], fcol), fval)
     flat = F.reshape(-1)
     counts = sizes[gk]
@@ -538,7 +533,6 @@ def _check_split(M, F, steps):
         start = stop
     if not np.array_equal(F, M):
         raise AssertionError("the unit split does not reproduce the matrix")
-    return True
 
 
 def _remainder_factors(B):
@@ -548,23 +542,18 @@ def _remainder_factors(B):
     Every factor divides the determinant D of a nonsingular rank x rank
     minor, so the primes q of D are all the primes that occur, and an
     elimination over Z/q^k gives how many factors have each q-adic valuation
-    below k.  When D has a prime part that trial division cannot find below
-    2^31, or a valuation reaches k, the exact check of smith_normal_form
-    decides instead.
+    below k.  _NeedExact when D has a prime part that trial division cannot
+    find below 2^31, or a valuation reaches k.
     """
     rank, minor = _rank_and_minor(B)
-    primes = _primes_of(minor)
     factors = [1] * rank
-    for q in primes or ():
+    for q in _primes_of(minor):
         counts = _valuation_pivots(B, q)
         if sum(counts) != rank:
-            primes = None
-            break
+            raise _NeedExact
         valuations = [v for v, n in enumerate(counts) for _ in range(n)]
         for i, v in enumerate(valuations):
             factors[i] *= q ** v
-    if primes is None:
-        return smith_normal_form(B).invariant_factors
     return tuple(factors)
 
 
@@ -593,13 +582,13 @@ def _rank_and_minor(B):
 
 
 def _primes_of(D):
-    """The primes dividing D > 0, by trial division, or None when D has a
+    """The primes dividing D > 0, by trial division; _NeedExact when D has a
     prime factor that trial division below sqrt(2^31) cannot find and that
     is not itself a prime below 2^31."""
     primes, f = [], 2
     while f * f <= D:
         if f * f >= _MODULUS_LIMIT:
-            return None
+            raise _NeedExact
         if D % f == 0:
             primes.append(f)
             while D % f == 0:
@@ -607,7 +596,7 @@ def _primes_of(D):
         f += 1 if f == 2 else 2
     if D > 1:
         if D >= _MODULUS_LIMIT:
-            return None
+            raise _NeedExact
         primes.append(D)
     return primes
 
@@ -641,7 +630,7 @@ def _valuation_pivots(B, q):
 def _sparse_pivots(A, pivotal, multipliers, modulus=None):
     """Eliminate, in place, on the entries of the int64 matrix A where
     pivotal(A) holds, over Z when modulus is None, and return the record of
-    the steps; None over Z if a step could reach 2^62.
+    the steps; _NeedExact over Z if a step could reach 2^62.
 
     Each pivot is the first pivotal entry of the row with the fewest
     nonzeros that holds one.  The pivot row is frozen as it stands, and
@@ -681,7 +670,7 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
         else:
             if top * (top + 1) >= _INT64_SAFE and (
                     _max_abs(old) + _max_abs(f) * _max_abs(frozen) >= _INT64_SAFE):
-                return None
+                raise _NeedExact
             new = old - f[:, None] * frozen
             top = max(top, _max_abs(new))
         A[rows, support] = new

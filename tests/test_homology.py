@@ -266,6 +266,13 @@ def test_zero_cochain_is_reduced_and_diagonal_is_not(ab4):
     assert not is_reduced_2_cocycle(ab4, Cochain2.from_pairs(4, [(1, 1)]))
 
 
+def test_cochain_of_another_size_is_not_a_reduced_cocycle(ab4, ab5):
+    # the zero cochain on 5 or 3 elements is no cochain of the 4-element ab4
+    for size in (3, 5):
+        assert is_reduced_2_cocycle(ab4, Cochain2.zero(size)) is False
+    assert is_reduced_2_cocycle(ab5, Cochain2.zero(4)) is False
+
+
 def test_coboundary_matches_hand_formula(ab4, ab5, tsr3):
     for b in (ab4, ab5, tsr3):
         for i in range(1, b.size + 1):

@@ -1,0 +1,75 @@
+"""Outside input that is not made of integers is refused, not truncated.
+
+Each entry point below once converted its input with int(), and so answered
+for another input: 2.9 read as 2, the string '3' as 3.  They now refuse
+anything that is not a Python or numpy integer with an InputError that
+names the input.  Integer input of every numpy kind still reads exactly.
+"""
+
+import numpy as np
+import pytest
+
+from biracks import (
+    Cochain2,
+    IntegerMatrix,
+    from_crossings,
+    from_matrix,
+    from_tables,
+    framed_invariants,
+    kernel_lattice,
+    load_diagram,
+    smith_normal_form,
+    tsr_birack,
+)
+from biracks.errors import InputError
+from biracks.linalg import invariant_factors
+from conftest import AB4_ALPHA, AB4_BETA
+
+AB4 = from_tables(AB4_ALPHA, AB4_BETA)
+# ab4 with one alpha entry 1 written as 1.5, which int() would truncate back
+ALPHA_WITH_FLOAT = ((2, 4, 1.5, 3), *AB4_ALPHA[1:])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: invariant_factors([[2.9]]), "matrix entries must be integers, got 2.9"),
+    (lambda: smith_normal_form([[2.9]]), "matrix entries must be integers, got 2.9"),
+    (lambda: kernel_lattice([[2.5, 1]]), "matrix entries must be integers, got 2.5"),
+    (lambda: IntegerMatrix([["3", 4]]), "matrix entries must be integers, got '3'"),
+    (lambda: from_tables(ALPHA_WITH_FLOAT, AB4_BETA), "alpha entries must be integers"),
+    (lambda: from_matrix([[1.0, 2], [2, 1], [1, 2], [2, 1]]),
+     "matrix entries must be integers, got 1.0"),
+    (lambda: from_crossings([(1, 0.7, 1.2, 1.9, 0.1)]), "crossing entries must be integers"),
+    (lambda: from_crossings([(1, 0, 1, 1, 0)], free_loops=[2.0]),
+     "free loop ids must be integers"),
+    (lambda: framed_invariants(load_diagram("l2a1"), AB4, None, (1.9, 1.2)),
+     "framing coordinates must be integers, got 1.9"),
+    (lambda: Cochain2.from_vector(2, [1.7, 0, 0, 0]), "cochain values must be integers"),
+    (lambda: Cochain2.from_pairs(2, [(1, 2, 1.5)]), "cochain pair entries must be integers"),
+    (lambda: Cochain2.from_pairs(2, [("1", 2)]), "cochain pair entries must be integers"),
+    (lambda: tsr_birack(5.5, 1, 0, 2), "tsr_birack parameters must be integers, got 5.5"),
+], ids=["invariant_factors", "smith_normal_form", "kernel_lattice", "IntegerMatrix",
+        "from_tables", "from_matrix", "from_crossings", "free_loops", "framed_invariants",
+        "from_vector", "from_pairs", "from_pairs_string", "tsr_birack"])
+def test_non_integer_input_is_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_integer_input_of_every_kind_reads_exactly():
+    # numpy integers of any width, bools, and uint64 past 2^63, which must
+    # not wrap to a negative int64
+    big = np.array([[2**64 - 1, 1]], dtype=np.uint64)
+    assert IntegerMatrix(big).data == ((2**64 - 1, 1),)
+    assert IntegerMatrix(big).array.dtype == object
+    assert invariant_factors(big) == (1,)
+    small = np.array([[3, 0], [0, 6]], dtype=np.uint8)
+    assert IntegerMatrix(small).array.dtype == np.int64
+    assert invariant_factors(small) == (3, 6)
+    assert IntegerMatrix(np.array([[True, False]])).data == ((1, 0),)
+    # Python ints past 2^63 mixed with negative ones, which numpy reads as floats
+    assert IntegerMatrix([[2**63, -1]]).data == ((2**63, -1),)
+    assert IntegerMatrix(np.array([[np.int32(3), 2**70]], dtype=object)).data == ((3, 2**70),)
+    assert IntegerMatrix([]).array.dtype == np.int64
+    phi = Cochain2.from_vector(2, np.array([1, 0, 0, -2], dtype=np.int16))
+    assert phi.values == ((1, 0), (0, -2)) and type(phi.values[1][1]) is int
+    assert tsr_birack(np.int64(3), 1, 2, 2) == tsr_birack(3, 1, 2, 2)

@@ -54,7 +54,8 @@ def assert_unimodular(T):
         return
     # an integer W with T W = I exactly gives det(T) det(W) = 1
     guess = np.rint(np.linalg.inv(np.array(T.data, dtype=float)))
-    assert T @ IntegerMatrix(guess.tolist(), n, n) == IntegerMatrix.identity(n)
+    W = [[int(v) for v in row] for row in guess.tolist()]  # IntegerMatrix takes no floats
+    assert T @ IntegerMatrix(W, n, n) == IntegerMatrix.identity(n)
 
 
 def assert_valid_decomposition(M, snf):
@@ -329,6 +330,17 @@ def double_pivot(A, steps):
     frozen[list(support).index(c)] *= 2
 
 
+def repeat_pivot_row(A, steps):
+    steps[1] = (steps[0][0], *steps[1][1:])
+
+
+def move_frozen_entry_to_earlier_pivot_column(A, steps):
+    # the second frozen row's first entry, in column 1, moves to column 0
+    support = steps[1][2]
+    assert support[0] == 1
+    support[0] = steps[0][1]
+
+
 # two unit pivots, in rows 0 and 3 and columns 0 and 3, and a 2 x 2 remainder
 SPLIT = [[1, 2, 0, 3], [2, 1, 4, 0], [0, 3, 2, 2], [1, 0, 2, 4]]
 
@@ -339,12 +351,46 @@ SPLIT = [[1, 2, 0, 3], [2, 1, 4, 0], [0, 3, 2, 2], [1, 0, 2, 4]]
     (bump_remainder, "does not reproduce the matrix"),
     (fill_pivot_column, "remainder is nonzero on a pivot column"),
     (double_pivot, "is not [+]-1"),
+    (repeat_pivot_row, "takes a pivot row or column twice"),
+    (move_frozen_entry_to_earlier_pivot_column, "nonzero on an earlier pivot column"),
 ])
 def test_unit_split_certificate_fires(monkeypatch, change, message):
     assert invariant_factors(SPLIT) == smith_normal_form(SPLIT).invariant_factors == (1, 1, 1, 82)
     corrupt_split(monkeypatch, change)
     with pytest.raises(AssertionError, match=message):
         invariant_factors(SPLIT)
+
+
+def fill_off_diagonal(A):
+    A[0, 1] = 1
+
+
+def negate_first_factor(A):
+    A[0, 0] = -A[0, 0]
+
+
+def drop_first_factor(A):
+    A[0, 0] = 0
+
+
+def bump_last_factor(A):
+    A[1, 1] += 1
+
+
+# [[0, 3], [3, 3]] has factors 3 and 3 and no +-1 entry, so the core sees
+# all of it; each change breaks one check of the core's diagonal
+@pytest.mark.parametrize("change, message", [
+    (fill_off_diagonal, "left a nonzero entry off the diagonal"),
+    (negate_first_factor, "negative diagonal"),
+    (drop_first_factor, "zero before nonzero"),
+    (bump_last_factor, "divisibility chain broken"),
+])
+def test_core_diagonal_checks_fire(monkeypatch, change, message):
+    M = [[0, 3], [3, 3]]
+    assert invariant_factors(M) == (3, 3)
+    corrupt_core(monkeypatch, change)
+    with pytest.raises(AssertionError, match=message):
+        invariant_factors(M)
 
 
 def test_unit_split_certificate_needs_the_order_of_the_steps(monkeypatch):
