@@ -19,6 +19,19 @@ The defining identities, checked exhaustively:
         beta_{alpha_x(y)} beta_x   = beta_{beta_y(x)} beta_y,
         as maps, compared pointwise.
 
+The checks are array expressions on the 0-based tables A = alpha - 1 and
+B = beta - 1, so that A[x, y] = alpha_x(y) - 1.  Axiom (ii) codes S(x, y)
+as A[x, y] * n + B[y, x]; the pairs whose code repeats are the collisions,
+found with one bincount, and when there are none alpha_bar and beta_bar are
+two scatter assignments.  Axiom (iii) compares the three identities at
+every (x, y, z) at once, over blocks of x of at most 2^18 cells, so every
+table with n <= 64 takes one block and the temporaries stay a few MB at any
+n.  The kink solutions of x are the nonzeros of row x of A^T == B.
+Witnesses are 1-based tuples of Python ints, sorted (row-major order).
+
+A validated birack keeps the 1-based tuples as its fields and gives the
+numeric layers one read-only 0-based view of alpha, beta and pi.
+
 Structures with pi = id are biquandles; labelings of link diagrams by a
 biquandle do not depend on framing.
 """
@@ -29,9 +42,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import InputError, check_integers
 
 Perm = tuple[int, ...]  # perm[i-1] is the 1-based image of i
+_BLOCK_CELLS = 1 << 18  # (x, y, z) cells per block of the exchange check
 
 
 def _invert_perm(p: Perm) -> Perm:
@@ -58,6 +74,11 @@ def _cycles(p: Perm) -> list[list[int]]:
     return cycles
 
 
+def _cells(mask) -> tuple[tuple[int, ...], ...]:
+    """The true cells of a boolean array in row-major order, as 1-based tuples."""
+    return tuple(zip(*(np.array(mask.nonzero()) + 1).tolist()))
+
+
 def _perm_order(p: Perm) -> int:
     return lcm(*(len(cycle) for cycle in _cycles(p)))
 
@@ -81,63 +102,6 @@ def _normalize_tables(alpha, beta):
             if len(row) != n or set(row) != target:
                 raise InputError(f"{kind}_{x} is not a bijection: image {list(row)}")
     return alpha, beta, n
-
-
-def _sideways_inverse_tables(alpha, beta, n):
-    """Invert the pair map S(x,y) = (alpha_x(y), beta_y(x)).
-
-    Returns (alpha_bar, beta_bar, collisions); the tables are None when S is
-    not a bijection, and collisions lists the input pairs whose images clash.
-    """
-    hits = {}
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            image = (alpha[x - 1][y - 1], beta[y - 1][x - 1])
-            hits.setdefault(image, []).append((x, y))
-    collisions = sorted(p for pairs in hits.values() if len(pairs) > 1 for p in pairs)
-    if collisions:
-        return None, None, collisions
-    alpha_bar = [[0] * n for _ in range(n)]
-    beta_bar = [[0] * n for _ in range(n)]
-    for (u, v), [(x, y)] in hits.items():
-        # S_inverse(u, v) = (beta_bar_u(v), alpha_bar_v(u))
-        beta_bar[u - 1][v - 1] = x
-        alpha_bar[v - 1][u - 1] = y
-    return (
-        tuple(tuple(r) for r in alpha_bar),
-        tuple(tuple(r) for r in beta_bar),
-        [],
-    )
-
-
-def _exchange_failures(alpha, beta, n):
-    """Pairs (x, y) violating any of the three exchange identities."""
-    bad = []
-    for x in range(1, n + 1):
-        ax = alpha[x - 1]
-        bx = beta[x - 1]
-        for y in range(1, n + 1):
-            ay = alpha[y - 1]
-            by = beta[y - 1]
-            u = alpha[x - 1][y - 1]  # alpha_x(y)
-            v = beta[y - 1][x - 1]   # beta_y(x)
-            au, bu = alpha[u - 1], beta[u - 1]
-            av, bv = alpha[v - 1], beta[v - 1]
-            ok = all(
-                au[ax[z] - 1] == av[ay[z] - 1]
-                and bu[ax[z] - 1] == av[by[z] - 1]
-                and bu[bx[z] - 1] == bv[by[z] - 1]
-                for z in range(n)
-            )
-            if not ok:
-                bad.append((x, y))
-    return bad
-
-
-def _kink_solutions(alpha, beta, n):
-    """For each x, all y with alpha_y(x) = beta_x(y); axiom (i) demands one."""
-    return [[y for y in range(1, n + 1) if alpha[y - 1][x - 1] == beta[x - 1][y - 1]]
-            for x in range(1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -213,6 +177,15 @@ class AugmentedBirack:
         """Permutation inverses of the maps beta_x (not beta_bar)."""
         return tuple(_invert_perm(p) for p in self.beta)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """alpha, beta and pi as read-only 0-based int arrays, the view every
+        numeric layer reads: alpha[x, y] = alpha_{x+1}(y+1) - 1."""
+        arrays = tuple(np.array(t) - 1 for t in (self.alpha, self.beta, self.pi))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     @property
     def is_biquandle(self) -> bool:
         return self.characteristic == 1
@@ -261,47 +234,59 @@ class AugmentedBirack:
 def _check_tables(alpha, beta):
     """check_axioms' report plus what from_tables builds on.
 
-    Returns (report, (alpha, beta, alpha_bar, beta_bar), solutions): the
+    Returns (report, (alpha, beta, alpha_bar, beta_bar), solves): the
     normalized tables, their sideways inverse (None when S is not a
-    bijection), and the kink solutions of each element.
+    bijection), and the 0-based boolean table of kink solutions.
     """
     alpha, beta, n = _normalize_tables(alpha, beta)
+    A = np.array(alpha) - 1  # A[x, y] = alpha_x(y) - 1
+    B = np.array(beta) - 1
+    xs = np.arange(n)
 
-    # alpha_bar and beta_bar are built as the inverse of S, so the inversion
-    # identities hold whenever S is a bijection
-    alpha_bar, beta_bar, collisions = _sideways_inverse_tables(alpha, beta, n)
-    axiom_ii = AxiomCheck("ii", not collisions, tuple(collisions))
+    # (ii): S(x, y) = (A[x, y], B[y, x]) as one code per pair.  alpha_bar and
+    # beta_bar are built as the inverse of S, so the inversion identities
+    # hold whenever S is a bijection: S^-1(u, v) = (beta_bar_u(v), alpha_bar_v(u))
+    code = A * n + B.T
+    collisions = _cells(np.bincount(code.ravel(), minlength=n * n)[code] > 1)
+    axiom_ii = AxiomCheck("ii", not collisions, collisions)
+    alpha_bar = beta_bar = None
+    if not collisions:
+        ab, bb = np.empty_like(A), np.empty_like(A)
+        bb[A, B.T] = xs[:, None]
+        ab[B.T, A] = xs
+        alpha_bar, beta_bar = (tuple(map(tuple, (t + 1).tolist())) for t in (ab, bb))
 
-    axiom_iii = AxiomCheck("iii", True, ())
-    bad = _exchange_failures(alpha, beta, n)
-    if bad:
-        axiom_iii = AxiomCheck("iii", False, tuple(bad))
+    # (iii) at every (x, y, z), over blocks of x of at most _BLOCK_CELLS cells
+    step = max(1, _BLOCK_CELLS // (n * n))
+    failed = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, step):
+        u, v = A[lo:lo + step, :, None], B.T[lo:lo + step, :, None]
+        ax, bx = A[lo:lo + step, None], B[lo:lo + step, None]
+        ok = (A[u, ax] == A[v, A]) & (B[u, ax] == A[v, B]) & (B[u, bx] == B[v, B])
+        failed[lo:lo + step] = ~ok.all(axis=2)
+    failures = _cells(failed)
+    axiom_iii = AxiomCheck("iii", not failures, failures)
 
-    solutions = _kink_solutions(alpha, beta, n)
-    witnesses = [(x,) for x, sols in enumerate(solutions, start=1) if len(sols) != 1]
-    pi = [sols[0] if len(sols) == 1 else 0 for sols in solutions]
-    have_pi = not witnesses and set(pi) == set(range(1, n + 1))
-    if not have_pi and not witnesses:
-        # every x has a unique solution but the map is not injective
-        witnesses = [(x,) for x in range(1, n + 1)
-                     if pi.count(pi[x - 1]) > 1]
-    if have_pi and alpha_bar is not None:
-        # mirror identity of axiom (i)
-        for x in range(1, n + 1):
-            px = pi[x - 1]
-            if beta_bar[px - 1][x - 1] != alpha_bar[x - 1][px - 1]:
-                witnesses.append((x,))
-    axiom_i = AxiomCheck("i", not witnesses, tuple(sorted(set(witnesses))))
+    # (i): solves[x, y] says that y solves the kink identity alpha_y(x) = beta_x(y)
+    solves = A.T == B
+    p = solves.argmax(axis=1)  # pi - 1, where x has one solution
+    bad = solves.sum(axis=1) != 1
+    if not bad.any():
+        bad = np.bincount(p, minlength=n)[p] > 1  # pi is not injective
+    pi = None if bad.any() else tuple((p + 1).tolist())
+    if pi and alpha_bar is not None:
+        bad = bb[p, xs] != ab[xs, p]  # beta_bar_{pi(x)}(x) = alpha_bar_x(pi(x))
+    witnesses = _cells(bad)
 
     report = AxiomReport(
         size=n,
-        axiom_i=axiom_i,
+        axiom_i=AxiomCheck("i", not witnesses, witnesses),
         axiom_ii=axiom_ii,
         axiom_iii=axiom_iii,
-        pi=tuple(pi) if have_pi else None,
-        characteristic=_perm_order(tuple(pi)) if have_pi else None,
+        pi=pi,
+        characteristic=_perm_order(pi) if pi else None,
     )
-    return report, (alpha, beta, alpha_bar, beta_bar), solutions
+    return report, (alpha, beta, alpha_bar, beta_bar), solves
 
 
 def check_axioms(alpha, beta) -> AxiomReport:
@@ -313,14 +298,16 @@ def check_axioms(alpha, beta) -> AxiomReport:
     return _check_tables(alpha, beta)[0]
 
 
-def _kink_map(solutions) -> Perm:
-    """pi from the kink solutions of each x, or the error naming the first failure."""
+def _kink_map(solves) -> Perm:
+    """pi from the kink solutions of each x, the nonzeros of row x of solves,
+    or the error naming the first failure."""
+    solutions = [(row.nonzero()[0] + 1).tolist() for row in solves]
     for x, sols in enumerate(solutions, start=1):
         if not sols:
             raise InputError(f"no label y satisfies the kink identity at x={x}")
         if len(sols) > 1:
             raise InputError(
-                f"kink identity at x={x} has multiple solutions {list(sols)}")
+                f"kink identity at x={x} has multiple solutions {sols}")
     pi = tuple(sols[0] for sols in solutions)
     if set(pi) != set(range(1, len(pi) + 1)):
         raise InputError("kink map solutions do not form a permutation")
@@ -329,19 +316,18 @@ def _kink_map(solutions) -> Perm:
 
 def derive_kink_map(alpha, beta) -> Perm:
     """The kink map pi: for each x the unique y with alpha_y(x) = beta_x(y)."""
-    alpha, beta, n = _normalize_tables(alpha, beta)
-    return _kink_map(_kink_solutions(alpha, beta, n))
+    return _kink_map(_check_tables(alpha, beta)[2])
 
 
 def from_tables(alpha, beta) -> AugmentedBirack:
     """Build and validate a birack from permutation tables alpha, beta."""
-    report, (alpha, beta, alpha_bar, beta_bar), solutions = _check_tables(alpha, beta)
+    report, (alpha, beta, alpha_bar, beta_bar), solves = _check_tables(alpha, beta)
     if not report.axiom_ii.passed:
         raise InputError(f"axiom ii fails at {report.axiom_ii.witnesses[0]}")
     if not report.axiom_iii.passed:
         raise InputError(f"axiom iii fails at {report.axiom_iii.witnesses[0]}")
     if not report.axiom_i.passed:
-        _kink_map(solutions)  # raises the precise error when pi is not a permutation
+        _kink_map(solves)  # raises the precise error when pi is not a permutation
         raise InputError(f"axiom i fails at {report.axiom_i.witnesses[0]}")
     return AugmentedBirack(
         size=report.size,

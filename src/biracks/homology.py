@@ -65,6 +65,7 @@ def tuple_basis(size: int, degree: int) -> list[tuple[int, ...]]:
     """Lexicographically ordered basis tuples of C_degree."""
     if degree < 0:
         raise InputError("degree must be nonnegative")
+    _guard(size, degree, None)
     return list(product(range(1, size + 1), repeat=degree))
 
 
@@ -76,8 +77,7 @@ def _faces(b: AugmentedBirack, tuples: np.ndarray) -> list[tuple[int, np.ndarray
     (degree-1) x M array.  The twisted face applies beta_{x_k} to the
     entries before slot k and alpha_{x_k} to those after it.
     """
-    alpha = np.array(b.alpha) - 1
-    beta = np.array(b.beta) - 1
+    alpha, beta, _ = b._arrays
     faces = []
     for k in range(len(tuples)):  # 0-based slot k is face k + 1
         sign = 1 if k % 2 else -1
@@ -211,6 +211,7 @@ def _factors(m: IntegerMatrix) -> tuple[int, ...]:
 
 def _check_group_args(degree: int, modulus: int | None):
     # before any boundary matrix is built, so bad input never meets the cell guard
+    check_integers("degree and modulus", (degree,) if modulus is None else (degree, modulus))
     if degree < 0:
         raise InputError("degree must be nonnegative")
     if modulus is not None and modulus <= 0:
@@ -244,6 +245,9 @@ class Cochain1:
 
     values: tuple[int, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", check_integers("cochain values", self.values))
+
     @classmethod
     def chi(cls, n: int, i: int, coeff: int = 1):
         if not 1 <= i <= n:
@@ -271,6 +275,10 @@ class Cochain2:
 
     values: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(
+            check_integers("cochain values", row) for row in self.values))
+
     @classmethod
     def zero(cls, n: int):
         return cls(tuple((0,) * n for _ in range(n)))
@@ -291,7 +299,7 @@ class Cochain2:
     def from_vector(cls, n: int, vec):
         if len(vec) != n * n:
             raise InputError("vector length must be n^2")
-        values = check_integers("cochain values", vec)
+        values = tuple(vec)
         return cls(tuple(values[i * n:(i + 1) * n] for i in range(n)))
 
     @property
@@ -364,15 +372,10 @@ def evaluate_coboundary(b: AugmentedBirack, psi: Cochain1) -> Cochain2:
     """
     if psi.size != b.size:
         raise InputError("cochain size does not match the birack")
-    n = b.size
-    table = [
-        [
-            psi(x) - psi(y) + psi(b.alpha[x - 1][y - 1]) - psi(b.beta[y - 1][x - 1])
-            for y in range(1, n + 1)
-        ]
-        for x in range(1, n + 1)
-    ]
-    return Cochain2(tuple(tuple(row) for row in table))
+    alpha, beta, _ = b._arrays
+    v = np.array(psi.values, dtype=object)
+    table = v[:, None] - v[None, :] + v[alpha] - v[beta.T]
+    return Cochain2(tuple(map(tuple, table.tolist())))
 
 
 def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMatrix:
@@ -421,12 +424,11 @@ def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
     """Direct check, independent of the constraint matrix: the cocycle
     identity on all triples (x, y, z) as one array expression, and a zero
     sum of phi(pi^k(x), pi^(k-1)(x)) over k = 1..N for every x at once."""
+    _check_group_args(2, modulus)
     if phi.size != b.size:
         return False
     table = np.array(phi.values, dtype=object)
-    alpha = np.array(b.alpha) - 1
-    beta = np.array(b.beta) - 1
-    pi = np.array(b.pi) - 1
+    alpha, beta, pi = b._arrays
     x, y, z = np.ix_(*[range(b.size)] * 3)
     defect = (table[y, z] + table[beta[y, x], alpha[y, z]] + table[x, y]
               - table[alpha[x, y], alpha[x, z]] - table[x, z]

@@ -67,11 +67,10 @@ class LaurentPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for exp, coeff in (terms or {}).items():
-            if coeff:
-                clean[int(exp)] = int(coeff)
-        self.terms = clean
+        terms = terms or {}
+        exps = check_integers("polynomial exponents", terms.keys())
+        coeffs = check_integers("polynomial coefficients", terms.values())
+        self.terms = {e: c for e, c in zip(exps, coeffs) if c}
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -196,10 +195,8 @@ def _crossing_entries(b: AugmentedBirack, weights, sign: int):
     right-side ones, alpha_y(x) and beta_x(y), and the weight
     sign * phi(y, x).
     """
-    n = b.size
-    alpha = np.array(b.alpha) - 1
-    beta = np.array(b.beta) - 1
-    x, y = np.indices((n, n))
+    alpha, beta, _ = b._arrays
+    x, y = np.indices((b.size, b.size))
     over_right, under_right = alpha[y, x], beta[x, y]
     coords = ((x, over_right, under_right, y) if sign > 0
               else (over_right, x, y, under_right))
@@ -214,7 +211,7 @@ def _kink_entries(b: AugmentedBirack, weights, kinks):
     kinks weigh q full orbits plus r steps.
     """
     n, period = b.size, b.characteristic
-    pi = np.array(b.pi) - 1
+    pi = b._arrays[2]
     ends, sums = [np.arange(n)], [np.zeros(n, dtype=object)]
     for _ in range(period):
         ends.append(pi[ends[-1]])

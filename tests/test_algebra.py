@@ -1,6 +1,7 @@
 """Birack construction, axiom checking, and the kink map."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -243,3 +244,120 @@ def test_cycle_notation():
     assert cycle_notation((1, 2, 3)) == "id"
     assert cycle_notation((2, 1, 3)) == "(1 2)"
     assert cycle_notation((2, 3, 1)) == "(1 2 3)"
+
+
+# -- a brute-force oracle for the axiom checks --------------------------------
+
+
+def _then(f, g):
+    """The map z -> g(f(z)) of two 1-based permutation tuples."""
+    return tuple(g[v - 1] for v in f)
+
+
+def axiom_oracle(alpha, beta):
+    """check_axioms' fields and from_tables' outcome, straight from the axioms.
+
+    Returns (report fields, built), where built is (alpha_bar, beta_bar)
+    or the message from_tables raises.
+    """
+    n = len(alpha)
+    els = range(1, n + 1)
+    a = [None, *alpha]  # a[x] is the map alpha_x, as a tuple
+    b = [None, *beta]
+    image = {(x, y): (a[x][y - 1], b[y][x - 1]) for x in els for y in els}
+    hits = Counter(image.values())
+    collisions = tuple(p for p in image if hits[image[p]] > 1)
+    exchange = tuple(
+        (x, y) for x in els for y in els
+        for u, v in [image[x, y]]
+        if _then(a[x], a[u]) != _then(a[y], a[v])
+        or _then(a[x], b[u]) != _then(b[y], a[v])
+        or _then(b[x], b[u]) != _then(b[y], b[v]))
+    solutions = [[y for y in els if a[y][x - 1] == b[x][y - 1]] for x in els]
+    pi = tuple(s[0] for s in solutions if len(s) == 1)
+    is_perm = len(pi) == n and sorted(pi) == list(els)
+    inverse = {uv: xy for xy, uv in image.items()}  # S^-1(u, v) = (beta_bar_u(v), alpha_bar_v(u))
+    if not is_perm:
+        kink = [(x,) for x in els if len(solutions[x - 1]) != 1]
+        kink = kink or [(x,) for x in els if pi.count(pi[x - 1]) > 1]
+    elif collisions:
+        kink = []
+    else:
+        kink = [(x,) for x, p in zip(els, pi) if inverse[p, x][0] != inverse[p, x][1]]
+    order = None
+    if is_perm:
+        order, power = 1, pi
+        while power != tuple(els):
+            order, power = order + 1, _then(power, pi)
+    fields = {"i": tuple(kink), "ii": collisions, "iii": exchange,
+              "pi": pi if is_perm else None, "characteristic": order}
+
+    if collisions:
+        return fields, f"axiom ii fails at {collisions[0]}"
+    if exchange:
+        return fields, f"axiom iii fails at {exchange[0]}"
+    for x, s in zip(els, solutions):
+        if not s:
+            return fields, f"no label y satisfies the kink identity at x={x}"
+        if len(s) > 1:
+            return fields, f"kink identity at x={x} has multiple solutions {s}"
+    if not is_perm:
+        return fields, "kink map solutions do not form a permutation"
+    if kink:
+        return fields, f"axiom i fails at {kink[0]}"
+    beta_bar = tuple(tuple(inverse[u, v][0] for v in els) for u in els)
+    alpha_bar = tuple(tuple(inverse[u, v][1] for u in els) for v in els)
+    return fields, (alpha_bar, beta_bar)
+
+
+def assert_matches_oracle(alpha, beta):
+    fields, built = axiom_oracle(alpha, beta)
+    report = check_axioms(alpha, beta)
+    assert {"i": report.axiom_i.witnesses, "ii": report.axiom_ii.witnesses,
+            "iii": report.axiom_iii.witnesses, "pi": report.pi,
+            "characteristic": report.characteristic} == fields
+    assert [c.passed for c in report.checks] == [not fields[k] for k in ("i", "ii", "iii")]
+    if isinstance(built, str):
+        with pytest.raises(InputError) as caught:
+            from_tables(alpha, beta)
+        assert str(caught.value) == built
+    else:
+        b = from_tables(alpha, beta)
+        assert (b.alpha_bar, b.beta_bar) == built
+    return report
+
+
+def random_tables(rng, n):
+    rows = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(2 * n)]
+    return tuple(rows[:n]), tuple(rows[n:])
+
+
+def test_axiom_checks_match_a_brute_force_oracle(ab4, ab5):
+    rng = random.Random(2013)
+    outcomes = {True: 0, False: 0}
+    cases = [random_tables(rng, rng.randint(1, 4)) for _ in range(400)]
+    # (ii) and (iii) hold, but the kink map is missing or not unique at x=1
+    cases += [(((2, 1), (1, 2)), ((1, 2), (1, 2))), (((1, 2), (2, 1)), ((1, 2), (1, 2)))]
+    # valid biracks and near misses: one row of alpha or beta rotated
+    for b in (ab4, ab5, *(tsr_birack(*p) for p in ((3, 1, 2, 2), (4, 3, 0, 1), (5, 2, 0, 3)))):
+        cases.append((b.alpha, b.beta))
+        for k in range(b.size):
+            alpha, beta = list(b.alpha), list(b.beta)
+            alpha[k] = alpha[k][1:] + alpha[k][:1]
+            beta[k] = beta[k][::-1]
+            cases += [(tuple(alpha), b.beta), (b.alpha, tuple(beta))]
+    for alpha, beta in cases:
+        outcomes[assert_matches_oracle(alpha, beta).ok] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 300
+
+
+def test_exchange_check_over_two_blocks():
+    # n = 70 takes two blocks of x (53 rows of 70 x 70 cells fit in 2^18);
+    # rotating alpha_65 puts failures in the second one
+    b = tsr_birack(70, 1, 0, 1)
+    assert assert_matches_oracle(b.alpha, b.beta).ok
+    alpha = list(b.alpha)
+    alpha[64] = alpha[64][1:] + alpha[64][:1]
+    report = assert_matches_oracle(alpha, b.beta)
+    assert not report.axiom_iii.passed
+    assert max(x for x, _ in report.axiom_iii.witnesses) == 65

@@ -594,3 +594,19 @@ def test_resource_guard(ab4):
         homology_group(ab4, 2, max_cells=10)
     with pytest.raises(ResourceLimitExceeded):
         degenerate_generators(ab4, 3, max_cells=10)
+
+
+def test_tuple_basis_has_the_cell_guard(monkeypatch):
+    # 5^7 = 78125 tuples, above the default budget of 20,000 cells
+    monkeypatch.delenv("BIRACKS_MAX_CELLS", raising=False)
+    with pytest.raises(ResourceLimitExceeded, match="degree-7 chain basis on 5 elements"):
+        tuple_basis(5, 7)
+    monkeypatch.setenv("BIRACKS_MAX_CELLS", str(5**7))
+    basis = tuple_basis(5, 7)
+    assert len(basis) == 5**7 and basis[0] == (1,) * 7 and basis[-1] == (5,) * 7
+
+
+@pytest.mark.parametrize("modulus", [0, -2])
+def test_reduced_check_refuses_a_modulus_that_is_not_positive(ab4, phi4, modulus):
+    with pytest.raises(InputError, match="modulus must be positive"):
+        is_reduced_2_cocycle(ab4, phi4, modulus=modulus)

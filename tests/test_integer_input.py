@@ -12,20 +12,25 @@ import pytest
 from biracks import (
     Cochain2,
     IntegerMatrix,
+    LaurentPolynomial,
     from_crossings,
     from_matrix,
     from_tables,
     framed_invariants,
+    homology_group,
+    is_reduced_2_cocycle,
     kernel_lattice,
     load_diagram,
     smith_normal_form,
     tsr_birack,
 )
 from biracks.errors import InputError
+from biracks.homology import Cochain1
 from biracks.linalg import invariant_factors
-from conftest import AB4_ALPHA, AB4_BETA
+from conftest import AB4_ALPHA, AB4_BETA, PHI4_PAIRS
 
 AB4 = from_tables(AB4_ALPHA, AB4_BETA)
+PHI4 = Cochain2.from_pairs(4, PHI4_PAIRS)
 # ab4 with one alpha entry 1 written as 1.5, which int() would truncate back
 ALPHA_WITH_FLOAT = ((2, 4, 1.5, 3), *AB4_ALPHA[1:])
 
@@ -47,9 +52,21 @@ ALPHA_WITH_FLOAT = ((2, 4, 1.5, 3), *AB4_ALPHA[1:])
     (lambda: Cochain2.from_pairs(2, [(1, 2, 1.5)]), "cochain pair entries must be integers"),
     (lambda: Cochain2.from_pairs(2, [("1", 2)]), "cochain pair entries must be integers"),
     (lambda: tsr_birack(5.5, 1, 0, 2), "tsr_birack parameters must be integers, got 5.5"),
+    (lambda: Cochain1.chi(2, 1, 1.5), "cochain values must be integers, got 1.5"),
+    (lambda: Cochain2(((1.5, 0), (0, 0))), "cochain values must be integers, got 1.5"),
+    (lambda: LaurentPolynomial.from_pairs([(1.5, 2.7)]),
+     "polynomial exponents must be integers, got 1.5"),
+    (lambda: LaurentPolynomial({1: 2.7}), "polynomial coefficients must be integers, got 2.7"),
+    (lambda: homology_group(AB4, 2, modulus=2.5),
+     "degree and modulus must be integers, got 2.5"),
+    (lambda: homology_group(AB4, 2.0), "degree and modulus must be integers, got 2.0"),
+    (lambda: is_reduced_2_cocycle(AB4, PHI4, modulus=2.5),
+     "degree and modulus must be integers, got 2.5"),
 ], ids=["invariant_factors", "smith_normal_form", "kernel_lattice", "IntegerMatrix",
         "from_tables", "from_matrix", "from_crossings", "free_loops", "framed_invariants",
-        "from_vector", "from_pairs", "from_pairs_string", "tsr_birack"])
+        "from_vector", "from_pairs", "from_pairs_string", "tsr_birack", "Cochain1.chi",
+        "Cochain2", "LaurentPolynomial.from_pairs", "LaurentPolynomial",
+        "homology_group_modulus", "homology_group_degree", "is_reduced_2_cocycle"])
 def test_non_integer_input_is_refused(call, message):
     with pytest.raises(InputError, match=message):
         call()
