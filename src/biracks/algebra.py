@@ -24,10 +24,11 @@ B = beta - 1, so that A[x, y] = alpha_x(y) - 1.  Axiom (ii) codes S(x, y)
 as A[x, y] * n + B[y, x]; the pairs whose code repeats are the collisions,
 found with one bincount, and when there are none alpha_bar and beta_bar are
 two scatter assignments.  Axiom (iii) compares the three identities at
-every (x, y, z) at once, over blocks of x of at most 2^18 cells, so every
-table with n <= 64 takes one block and the temporaries stay a few MB at any
-n.  The kink solutions of x are the nonzeros of row x of A^T == B.
-Witnesses are 1-based tuples of Python ints, sorted (row-major order).
+every (x, y, z) at once, over blocks of x and y of at most 2^18 cells (for
+n <= 2^18), so every table with n <= 64 takes one block and the temporaries
+stay a few MB at any n.  The kink solutions of x are the nonzeros of row x
+of A^T == B.  Witnesses are 1-based tuples of Python ints, sorted
+(row-major order).
 
 A validated birack keeps the 1-based tuples as its fields and gives the
 numeric layers one read-only 0-based view of alpha, beta and pi.
@@ -232,12 +233,8 @@ class AugmentedBirack:
 
 
 def _check_tables(alpha, beta):
-    """check_axioms' report plus what from_tables builds on.
-
-    Returns (report, (alpha, beta, alpha_bar, beta_bar), solves): the
-    normalized tables, their sideways inverse (None when S is not a
-    bijection), and the 0-based boolean table of kink solutions.
-    """
+    """check_axioms' report plus what from_tables builds on: the normalized
+    tables and their sideways inverse (None when S is not a bijection)."""
     alpha, beta, n = _normalize_tables(alpha, beta)
     A = np.array(alpha) - 1  # A[x, y] = alpha_x(y) - 1
     B = np.array(beta) - 1
@@ -256,14 +253,17 @@ def _check_tables(alpha, beta):
         ab[B.T, A] = xs
         alpha_bar, beta_bar = (tuple(map(tuple, (t + 1).tolist())) for t in (ab, bb))
 
-    # (iii) at every (x, y, z), over blocks of x of at most _BLOCK_CELLS cells
-    step = max(1, _BLOCK_CELLS // (n * n))
+    # (iii) at every (x, y, z), over blocks of x and y of at most _BLOCK_CELLS cells
+    ystep = min(n, max(1, _BLOCK_CELLS // n))
+    xstep = max(1, _BLOCK_CELLS // (ystep * n))
     failed = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, step):
-        u, v = A[lo:lo + step, :, None], B.T[lo:lo + step, :, None]
-        ax, bx = A[lo:lo + step, None], B[lo:lo + step, None]
-        ok = (A[u, ax] == A[v, A]) & (B[u, ax] == A[v, B]) & (B[u, bx] == B[v, B])
-        failed[lo:lo + step] = ~ok.all(axis=2)
+    for x0 in range(0, n, xstep):
+        for y0 in range(0, n, ystep):
+            i, j = slice(x0, x0 + xstep), slice(y0, y0 + ystep)
+            u, v = A[i, j, None], B.T[i, j, None]
+            ax, bx, ay, by = A[i, None], B[i, None], A[j], B[j]
+            ok = (A[u, ax] == A[v, ay]) & (B[u, ax] == A[v, by]) & (B[u, bx] == B[v, by])
+            failed[i, j] = ~ok.all(axis=2)
     failures = _cells(failed)
     axiom_iii = AxiomCheck("iii", not failures, failures)
 
@@ -286,7 +286,7 @@ def _check_tables(alpha, beta):
         pi=pi,
         characteristic=_perm_order(pi) if pi else None,
     )
-    return report, (alpha, beta, alpha_bar, beta_bar), solves
+    return report, (alpha, beta, alpha_bar, beta_bar)
 
 
 def check_axioms(alpha, beta) -> AxiomReport:
@@ -298,9 +298,9 @@ def check_axioms(alpha, beta) -> AxiomReport:
     return _check_tables(alpha, beta)[0]
 
 
-def _kink_map(solves) -> Perm:
-    """pi from the kink solutions of each x, the nonzeros of row x of solves,
-    or the error naming the first failure."""
+def _kink_map(alpha, beta) -> Perm:
+    """pi from normalized tables, or the error naming the first failure."""
+    solves = np.array(alpha).T == np.array(beta)  # 1-based, as A^T == B
     solutions = [(row.nonzero()[0] + 1).tolist() for row in solves]
     for x, sols in enumerate(solutions, start=1):
         if not sols:
@@ -316,18 +316,18 @@ def _kink_map(solves) -> Perm:
 
 def derive_kink_map(alpha, beta) -> Perm:
     """The kink map pi: for each x the unique y with alpha_y(x) = beta_x(y)."""
-    return _kink_map(_check_tables(alpha, beta)[2])
+    return _kink_map(*_normalize_tables(alpha, beta)[:2])
 
 
 def from_tables(alpha, beta) -> AugmentedBirack:
     """Build and validate a birack from permutation tables alpha, beta."""
-    report, (alpha, beta, alpha_bar, beta_bar), solves = _check_tables(alpha, beta)
+    report, (alpha, beta, alpha_bar, beta_bar) = _check_tables(alpha, beta)
     if not report.axiom_ii.passed:
         raise InputError(f"axiom ii fails at {report.axiom_ii.witnesses[0]}")
     if not report.axiom_iii.passed:
         raise InputError(f"axiom iii fails at {report.axiom_iii.witnesses[0]}")
     if not report.axiom_i.passed:
-        _kink_map(solves)  # raises the precise error when pi is not a permutation
+        _kink_map(alpha, beta)  # raises the precise error when pi is not a permutation
         raise InputError(f"axiom i fails at {report.axiom_i.witnesses[0]}")
     return AugmentedBirack(
         size=report.size,

@@ -16,6 +16,7 @@ from biracks import (
     parse_birack,
     tsr_birack,
 )
+from biracks import algebra
 from biracks.errors import BirackError, InputError
 from conftest import AB4_ALPHA, AB4_BETA, AB5_ALPHA, AB5_BETA, dihedral_tables
 
@@ -317,6 +318,11 @@ def assert_matches_oracle(alpha, beta):
             "iii": report.axiom_iii.witnesses, "pi": report.pi,
             "characteristic": report.characteristic} == fields
     assert [c.passed for c in report.checks] == [not fields[k] for k in ("i", "ii", "iii")]
+    if fields["pi"] is None:
+        with pytest.raises(InputError):
+            derive_kink_map(alpha, beta)
+    else:
+        assert derive_kink_map(alpha, beta) == fields["pi"]
     if isinstance(built, str):
         with pytest.raises(InputError) as caught:
             from_tables(alpha, beta)
@@ -361,3 +367,20 @@ def test_exchange_check_over_two_blocks():
     report = assert_matches_oracle(alpha, b.beta)
     assert not report.axiom_iii.passed
     assert max(x for x, _ in report.axiom_iii.witnesses) == 65
+
+
+def test_exchange_check_over_blocks_of_x_and_y(monkeypatch):
+    # past n = 512 one row of x holds more than 2^18 cells, so y is blocked
+    # too; a block size of 40 cells takes that path at n = 8 (blocks of 1 x 5
+    # and 1 x 3 pairs) and n = 10 (1 x 4, 1 x 4, 1 x 2)
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", 40)
+    rng = random.Random(18)
+    cases = [random_tables(rng, n) for n in (8, 10) for _ in range(5)]
+    for b in (tsr_birack(8, 3, 0, 5), tsr_birack(10, 3, 0, 7)):
+        cases.append((b.alpha, b.beta))
+        for k in range(b.size):
+            alpha = list(b.alpha)
+            alpha[k] = alpha[k][1:] + alpha[k][:1]
+            cases.append((tuple(alpha), b.beta))
+    outcomes = [assert_matches_oracle(alpha, beta).ok for alpha, beta in cases]
+    assert outcomes.count(True) == 2

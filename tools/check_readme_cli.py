@@ -1,19 +1,18 @@
 """Run the `$ birack ...` examples of README.md and compare their output.
 
-    python tools/check_readme_cli.py [README] [--birack COMMAND]
+    python tools/check_readme_cli.py
 
 In the README's CLI block, an example is a line `$ birack ARGS` followed by
 its output, up to a blank line or the end of the block; an output line
-`...` ends the part that is compared.  Each example runs through COMMAND
-(default `birack`, the installed entry point; split like a shell line), so
-after `pip install .` and from outside the checkout it exercises the
-console script and the bundled data the package carries.  Prints a diff
-for each example whose output differs and exits 1 if any does.
+`...` ends the part that is compared.  Each example runs through the
+installed `birack` command, so after `pip install .` and from outside the
+checkout it exercises the console script and the bundled data the package
+carries.  Prints a diff for each example whose output differs and exits 1
+if any does.
 """
 
 from __future__ import annotations
 
-import argparse
 import difflib
 import shlex
 import subprocess
@@ -57,13 +56,9 @@ def mismatches(command: list[str], text: str) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("readme", nargs="?", type=Path, default=README)
-    parser.add_argument("--birack", default="birack", help="command that runs the CLI")
-    args = parser.parse_args(argv)
-    text = args.readme.read_text()
-    failed = mismatches(shlex.split(args.birack), text)
+def main() -> int:
+    text = README.read_text()
+    failed = mismatches(["birack"], text)
     for diff in failed:
         print(diff)
     print(f"{len(examples(text)) - len(failed)} of {len(examples(text))} README examples match")
