@@ -61,10 +61,15 @@ def _guard(size: int, degree: int, max_cells):
                  max_cells, "max_cells", "BIRACKS_MAX_CELLS", DEFAULT_MAX_CELLS)
 
 
-def tuple_basis(size: int, degree: int) -> list[tuple[int, ...]]:
-    """Lexicographically ordered basis tuples of C_degree."""
+def _check_degree(degree: int):
+    check_integers("degree", (degree,))
     if degree < 0:
         raise InputError("degree must be nonnegative")
+
+
+def tuple_basis(size: int, degree: int) -> list[tuple[int, ...]]:
+    """Lexicographically ordered basis tuples of C_degree."""
+    _check_degree(degree)
     _guard(size, degree, None)
     return list(product(range(1, size + 1), repeat=degree))
 
@@ -109,8 +114,7 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     (degree-1)-tuples; degree 0 gives the empty matrix with one column.  A
     face's row is its tuple read as base-size digits.
     """
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
+    _check_degree(degree)
     _guard(b.size, degree, max_cells)
     if degree == 0:
         return IntegerMatrix.zeros(0, 1)
@@ -134,6 +138,7 @@ def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> li
     times the cycle's pairs, so each cycle is taken once, walked from its
     least element; order is deterministic.
     """
+    check_integers("degree", (degree,))
     if degree < 2:
         return []
     _guard(b.size, degree, max_cells)
@@ -250,6 +255,7 @@ class Cochain1:
 
     @classmethod
     def chi(cls, n: int, i: int, coeff: int = 1):
+        check_integers("cochain size and index", (n, i))
         if not 1 <= i <= n:
             raise InputError(f"index {i} out of range 1..{n}")
         vals = [0] * n
@@ -278,6 +284,9 @@ class Cochain2:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(
             check_integers("cochain values", row) for row in self.values))
+        if any(len(row) != len(self.values) for row in self.values):
+            raise InputError(f"cochain table must be square, got row lengths "
+                             f"{[len(row) for row in self.values]}")
 
     @classmethod
     def zero(cls, n: int):

@@ -1,6 +1,7 @@
 """The bundled data files: names, integrity, and agreement with the fixtures."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from biracks import (
     load_diagram,
 )
 from conftest import AB4_ALPHA, AB4_BETA, AB5_ALPHA, AB5_BETA, PHI4_PAIRS, PHI5_PAIRS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import build_data  # noqa: E402
 
 LINK_NAMES = {
     "unknot", "l0a1", "l2a1", "l4a1", "l5a1",
@@ -68,9 +72,26 @@ def test_unknown_names_raise():
 def test_build_script_uses_only_root_names():
     """tools/build_data.py, which writes these files, reaches the package as
     `bk`; every bk.<name> it uses must be exported by the package root."""
-    script = Path(__file__).resolve().parent.parent / "tools" / "build_data.py"
-    used = {node.attr for node in ast.walk(ast.parse(script.read_text()))
+    used = {node.attr for node in ast.walk(ast.parse(Path(build_data.__file__).read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "bk"}
     assert used
     assert sorted(name for name in used if not hasattr(biracks, name)) == []
+
+
+def test_bundled_data_matches_its_generator():
+    """Every file the generator writes is on disk as written, and every
+    recorded construction passes its checks."""
+    assert build_data.main(check=True) == []
+
+
+@pytest.mark.parametrize("table, name, record, message", [
+    ("EXPECT5", "l2a1", build_data.P([(0, 7)]), "l2a1: ab5 value"),
+    ("WORDS", "l7a3", build_data.WORDS["l7a1"], "l7a3: signature repeats"),
+    ("WORDS", "l7a1", build_data.WORDS["l7n1"], "l7a1: not a prime reduced alternating"),
+    ("WORDS", "l7n1", build_data.WORDS["l7a1"], "l7n1: not a prime reduced non-alternating"),
+], ids=["wrong_value", "repeated_signature", "not_alternating", "alternating"])
+def test_generator_refuses_a_wrong_record(monkeypatch, table, name, record, message):
+    monkeypatch.setitem(getattr(build_data, table), name, record)
+    with pytest.raises(build_data.BuildError, match=message):
+        build_data.main(check=True)

@@ -13,11 +13,13 @@ from biracks import (
     IntegerMatrix,
     boundary_matrix,
     boundary_of_tuple,
+    cocycle_invariant,
     cohomology_group,
     degenerate_generators,
     evaluate_coboundary,
     homology_group,
     is_reduced_2_cocycle,
+    load_diagram,
     reduced_2_cocycles,
     reduced_2_cohomology,
     reduced_cocycle_constraints,
@@ -264,6 +266,17 @@ def test_phi5_is_reduced_and_in_the_computed_basis(ab5, phi5):
 def test_zero_cochain_is_reduced_and_diagonal_is_not(ab4):
     assert is_reduced_2_cocycle(ab4, Cochain2.zero(4))
     assert not is_reduced_2_cocycle(ab4, Cochain2.from_pairs(4, [(1, 1)]))
+
+
+@pytest.mark.parametrize("values", [((0, 0, 0, 0, 1),) * 4, ((0, 0), (0,))],
+                         ids=["four_rows_of_five", "ragged"])
+def test_cochain_table_must_be_square(ab4, values):
+    # a fifth column on four rows once passed as a 4-element cochain, and
+    # cocycle_invariant valued l2a1 with it at 16 and no warning
+    with pytest.raises(InputError, match="cochain table must be square"):
+        Cochain2(values)
+    with pytest.raises(InputError, match="cochain table must be square"):
+        cocycle_invariant(load_diagram("l2a1"), ab4, Cochain2(values))
 
 
 def test_cochain_of_another_size_is_not_a_reduced_cocycle(ab4, ab5):

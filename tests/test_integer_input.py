@@ -13,6 +13,8 @@ from biracks import (
     Cochain2,
     IntegerMatrix,
     LaurentPolynomial,
+    boundary_matrix,
+    degenerate_generators,
     from_crossings,
     from_matrix,
     from_tables,
@@ -23,6 +25,7 @@ from biracks import (
     load_diagram,
     smith_normal_form,
     tsr_birack,
+    tuple_basis,
 )
 from biracks.errors import InputError
 from biracks.homology import Cochain1
@@ -62,11 +65,18 @@ ALPHA_WITH_FLOAT = ((2, 4, 1.5, 3), *AB4_ALPHA[1:])
     (lambda: homology_group(AB4, 2.0), "degree and modulus must be integers, got 2.0"),
     (lambda: is_reduced_2_cocycle(AB4, PHI4, modulus=2.5),
      "degree and modulus must be integers, got 2.5"),
+    (lambda: boundary_matrix(AB4, 2.0), "degree must be integers, got 2.0"),
+    (lambda: degenerate_generators(AB4, 2.0), "degree must be integers, got 2.0"),
+    (lambda: tuple_basis(2, 2.0), "degree must be integers, got 2.0"),
+    (lambda: Cochain1.chi(2, 1.5), "cochain size and index must be integers, got 1.5"),
+    (lambda: Cochain1.chi(2.5, 1), "cochain size and index must be integers, got 2.5"),
 ], ids=["invariant_factors", "smith_normal_form", "kernel_lattice", "IntegerMatrix",
         "from_tables", "from_matrix", "from_crossings", "free_loops", "framed_invariants",
         "from_vector", "from_pairs", "from_pairs_string", "tsr_birack", "Cochain1.chi",
         "Cochain2", "LaurentPolynomial.from_pairs", "LaurentPolynomial",
-        "homology_group_modulus", "homology_group_degree", "is_reduced_2_cocycle"])
+        "homology_group_modulus", "homology_group_degree", "is_reduced_2_cocycle",
+        "boundary_matrix", "degenerate_generators", "tuple_basis", "Cochain1.chi_index",
+        "Cochain1.chi_size"])
 def test_non_integer_input_is_refused(call, message):
     with pytest.raises(InputError, match=message):
         call()

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Generate the bundled data files under src/biracks/data/.
 
-Every diagram is produced by an explicit construction (braid closure,
-clasp chain, Gauss code, or a small search over such constructions) and
-is validated against the reference invariant values before anything is
-written.  The script aborts without writing if any value disagrees.
+Every diagram is produced by an explicit construction: a braid closure,
+a plat closure, a clasp chain or a Gauss code.  The words and codes that
+earlier searches found are recorded below, and each recorded construction
+is checked before anything is written: its value against the reference
+invariant values, its shape (prime reduced alternating, or not), and its
+signature against every earlier entry and every smaller diagram it must
+not be.  The script aborts without writing if any check fails.
 
 Run from the repository root:
 
@@ -22,7 +25,6 @@ import argparse
 import itertools
 import re
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 import biracks as bk
@@ -78,16 +80,36 @@ def sig(d):
     )
 
 
+def _roots(n, pairs) -> list[int]:
+    """Union-find over range(n): the class representative of each element
+    once every pair in pairs is merged."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(n)]
+
+
 # ---------------------------------------------------------------- braids
 
-def braid_closure(word, strands) -> bk.LinkDiagram:
-    """Close a braid word; letter +i / -i is the positive / negative
-    crossing between strand positions i and i+1 (1-based)."""
+def _braid_walk(word, strands):
+    """Read a braid word downward; letter +i / -i is the positive / negative
+    crossing between strand positions i and i+1 (1-based).
+
+    Returns the crossings as (sign, over_in, over_out, under_in, under_out)
+    of arc ids, the arc ids at the top and at the bottom of each position,
+    and the number of arcs.
+    """
     counter = itertools.count()
-    init = [next(counter) for _ in range(strands)]
-    cur = list(init)
+    top = [next(counter) for _ in range(strands)]
+    cur = list(top)
     raw = []
-    touched = [False] * strands
     for letter in word:
         i = abs(letter) - 1
         if letter == 0 or i + 1 >= strands:
@@ -100,23 +122,17 @@ def braid_closure(word, strands) -> bk.LinkDiagram:
         else:
             raw.append((-1, b, lo, a, hi))
         cur[i], cur[i + 1] = lo, hi
-        touched[i] = touched[i + 1] = True
+    return raw, top, cur, next(counter)
 
-    parent = list(range(next(counter)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in range(strands):
-        parent[find(cur[p])] = find(init[p])
-
+def braid_closure(word, strands) -> bk.LinkDiagram:
+    """Close a braid word, read as in _braid_walk."""
+    raw, top, bottom, total = _braid_walk(word, strands)
+    root = _roots(total, zip(bottom, top))
     label: dict[int, int] = {}
 
     def lab(x):
-        r = find(x)
+        r = root[x]
         if r not in label:
             label[r] = len(label)
         return label[r]
@@ -124,7 +140,8 @@ def braid_closure(word, strands) -> bk.LinkDiagram:
     crossings = [
         (s, lab(oi), lab(oo), lab(ui), lab(uo)) for s, oi, oo, ui, uo in raw
     ]
-    free = [lab(init[p]) for p in range(strands) if not touched[p]]
+    # a position no letter touches keeps its top arc: a free loop
+    free = [lab(top[p]) for p in range(strands) if bottom[p] == top[p]]
     return bk.from_crossings(crossings, free)
 
 
@@ -143,36 +160,16 @@ def plat_closure(word, strands=4) -> bk.LinkDiagram:
     Caps reverse the downward flow, so crossings are re-oriented after
     the walk and their signs adjusted per reversed strand.
     """
-    counter = itertools.count()
-    top = [next(counter) for _ in range(strands)]
-    cur = list(top)
-    raw = []  # (sign, over_in, over_out, under_in, under_out) tentative
-    for letter in word:
-        i = abs(letter) - 1
-        if letter == 0 or i + 1 >= strands:
-            raise ValueError(f"letter {letter} needs more strands")
-        a, b = cur[i], cur[i + 1]
-        lo, hi = next(counter), next(counter)
-        if letter > 0:
-            raw.append((+1, a, hi, b, lo))
-        else:
-            raw.append((-1, b, lo, a, hi))
-        cur[i], cur[i + 1] = lo, hi
-
-    total = next(counter)
+    raw, top, cur, total = _braid_walk(word, strands)
     # Arc endpoints: (arc, 0) = tail end, (arc, 1) = head end.  Partner
     # links the strand onward: through a crossing, or around a cap.
     partner: dict[tuple[int, int], tuple[int, int]] = {}
-    slot_of: dict[tuple[int, int], tuple[int, str]] = {}
-    for ci, (s, oi, oo, ui, uo) in enumerate(raw):
+    for s, oi, oo, ui, uo in raw:
         partner[(oi, 1)] = (oo, 0)
         partner[(oo, 0)] = (oi, 1)
         partner[(ui, 1)] = (uo, 0)
         partner[(uo, 0)] = (ui, 1)
-        slot_of[(oi, 1)] = (ci, "oi")
-        slot_of[(oo, 0)] = (ci, "oo")
-        slot_of[(ui, 1)] = (ci, "ui")
-        slot_of[(uo, 0)] = (ci, "uo")
+    at_crossing = set(partner)
     for p in range(0, strands, 2):
         partner[(top[p], 0)] = (top[p + 1], 0)
         partner[(top[p + 1], 0)] = (top[p], 0)
@@ -204,9 +201,9 @@ def plat_closure(word, strands=4) -> bk.LinkDiagram:
         ends = []
         for direction in (0, 1):
             a, e = arc, direction
-            while (a, e) not in slot_of:
+            while (a, e) not in at_crossing:
                 a, e = partner[(a, e)]
-                if a in seen and (a, e) not in slot_of:
+                if a in seen and (a, e) not in at_crossing:
                     return sorted(seen), None  # closed cap-only loop
                 seen.add(a)
                 e = 1 - e
@@ -289,18 +286,7 @@ def connected(d) -> bool:
         return d.component_count == 1
     if d.free_loop_semiarcs:
         return False
-    tail, head = _endpoint_maps(d)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in range(d.semiarc_count):
-        parent[find(tail[s])] = find(head[s])
-    return len({find(i) for i in range(n)}) == 1
+    return len(set(_roots(n, zip(*_endpoint_maps(d))))) == 1
 
 
 def nugatory(d, ci) -> bool:
@@ -309,21 +295,10 @@ def nugatory(d, ci) -> bool:
     for s in (c.over_out, c.under_out):
         if head[s] == ci:
             return True
-    n = len(d.crossings)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in range(d.semiarc_count):
-        t, h = tail[s], head[s]
-        if t != ci and h != ci:
-            parent[find(t)] = find(h)
-    neigh = {find(tail[s]) for s in (c.over_in, c.under_in)}
-    neigh |= {find(head[s]) for s in (c.over_out, c.under_out)}
+    root = _roots(len(d.crossings),
+                  [(t, h) for t, h in zip(tail, head) if ci not in (t, h)])
+    neigh = {root[tail[s]] for s in (c.over_in, c.under_in)}
+    neigh |= {root[head[s]] for s in (c.over_out, c.under_out)}
     return len(neigh) > 1
 
 
@@ -353,37 +328,49 @@ def visibly_prime(d) -> bool:
     n = len(d.crossings)
     if n < 2:
         return True
-    tail, head = _endpoint_maps(d)
-    E = d.semiarc_count
-    for s, t in itertools.combinations(range(E), 2):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in range(E):
-            if e != s and e != t:
-                parent[find(tail[e])] = find(head[e])
-        if len({find(i) for i in range(n)}) > 1:
+    ends = list(zip(*_endpoint_maps(d)))
+    for cut in itertools.combinations(range(len(ends)), 2):
+        kept = [e for i, e in enumerate(ends) if i not in cut]
+        if len(set(_roots(n, kept))) > 1:
             return False
     return True
 
 
-def struct_profile(d):
-    """Multiset of crossing component-pairs, invariant under relabeling."""
-    selfs = 0
-    inter = defaultdict(int)
-    for c in d.crossings:
-        a = d.component_of(c.over_in)
-        b = d.component_of(c.under_in)
-        if a == b:
-            selfs += 1
-        else:
-            inter[frozenset((a, b))] += 1
-    return (selfs, tuple(sorted(inter.values())))
+def good_alternating(d, components) -> bool:
+    return (d.component_count == components and connected(d)
+            and reduced(d) and alternating(d) and visibly_prime(d))
+
+
+# ------------------------------------------------------------ Gauss codes
+
+TOKEN = re.compile(r"[OU]\d+[+-]")
+
+
+def all_codes(n):
+    """Every signed Gauss code with n crossings whose first token is O1, to
+    which rotation and relabeling bring any code."""
+    rest = []
+    for k in range(1, n + 1):
+        rest.append(f"U{k}")
+        if k > 1:
+            rest.append(f"O{k}")
+    for perm in itertools.permutations(rest):
+        for signs in itertools.product("+-", repeat=n):
+            toks = ["O1" + signs[0]]
+            for t in perm:
+                toks.append(t + signs[int(t[1:]) - 1])
+            yield "".join(toks)
+
+
+def r1_free(code) -> bool:
+    """No crossing's over and under passes are cyclically adjacent."""
+    toks = TOKEN.findall(code)
+    m = len(toks)
+    for i in range(m):
+        a, b = toks[i], toks[(i + 1) % m]
+        if a[1:-1] == b[1:-1] and a[0] != b[0]:
+            return False
+    return True
 
 
 # ------------------------------------------------------------ link table
@@ -442,14 +429,38 @@ class BuildError(RuntimeError):
     pass
 
 
-def check_link(name, d):
-    got5 = val(d, AB5, PHI5)
-    if got5 != EXPECT5[name]:
-        raise BuildError(f"{name}: ab5 value {got5} != {EXPECT5[name]}")
-    if name in EXPECT4:
-        got4 = val(d, AB4, PHI4)
-        if got4 != EXPECT4[name]:
-            raise BuildError(f"{name}: ab4 value {got4} != {EXPECT4[name]}")
+# The braid words (for l6a2, a 4-plat word) and Gauss codes that searches
+# once found; main() certifies each again and refuses any that fails.
+WORDS = {
+    "l6a1": [1, -2, 1, 3, -2, 3],
+    "l6a2": [-2, 1, 1, -2, -2, -2],
+    "l7a1": [1, 1, 1, -2, 1, 1, -2],
+    "l7a3": [1, 1, -2, 1, -2, 1, -2],
+    "l7a4": [1, -2, 1, 1, 1, -2, 1],
+    "l7a2": [1, 1, -2, 1, 1, -2, -2],
+    "l7a5": [1, 1, 1, 1, -2, 1, -2],
+    "l7a6": [1, 1, 1, -2, 1, -2, 1],
+    "l7a7": [1, -2, 1, 3, -2, -2, 3],
+    "l7n1": [1, 1, 1, -2, -1, -1, -2],
+    "l7n2": [1, 1, 1, -1, -2, 1, -2],
+}
+
+CODES = {
+    "v3_1": "O1-U2+U1-U3-O2+O3-",
+    "v3_6": "O1-U2+U3+U1-O3+O2+",
+    "v3_2": "O1-U2+U1-O3-O2+U3-",
+    "v3_3": "O1-U2-U1-O3+O2-U3+",
+    "v3_4": "O1-U2-U1-O3-O2-U3-",
+    "v3_5": "O1-U2-U3-U1-O2-O3-",
+    "v3_7": "O1+U2-O3-U1+O2-U3-",
+    "v4_1": "O1-U2-U1-O2-U3-U4-O3-O4-",
+    "v4_2": "O1+U2+U1+O2+O3-U4-U3-O4-",
+    "v4_4": "O1+U2-U1+O2-O3-U4-U3-O4-",
+    "v4_21": "O1+U2+U1+O2+O3+U4-U3+O4-",
+}
+
+TREFOIL = "O1-U2-O3-U1-O2-U3-"
+FIG8 = bk.parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
 
 
 def main(check: bool = False) -> list[Path]:
@@ -457,33 +468,65 @@ def main(check: bool = False) -> list[Path]:
     compare it with the file on disk; returns the files that differ."""
     manifest: list[tuple[str, str]] = []
     links: dict[str, bk.LinkDiagram] = {}
+    knots: dict[str, str] = {}
     used_sigs: dict[str, object] = {}
 
-    def adopt(name, d, note):
-        check_link(name, d)
-        links[name] = d
-        used_sigs[name] = sig(d)
+    def adopt(name, d, note, code=None, twin=None, avoid=()):
+        """Check d's values, and that its signature equals its twin's or
+        else is new and not in avoid; then record it as a link, or as the
+        knot of its Gauss code."""
+        expect = EXPECT5 if code is None else KNOT_EXPECT5
+        got5 = val(d, AB5, PHI5)
+        if got5 != expect[name]:
+            raise BuildError(f"{name}: ab5 value {got5} != {expect[name]}")
+        if name in EXPECT4:
+            got4 = val(d, AB4, PHI4)
+            if got4 != EXPECT4[name]:
+                raise BuildError(f"{name}: ab4 value {got4} != {EXPECT4[name]}")
+        s = sig(d)
+        if twin is not None and s != used_sigs[twin]:
+            raise BuildError(f"{name}: signature differs from its twin {twin}")
+        if twin is None and (s in avoid or s in used_sigs.values()):
+            raise BuildError(f"{name}: signature repeats an earlier entry or "
+                             "a smaller diagram")
+        used_sigs[name] = s
         manifest.append((name, note))
+        if code is None:
+            links[name] = d
+        else:
+            knots[name] = code
+
+    # A reduced alternating connected diagram realizes the crossing number
+    # (Tait), and a visibly prime one is prime, so value plus crossing
+    # count identifies each alternating table entry.
+    def adopt_alternating(name, d, components, note):
+        if not good_alternating(d, components):
+            raise BuildError(f"{name}: not a prime reduced alternating "
+                             f"diagram with {components} components")
+        adopt(name, d, note)
 
     # --- fixed constructions -------------------------------------------
     adopt("unknot", bk.from_crossings([], [0]), "zero-crossing circle")
     adopt("l0a1", bk.from_crossings([], [0, 1]), "two-component unlink")
-    adopt("l2a1", braid_closure([1, 1], 2), "closure of sigma_1^2")
-    adopt("l4a1", braid_closure([1] * 4, 2),
-          "closure of sigma_1^4, the (2,4) torus link")
-    adopt("l6a3", braid_closure([1] * 6, 2),
-          "closure of sigma_1^6, the (2,6) torus link")
-    adopt("l5a1", braid_closure([1, -2, 1, -2, 1], 3),
-          "closure of s1 s2^-1 s1 s2^-1 s1; reduced alternating, 5 crossings")
-    adopt("l6a4", braid_closure([1, -2] * 3, 3),
-          "closure of (s1 s2^-1)^3, the Borromean rings")
-    adopt("l6n1", braid_closure([1, 2] * 3, 3),
-          "closure of (s1 s2)^3, the (3,3) torus link")
-
-    neck = clasp_necklace(3)
-    if val(neck, AB5, PHI5) != EXPECT5["l6a5"]:
-        neck = mirror(neck)
-    adopt("l6a5", neck, "three rings in a cyclic chain of positive clasps")
+    adopt_alternating("l2a1", braid_closure([1, 1], 2), 2,
+                      "closure of sigma_1^2")
+    adopt_alternating("l4a1", braid_closure([1] * 4, 2), 2,
+                      "closure of sigma_1^4, the (2,4) torus link")
+    adopt_alternating("l6a3", braid_closure([1] * 6, 2), 2,
+                      "closure of sigma_1^6, the (2,6) torus link")
+    adopt_alternating("l5a1", braid_closure([1, -2, 1, -2, 1], 3), 2,
+                      "closure of s1 s2^-1 s1 s2^-1 s1; reduced alternating, "
+                      "5 crossings")
+    adopt_alternating("l6a4", braid_closure([1, -2] * 3, 3), 3,
+                      "closure of (s1 s2^-1)^3, the Borromean rings")
+    # l6n1 and l6a5 share their value: the torus closure is not alternating,
+    # the necklace is, and their signatures differ.
+    torus33 = braid_closure([1, 2] * 3, 3)
+    if alternating(torus33):
+        raise BuildError("l6n1 closure unexpectedly alternating")
+    adopt("l6n1", torus33, "closure of (s1 s2)^3, the (3,3) torus link")
+    adopt_alternating("l6a5", clasp_necklace(3), 3,
+                      "three rings in a cyclic chain of positive clasps")
 
     # Hopf with a cancelling positive/negative kink pair on one component.
     kinked = bk.from_crossings([
@@ -492,145 +535,61 @@ def main(check: bool = False) -> list[Path]:
         (+1, 0, 4, 4, 5),
         (-1, 6, 7, 5, 6),
     ])
-    if sig(kinked) != used_sigs["l2a1"]:
-        raise BuildError("hopf_kink_pair signature differs from l2a1")
     adopt("hopf_kink_pair", kinked,
-          "sigma_1^2 closure with a cancelling kink pair spliced in")
+          "sigma_1^2 closure with a cancelling kink pair spliced in",
+          twin="l2a1")
 
-    # --- alternating-link searches ---------------------------------------
-    # A reduced alternating connected diagram realizes the crossing number
-    # (Tait), and a visibly prime one is prime, so value plus crossing
-    # count identifies each alternating table entry below.
-
-    def good_alternating(d, components):
-        return (d.component_count == components and connected(d)
-                and reduced(d) and alternating(d) and visibly_prime(d))
-
-    # The fixed constructions above should all be prime reduced
-    # alternating diagrams (l6n1 and the kinked Hopf intentionally not).
-    for name, ncomp in (("l2a1", 2), ("l4a1", 2), ("l6a3", 2),
-                        ("l5a1", 2), ("l6a4", 3), ("l6a5", 3)):
-        if not good_alternating(links[name], ncomp):
-            raise BuildError(f"{name}: not a prime reduced alternating "
-                             "diagram")
-    # l6a5 and l6n1 share their value; the necklace is certified
-    # alternating above, the torus closure is not, and their signatures
-    # must differ for the bundled pair to be honest.
-    if used_sigs["l6a5"] == used_sigs["l6n1"]:
-        raise BuildError("cannot tell l6a5 from l6n1 by signature")
-    if alternating(links["l6n1"]):
-        raise BuildError("l6n1 closure unexpectedly alternating")
-
-    found = None
-    for word in itertools.product((1, -1, 2, -2, 3, -3), repeat=6):
-        d = braid_closure(list(word), 4)
-        if good_alternating(d, 2) and val(d, AB5, PHI5) == EXPECT5["l6a1"]:
-            found = (word, d)
-            break
-    if found is None:
-        raise BuildError("no l6a1 candidate")
-    adopt("l6a1", found[1],
-          f"closure of the 4-braid {list(found[0])}; prime reduced "
-          "alternating with 6 crossings, and the value separates it from "
-          "l6a2/l6a3")
+    # --- recorded alternating links --------------------------------------
+    word = WORDS["l6a1"]
+    adopt_alternating("l6a1", braid_closure(word, 4), 2,
+                      f"closure of the 4-braid {word}; prime reduced "
+                      "alternating with 6 crossings, and the value separates "
+                      "it from l6a2/l6a3")
 
     # l6a2 has no 6-letter closed-braid diagram (strand parity and
-    # generator coverage rule it out), so search 4-plats instead.  It
-    # shares its value with the (2,6) torus link but not its determinant,
-    # so the dihedral 3-coloring count separates the two.
-    torus_dih3 = phi_z(links["l6a3"], DIH3)
-    found = None
-    for word in itertools.product((1, -1, 2, -2, 3, -3), repeat=6):
-        d = plat_closure(list(word), 4)
-        if not good_alternating(d, 2):
-            continue
-        if val(d, AB5, PHI5) != EXPECT5["l6a2"]:
-            continue
-        if phi_z(d, DIH3) != torus_dih3:
-            found = (word, d)
-            break
-    if found is None:
-        raise BuildError("no l6a2 candidate")
-    adopt("l6a2", found[1],
-          f"4-plat closure of {list(found[0])}; prime reduced alternating "
-          "with 6 crossings; the value excludes l6a1 and the dihedral "
-          "3-coloring count separates it from the (2,6) torus link")
+    # generator coverage rule it out), so it is a 4-plat.  It shares its
+    # value with the (2,6) torus link but not its determinant, so the
+    # dihedral 3-coloring count separates the two.
+    word = WORDS["l6a2"]
+    plat = plat_closure(word, 4)
+    if phi_z(plat, DIH3) == phi_z(links["l6a3"], DIH3):
+        raise BuildError("l6a2: dihedral 3-coloring count of the (2,6) torus "
+                         "link")
+    adopt_alternating("l6a2", plat, 2,
+                      f"4-plat closure of {word}; prime reduced alternating "
+                      "with 6 crossings; the value excludes l6a1 and the "
+                      "dihedral 3-coloring count separates it from the (2,6) "
+                      "torus link")
 
-    # --- 7-crossing searches ---------------------------------------------
-    # Pool: alternating 3-braid closures, filtered to prime reduced
-    # alternating 2-component diagrams; 4-plats join the pool only if a
-    # value bucket comes up short.
-    buckets: dict[object, list] = defaultdict(list)
-
-    def feed(pool):
-        for how, word, d in pool:
-            if good_alternating(d, 2):
-                buckets[tuple(val(d, AB5, PHI5).pairs())].append(
-                    (how, word, d))
-
-    feed(("closure of the 3-braid", w, braid_closure(list(w), 3))
-         for w in itertools.product((1, -1, 2, -2), repeat=7))
-    plats_fed = False
-
-    def pick_distinct(value, count):
-        nonlocal plats_fed
-        for attempt in range(2):
-            picked, seen = [], set(used_sigs.values())
-            for how, word, d in buckets[tuple(value.pairs())]:
-                s = sig(d)
-                if s in seen:
-                    continue
-                seen.add(s)
-                picked.append((how, word, d))
-                if len(picked) == count:
-                    return picked
-            if plats_fed:
-                break
-            plats_fed = True
-            feed(("4-plat closure of", w, plat_closure(list(w), 4))
-                 for w in itertools.product((1, -1, 2, -2, 3, -3), repeat=7))
-        raise BuildError(f"need {count} distinct diagrams valuing {value}")
-
-    got25 = pick_distinct(EXPECT5["l7a1"], 3)
-    for name, (how, word, d) in zip(("l7a1", "l7a3", "l7a4"), got25):
-        adopt(name, d,
-              f"{how} {list(word)}; one of the three prime reduced "
-              "alternating 7-crossing 2-component links with this value "
-              "(which of the three carries which table name is not "
-              "determined by these invariants)")
-
-    how, word, d = pick_distinct(EXPECT5["l7a2"], 1)[0]
-    adopt("l7a2", d,
-          f"{how} {list(word)}; unique value among 7-crossing alternating "
-          "2-component links")
-
-    got7 = pick_distinct(EXPECT5["l7a5"], 2)
-    for name, (how, word, d) in zip(("l7a5", "l7a6"), got7):
-        adopt(name, d,
-              f"{how} {list(word)}; one of the two prime reduced "
-              "alternating 7-crossing diagrams with this value")
+    # Equal values in a row: the signature check in adopt keeps the picks
+    # apart from each other and from every earlier entry.
+    one_of_three = ("one of the three prime reduced alternating 7-crossing "
+                    "2-component links with this value (which of the three "
+                    "carries which table name is not determined by these "
+                    "invariants)")
+    one_of_two = ("one of the two prime reduced alternating 7-crossing "
+                  "diagrams with this value")
+    for name, note in (
+            ("l7a1", one_of_three), ("l7a3", one_of_three),
+            ("l7a4", one_of_three),
+            ("l7a2", "unique value among 7-crossing alternating 2-component "
+                     "links"),
+            ("l7a5", one_of_two), ("l7a6", one_of_two)):
+        adopt_alternating(name, braid_closure(WORDS[name], 3), 2,
+                          f"closure of the 3-braid {WORDS[name]}; {note}")
 
     # l7a7 is the only 3-component 7-crossing alternating link;
     # strand/length parity forces a 4-strand braid.
-    found = None
-    for word in itertools.product((1, -1, 2, -2, 3, -3), repeat=7):
-        d = braid_closure(list(word), 4)
-        if good_alternating(d, 3) and val(d, AB5, PHI5) == EXPECT5["l7a7"]:
-            found = (word, d)
-            break
-    if found is None:
-        raise BuildError("no l7a7 candidate")
-    adopt("l7a7", found[1],
-          f"closure of the 4-braid {list(found[0])}; the only 3-component "
-          "7-crossing alternating link")
+    word = WORDS["l7a7"]
+    adopt_alternating("l7a7", braid_closure(word, 4), 3,
+                      f"closure of the 4-braid {word}; the only 3-component "
+                      "7-crossing alternating link")
 
     # Non-alternating 7-crossing links.  A reduced visibly prime
     # NON-alternating 7-crossing diagram cannot be a 7-crossing
     # alternating link (those only have alternating minimal diagrams), so
     # after excluding every reoriented or mirrored smaller bundled link
     # and the small connected sums by signature, the value pins the name.
-    avoid = set(used_sigs.values())
-
     def orientation_variants(base):
         out = [base, mirror(base)]
         for comp in range(base.component_count):
@@ -638,195 +597,58 @@ def main(check: bool = False) -> list[Path]:
             out.append(bk.reverse_component(mirror(base), comp))
         return out
 
+    avoid = set()
     for name in ("l2a1", "l4a1", "l5a1", "l6a1", "l6a2", "l6a3"):
         avoid.update(sig(v) for v in orientation_variants(links[name]))
-    tref = bk.parse_gauss("O1-U2-O3-U1-O2-U3-")
-    fig8 = bk.parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
-    for knot in (tref, mirror(tref), fig8):
+    tref = bk.parse_gauss(TREFOIL)
+    for knot in (tref, mirror(tref), FIG8):
         for h in orientation_variants(links["l2a1"]):
             avoid.add(sig(connected_sum(h, knot)))
 
-    n1 = n2 = None
-    for word in itertools.product((1, -1, 2, -2), repeat=7):
-        d = braid_closure(list(word), 3)
+    for name in ("l7n1", "l7n2"):
+        d = braid_closure(WORDS[name], 3)
         if (d.component_count != 2 or not connected(d) or not reduced(d)
                 or alternating(d) or not visibly_prime(d)):
-            continue
-        v = val(d, AB5, PHI5)
-        if n1 is None and v == EXPECT5["l7n1"]:
-            s = sig(d)
-            if s not in avoid:
-                avoid.add(s)
-                n1 = (word, d)
-        elif n2 is None and v == EXPECT5["l7n2"]:
-            s = sig(d)
-            if s not in avoid:
-                avoid.add(s)
-                n2 = (word, d)
-        if n1 is not None and n2 is not None:
-            break
-    if n1 is None or n2 is None:
-        raise BuildError(f"non-alternating search failed: {n1=} {n2=}")
-    adopt("l7n1", n1[1],
-          f"closure of the non-alternating 3-braid {list(n1[0])}; "
-          "signature distinct from every reoriented or mirrored smaller "
-          "bundled link and from the small connected sums")
-    adopt("l7n2", n2[1],
-          f"closure of the non-alternating 3-braid {list(n2[0])}; "
-          "signature distinct from every reoriented or mirrored smaller "
-          "bundled link and from the small connected sums")
+            raise BuildError(f"{name}: not a prime reduced non-alternating "
+                             "2-component diagram")
+        adopt(name, d,
+              f"closure of the non-alternating 3-braid {WORDS[name]}; "
+              "signature distinct from every reoriented or mirrored smaller "
+              "bundled link and from the small connected sums", avoid=avoid)
 
     # --- knots and virtual knots ----------------------------------------
-    knots: dict[str, str] = {}
+    def adopt_knot(name, code, note, **kw):
+        adopt(name, bk.parse_gauss(code), note, code=code, **kw)
 
-    def adopt_knot(name, code, note, expect_sig=None):
-        d = bk.parse_gauss(code)
-        got = val(d, AB5, PHI5)
-        if got != KNOT_EXPECT5[name]:
-            raise BuildError(f"{name}: value {got} != {KNOT_EXPECT5[name]}")
-        s = sig(d)
-        if expect_sig is not None and s != expect_sig:
-            raise BuildError(f"{name}: signature mismatch with its twin")
-        knots[name] = code
-        used_sigs[name] = s
-        manifest.append((name, note))
-        return s
-
-    s31 = adopt_knot("k3_1", "O1-U2-O3-U1-O2-U3-", "trefoil, all-negative")
-    adopt_knot("k3_1_variant",
-               "O1-O4+O5-U2-O3-U5-U4+U1-O2-U3-",
-               "trefoil with a cancelling R2 pair spliced in",
-               expect_sig=s31)
-    fig8 = bk.parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
-    adopt_knot("k4_1", bk.render_gauss(fig8), "figure eight, from its PD code")
+    adopt_knot("k3_1", TREFOIL, "trefoil, all-negative")
+    adopt_knot("k3_1_variant", "O1-O4+O5-U2-O3-U5-U4+U1-O2-U3-",
+               "trefoil with a cancelling R2 pair spliced in", twin="k3_1")
+    adopt_knot("k4_1", bk.render_gauss(FIG8), "figure eight, from its PD code")
     adopt_knot("v2_1", "O1+O2+U1+U2+", "virtual trefoil")
 
-    # Enumerate all 2- and 3-crossing Gauss codes (first token fixed to
-    # O1 by rotation + relabeling) to build the small-knot signature set.
-    def all_codes(n):
-        rest = []
-        for k in range(1, n + 1):
-            rest.append(f"U{k}")
-            if k > 1:
-                rest.append(f"O{k}")
-        for perm in itertools.permutations(rest):
-            for signs in itertools.product("+-", repeat=n):
-                toks = ["O1" + signs[0]]
-                for t in perm:
-                    toks.append(t + signs[int(t[1:]) - 1])
-                yield "".join(toks)
-
-    def r1_free(code_toks):
-        toks = code_toks
-        m = len(toks)
-        for i in range(m):
-            a, b = toks[i], toks[(i + 1) % m]
-            if a[1:-1] == b[1:-1] and a[0] != b[0]:
-                return False
-        return True
-
-    small_sigs = set()
-    for n in (1, 2):
-        for code in all_codes(n):
-            small_sigs.add(sig(bk.parse_gauss(code)))
-    small_sigs.add(used_sigs["unknot"])
-
-    three_by_value: dict[object, list] = defaultdict(list)
-    three_sigs = set()
-    tok_re = re.compile(r"[OU]\d+[+-]")
-    for code in all_codes(3):
-        if not r1_free(tok_re.findall(code)):
-            continue
-        d = bk.parse_gauss(code)
-        s = sig(d)
-        three_sigs.add(s)
-        if s in small_sigs:
-            continue
-        three_by_value[tuple(val(d, AB5, PHI5).pairs())].append((code, s))
-
-    def pick_codes(value, count, preferred=()):
-        picked, seen = [], set()
-        pool = [c for c in preferred] + three_by_value[tuple(value.pairs())]
-        for code, s in pool:
-            if s in seen:
-                continue
-            seen.add(s)
-            picked.append((code, s))
-            if len(picked) == count:
-                return picked
-        raise BuildError(f"only {len(picked)} codes for {value}")
-
-    pref = []
-    cand = "O1+O2+O3+U1+U2+U3+"
-    d = bk.parse_gauss(cand)
-    s = sig(d)
-    if s not in small_sigs and val(d, AB5, PHI5) == KNOT_EXPECT5["v3_1"]:
-        pref.append((cand, s))
-    five = pick_codes(KNOT_EXPECT5["v3_1"], 2, preferred=pref)
-    for name, (code, s) in zip(("v3_1", "v3_6"), five):
-        adopt_knot(name, code,
+    # The signatures of every 1- and 2-crossing code, and of every
+    # 3-crossing code with no R1 kink, certify the crossing numbers below:
+    # a diagram with fewer crossings would share its signature with one.
+    small_sigs = {sig(bk.parse_gauss(code))
+                  for n in (1, 2) for code in all_codes(n)}
+    three_sigs = {sig(bk.parse_gauss(code))
+                  for code in all_codes(3) if r1_free(code)}
+    for name in ("v3_1", "v3_6"):
+        adopt_knot(name, CODES[name],
                    "3-crossing virtual knot; value plus signature "
                    "distinctness from every 1- and 2-crossing code pins the "
                    "crossing number (naming within the equal-value row is "
-                   "conventional)")
-    inv = pick_codes(KNOT_EXPECT5["v3_2"], 5)
-    for name, (code, s) in zip(("v3_2", "v3_3", "v3_4", "v3_5", "v3_7"), inv):
-        adopt_knot(name, code,
+                   "conventional)", avoid=small_sigs)
+    for name in ("v3_2", "v3_3", "v3_4", "v3_5", "v3_7"):
+        adopt_knot(name, CODES[name],
                    "3-crossing virtual knot, one of five pairwise "
-                   "signature-distinct codes with this value")
-
-    # Selected 4-crossing virtual knots: values that certify crossing
-    # number 4 come first; each signature must avoid every smaller code.
-    conf = small_sigs | three_sigs
-    four_targets = [
-        ("v4_1", KNOT_EXPECT5["v4_1"],
-         "O1+O2+O3+O4+U1+U2+U3+U4+"),
-        ("v4_2", KNOT_EXPECT5["v4_2"], None),
-        ("v4_4", KNOT_EXPECT5["v4_4"], None),
-        ("v4_21", KNOT_EXPECT5["v4_21"], None),
-    ]
-    remaining = {name: value for name, value, _ in four_targets}
-    picked4: dict[str, str] = {}
-    for name, value, candidate in four_targets:
-        if candidate is None:
-            continue
-        d = bk.parse_gauss(candidate)
-        s = sig(d)
-        if val(d, AB5, PHI5) == value and s not in conf:
-            picked4[name] = candidate
-            conf.add(s)
-            used_sigs[name] = s
-            del remaining[name]
-    if remaining:
-        for code in all_codes(4):
-            toks = tok_re.findall(code)
-            if not r1_free(toks):
-                continue
-            d = bk.parse_gauss(code)
-            v = val(d, AB5, PHI5)
-            hit = next((n for n, t in remaining.items() if t == v), None)
-            if hit is None:
-                continue
-            s = sig(d)
-            if s in conf:
-                continue
-            conf.add(s)
-            used_sigs[hit] = s
-            picked4[hit] = code
-            del remaining[hit]
-            if not remaining:
-                break
-    if remaining:
-        raise BuildError(f"missing 4-crossing picks: {sorted(remaining)}")
+                   "signature-distinct codes with this value",
+                   avoid=small_sigs)
     for name in ("v4_1", "v4_2", "v4_4", "v4_21"):
-        knots[name] = picked4[name]
-        manifest.append((name,
-                         "4-crossing virtual knot; signature avoids every "
-                         "code with fewer crossings (naming within the "
-                         "equal-value row is conventional)"))
-        got = val(bk.parse_gauss(picked4[name]), AB5, PHI5)
-        if got != KNOT_EXPECT5[name]:
-            raise BuildError(f"{name}: value {got}")
+        adopt_knot(name, CODES[name],
+                   "4-crossing virtual knot; signature avoids every code "
+                   "with fewer crossings (naming within the equal-value row "
+                   "is conventional)", avoid=small_sigs | three_sigs)
 
     # --- write (or check) everything -------------------------------------
     stale: list[Path] = []
