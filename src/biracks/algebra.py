@@ -45,7 +45,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import InputError, check_integers
+from .errors import InputError, check_integers, records
 
 Perm = tuple[int, ...]  # perm[i-1] is the 1-based image of i
 _BLOCK_CELLS = 1 << 18  # (x, y, z) cells per block of the exchange check
@@ -397,10 +397,7 @@ def parse_birack_tables(text: str):
     lower beta, columns are the maps).  Whitespace is free-form and `#`
     starts a comment running to end of line.
     """
-    tokens = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
+    tokens = [token for _, body in records(text) for token in body.split()]
     if not tokens:
         raise InputError("empty birack file")
     try:

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands: check, homology, cocycles, invariant.  Positional inputs
-accept either a file path or the name of a bundled data item.  All
-subcommands take --json for machine-readable output.
+Subcommands: check, homology, cocycles, invariant.  Each input names a
+file if one is at that path, else a bundled data item; a diagram is read
+by diagram.parse_diagram.  All subcommands take --json for
+machine-readable output.
 
 Exit codes: 0 success; 1 negative or over-budget result (axioms fail,
 resource guard); 2 bad usage, unreadable or malformed input.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import data
 from .algebra import check_axioms, cycle_notation, parse_birack, parse_birack_tables
-from .diagram import parse_crossing_list, parse_gauss, reverse_component
+from .diagram import parse_diagram, reverse_component
 from .errors import InputError, ResourceLimitExceeded
 from .homology import (
     cohomology_group,
@@ -30,50 +31,23 @@ from .homology import (
 from .invariants import cocycle_invariant, counting_invariant, framed_invariants
 
 
-def _read_path(value: str) -> str | None:
-    p = Path(value)
-    if p.is_file():
+def _load(kind: str, value: str) -> tuple[str, str]:
+    """(name, text) of the input that value names: the file at that path if
+    there is one, else the bundled kind (birack, diagram or cochain) of that
+    name, under its file name."""
+    path = Path(value)
+    if path.is_file():
         try:
-            return p.read_text()
+            return value, path.read_text()
         except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read {value}: {e}") from None
-    return None
-
-
-def _load_bundled(kind: str, value: str, *args):
-    """The bundled data item of that name; kind is birack, diagram or cochain."""
     try:
-        return getattr(data, f"load_{kind}")(value, *args)
+        return data._bundled(kind, value)
     except KeyError:
         available = getattr(data, f"available_{kind}s")()
         raise InputError(
             f"{value!r} is neither a readable file nor a bundled {kind} "
             f"(bundled: {', '.join(available) or 'none'})") from None
-
-
-def _load_birack(value: str):
-    text = _read_path(value)
-    if text is not None:
-        return parse_birack(text)
-    return _load_bundled("birack", value)
-
-
-def _load_diagram(value: str):
-    text = _read_path(value)
-    if text is not None:
-        bodies = (line.split("#", 1)[0].strip() for line in text.splitlines())
-        first = next((body for body in bodies if body), "")
-        if value.endswith(".gauss") or first[:1] in ("O", "U", "o", "u"):
-            return parse_gauss(text)
-        return parse_crossing_list(text)
-    return _load_bundled("diagram", value)
-
-
-def _load_cochain(value: str, size: int):
-    text = _read_path(value)
-    if text is not None:
-        return parse_cochain(text, size)
-    return _load_bundled("cochain", value, size)
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -93,12 +67,7 @@ def _fmt_witnesses(witnesses, limit=8) -> str:
 def cmd_check(args) -> int:
     # parse tables without constructing, so a failing structure still yields
     # a full report instead of a construction error
-    text = _read_path(args.birack)
-    if text is not None:
-        alpha, beta = parse_birack_tables(text)
-    else:
-        b = _load_bundled("birack", args.birack)
-        alpha, beta = b.alpha, b.beta
+    alpha, beta = parse_birack_tables(_load("birack", args.birack)[1])
     report = check_axioms(alpha, beta)
     lines = [f"size: {report.size}"]
     for check in report.checks:
@@ -127,7 +96,7 @@ def cmd_check(args) -> int:
 
 def _reduced(args, quotient: bool):
     """The reduced basis, with the quotient's lines and payload if asked: one call."""
-    b = _load_birack(args.birack)
+    b = parse_birack(_load("birack", args.birack)[1])
     if not quotient:
         return reduced_2_cocycles(b, modulus=args.mod, max_cells=args.max_cells), [], {}
     basis, group = reduced_2_cohomology(b, max_cells=args.max_cells)
@@ -147,7 +116,7 @@ def cmd_homology(args) -> int:
         payload = {"reduced_dimension": len(basis), "mod": args.mod, **quotient}
         _emit(payload, args.json, lines + quotient_lines)
         return 0
-    b = _load_birack(args.birack)
+    b = parse_birack(_load("birack", args.birack)[1])
     fn = cohomology_group if args.cohomology else homology_group
     group = fn(b, args.degree, modulus=args.mod, max_cells=args.max_cells)
     letter = "H^" if args.cohomology else "H_"
@@ -181,9 +150,10 @@ def cmd_cocycles(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    b = _load_birack(args.birack)
-    d = _load_diagram(args.diagram)
-    phi = _load_cochain(args.phi, b.size) if args.phi else None
+    b = parse_birack(_load("birack", args.birack)[1])
+    name, text = _load("diagram", args.diagram)
+    d = parse_diagram(text, name)
+    phi = parse_cochain(_load("cochain", args.phi)[1], b.size) if args.phi else None
     for comp in args.reverse or ():
         d = reverse_component(d, comp)
 

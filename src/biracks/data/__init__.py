@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib import resources
 
 from ..algebra import AugmentedBirack, parse_birack
-from ..diagram import LinkDiagram, parse_crossing_list, parse_gauss
+from ..diagram import LinkDiagram, parse_diagram
 from ..homology import Cochain2, parse_cochain
 
 __all__ = [
@@ -23,54 +23,57 @@ __all__ = [
     "load_diagram",
 ]
 
+# the (folder, suffix) of the files of each kind of item, in listing order
+_FILES = {
+    "birack": (("biracks", ".txt"),),
+    "cochain": (("cochains", ".txt"),),
+    "diagram": (("links", ".txt"), ("knots", ".gauss")),
+}
+
 
 def _root():
     return resources.files(__package__)
 
 
-def _stems(subdir: str, suffix: str) -> list[str]:
-    folder = _root() / subdir
-    if not folder.is_dir():
-        return []
-    return sorted(
-        entry.name[: -len(suffix)]
-        for entry in folder.iterdir()
-        if entry.name.endswith(suffix)
-    )
+def _names(kind: str) -> list[str]:
+    names = []
+    for subdir, suffix in _FILES[kind]:
+        folder = _root() / subdir
+        if folder.is_dir():
+            names += sorted(entry.name[: -len(suffix)] for entry in folder.iterdir()
+                            if entry.name.endswith(suffix))
+    return names
+
+
+def _bundled(kind: str, name: str) -> tuple[str, str]:
+    """(file name, text) of the bundled item of that kind and name, or KeyError."""
+    for subdir, suffix in _FILES[kind]:
+        path = _root() / subdir / f"{name.lower()}{suffix}"
+        if path.is_file():
+            return path.name, path.read_text()
+    raise KeyError(f"no bundled {kind} {name!r}; have {_names(kind)}")
 
 
 def available_biracks() -> list[str]:
-    return _stems("biracks", ".txt")
+    return _names("birack")
 
 
 def available_cochains() -> list[str]:
-    return _stems("cochains", ".txt")
+    return _names("cochain")
 
 
 def available_diagrams() -> list[str]:
-    return _stems("links", ".txt") + _stems("knots", ".gauss")
+    return _names("diagram")
 
 
 def load_birack(name: str) -> AugmentedBirack:
-    path = _root() / "biracks" / f"{name.lower()}.txt"
-    if not path.is_file():
-        raise KeyError(f"no bundled birack {name!r}; have {available_biracks()}")
-    return parse_birack(path.read_text())
+    return parse_birack(_bundled("birack", name)[1])
 
 
 def load_cochain(name: str, size: int) -> Cochain2:
-    path = _root() / "cochains" / f"{name.lower()}.txt"
-    if not path.is_file():
-        raise KeyError(f"no bundled cochain {name!r}; have {available_cochains()}")
-    return parse_cochain(path.read_text(), size)
+    return parse_cochain(_bundled("cochain", name)[1], size)
 
 
 def load_diagram(name: str) -> LinkDiagram:
-    stem = name.lower()
-    link_path = _root() / "links" / f"{stem}.txt"
-    if link_path.is_file():
-        return parse_crossing_list(link_path.read_text())
-    knot_path = _root() / "knots" / f"{stem}.gauss"
-    if knot_path.is_file():
-        return parse_gauss(knot_path.read_text())
-    raise KeyError(f"no bundled diagram {name!r}; have {available_diagrams()}")
+    file_name, text = _bundled("diagram", name)
+    return parse_diagram(text, file_name)

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InputError, check_integers
+from .errors import InputError, check_integers, records
 
 
 class Crossing(NamedTuple):
@@ -51,6 +50,8 @@ class LinkDiagram:
     components: tuple[tuple[int, ...], ...]
     semiarc_component: tuple[int, ...]
     framing: tuple[int, ...]
+    free_loop_semiarcs: tuple[int, ...]
+    successors: tuple[int, ...]
 
     @property
     def semiarc_count(self) -> int:
@@ -60,34 +61,8 @@ class LinkDiagram:
     def component_count(self) -> int:
         return len(self.components)
 
-    @cached_property
-    def free_loop_semiarcs(self) -> tuple[int, ...]:
-        used = set()
-        for c in self.crossings:
-            used.update((c.over_in, c.over_out, c.under_in, c.under_out))
-        return tuple(s for s in range(self.semiarc_count) if s not in used)
-
-    @cached_property
-    def _successor(self) -> tuple[int, ...]:
-        succ = [None] * self.semiarc_count
-        for c in self.crossings:
-            succ[c.over_in] = c.over_out
-            succ[c.under_in] = c.under_out
-        for s in self.free_loop_semiarcs:
-            succ[s] = s
-        return tuple(succ)
-
-    @cached_property
-    def _head_slot(self) -> tuple:
-        """For each semiarc, (crossing index, 'over'|'under') where it ends."""
-        head = [None] * self.semiarc_count
-        for i, c in enumerate(self.crossings):
-            head[c.over_in] = (i, "over")
-            head[c.under_in] = (i, "under")
-        return tuple(head)
-
     def successor(self, s: int) -> int:
-        return self._successor[s]
+        return self.successors[s]
 
     def component_of(self, s: int) -> int:
         return self.semiarc_component[s]
@@ -98,7 +73,9 @@ class LinkDiagram:
 
 
 def from_crossings(crossings, free_loops=()) -> LinkDiagram:
-    """Validate a crossing list and derive components and framing.
+    """Validate a crossing list and derive components and framing.  The
+    successor map comes from the same pass over the endpoints that checks
+    them.
 
     free_loops lists the semiarc ids of zero-crossing components.  Semiarc
     ids must cover 0..E-1 with each id used exactly once as an in and once
@@ -112,40 +89,36 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
         cleaned.append(Crossing(sign, o_in, o_out, u_in, u_out))
     free_loops = check_integers("free loop ids", free_loops)
 
-    ins: dict[int, int] = {}
-    outs: dict[int, int] = {}
+    # each in endpoint maps to the out endpoint of its strand: a free loop
+    # succeeds itself
+    succ: dict[int, int] = {}
+    outs: set[int] = set()
     for s in free_loops:
-        if s in ins:
+        if s in succ:
             raise InputError(f"semiarc {s} appears more than once as in")
-        ins[s] = outs[s] = 1
+        succ[s] = s
+        outs.add(s)
     for c in cleaned:
-        for s in (c.over_in, c.under_in):
-            if s in ins:
+        for s, s_out in ((c.over_in, c.over_out), (c.under_in, c.under_out)):
+            if s in succ:
                 raise InputError(f"semiarc {s} appears more than once as in")
-            ins[s] = 1
+            succ[s] = s_out
         for s in (c.over_out, c.under_out):
             if s in outs:
                 raise InputError(f"semiarc {s} appears more than once as out")
-            outs[s] = 1
+            outs.add(s)
 
-    mentioned = set(ins) | set(outs)
+    mentioned = succ.keys() | outs
     if not mentioned:
         raise InputError("diagram has no semiarcs; declare at least a free loop")
     if min(mentioned) < 0:
         raise InputError(f"semiarc id {min(mentioned)} is negative")
     count = max(mentioned) + 1
     for s in range(count):
-        if s not in ins:
+        if s not in succ:
             raise InputError(f"semiarc {s} has no in endpoint")
         if s not in outs:
             raise InputError(f"semiarc {s} has no out endpoint")
-
-    succ = [None] * count
-    for c in cleaned:
-        succ[c.over_in] = c.over_out
-        succ[c.under_in] = c.under_out
-    for s in free_loops:
-        succ[s] = s
 
     component_of = [None] * count
     components = []
@@ -172,6 +145,8 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
         components=tuple(components),
         semiarc_component=tuple(component_of),
         framing=tuple(framing),
+        free_loop_semiarcs=tuple(sorted(free_loops)),
+        successors=tuple(succ[s] for s in range(count)),
     )
 
 
@@ -185,10 +160,7 @@ def parse_crossing_list(text: str) -> LinkDiagram:
     """
     crossings = []
     free_loops = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in records(text):
         tokens = body.split()
         tag = tokens[0].upper()
         if tag == "X":
@@ -239,10 +211,7 @@ def parse_gauss(text: str) -> LinkDiagram:
     between consecutive tokens of a component, numbered along orientation.
     """
     component_tokens = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for _, body in records(text):
         tokens = _GAUSS_TOKEN.findall(body)
         stripped = _GAUSS_TOKEN.sub("", body).strip()
         if stripped or not tokens:
@@ -288,19 +257,26 @@ def render_gauss(d: LinkDiagram) -> str:
     expressed in a Gauss code.
     """
     if d.free_loop_semiarcs:
-        raise ValueError("Gauss codes cannot describe zero-crossing components")
-    lines = []
-    for comp in d.components:
-        m = len(comp)
-        tokens = []
-        for j in range(m):
-            # token j sits between semiarcs comp[j-1] and comp[j]
-            idx, strand = d._head_slot[comp[(j - 1) % m]]
-            c = d.crossings[idx]
-            kind = "O" if strand == "over" else "U"
-            tokens.append(f"{kind}{idx + 1}{'+' if c.sign > 0 else '-'}")
-        lines.append("".join(tokens))
-    return "\n".join(lines) + "\n"
+        raise InputError("Gauss codes cannot describe zero-crossing components")
+    # the token of the crossing slot where each semiarc ends
+    token = {}
+    for i, c in enumerate(d.crossings):
+        sign = "+" if c.sign > 0 else "-"
+        token[c.over_in] = f"O{i + 1}{sign}"
+        token[c.under_in] = f"U{i + 1}{sign}"
+    # a component's code starts at the slot between its last semiarc and its first
+    return "".join("".join(token[s] for s in comp[-1:] + comp[:-1]) + "\n"
+                   for comp in d.components)
+
+
+def parse_diagram(text: str, name: str = "") -> LinkDiagram:
+    """Parse either text format: a signed Gauss code when name ends in .gauss
+    or the first record starts with O or U, else a crossing list.  Files and
+    bundled items alike are read by this one rule."""
+    first = next(records(text), (0, ""))[1]
+    if name.endswith(".gauss") or first[:1] in ("O", "U", "o", "u"):
+        return parse_gauss(text)
+    return parse_crossing_list(text)
 
 
 def canonical_relabel(d: LinkDiagram) -> LinkDiagram:
@@ -401,6 +377,12 @@ def parse_pd(text: str) -> LinkDiagram:
 # -- surgery -------------------------------------------------------------
 
 
+def _check_component(d: LinkDiagram, component: int):
+    check_integers("component", (component,))
+    if not 0 <= component < d.component_count:
+        raise InputError(f"no component {component}")
+
+
 def add_positive_kink(d: LinkDiagram, component: int) -> LinkDiagram:
     """Insert one positive curl on the lowest-id semiarc of a component.
 
@@ -409,25 +391,19 @@ def add_positive_kink(d: LinkDiagram, component: int) -> LinkDiagram:
     crossing that used to consume s consumes s' instead.  Framing of that
     component rises by one.
     """
-    if not 0 <= component < d.component_count:
-        raise InputError(f"no component {component}")
+    _check_component(d, component)
     s = min(d.components[component])
     loop = d.semiarc_count
-    crossings = list(d.crossings)
     free_loops = list(d.free_loop_semiarcs)
     if s in free_loops:
         # the strand closes straight back into the kink
         free_loops.remove(s)
-        crossings.append(Crossing(+1, s, loop, loop, s))
-    else:
-        s_new = loop + 1
-        idx, strand = d._head_slot[s]
-        c = d.crossings[idx]
-        if strand == "over":
-            crossings[idx] = c._replace(over_in=s_new)
-        else:
-            crossings[idx] = c._replace(under_in=s_new)
-        crossings.append(Crossing(+1, s, loop, loop, s_new))
+        return from_crossings(d.crossings + (Crossing(+1, s, loop, loop, s),), free_loops)
+    s_new = loop + 1
+    crossings = [c._replace(over_in=s_new) if c.over_in == s
+                 else c._replace(under_in=s_new) if c.under_in == s else c
+                 for c in d.crossings]
+    crossings.append(Crossing(+1, s, loop, loop, s_new))
     return from_crossings(crossings, free_loops)
 
 
@@ -438,8 +414,7 @@ def reverse_component(d: LinkDiagram, component: int) -> LinkDiagram:
     a crossing between the component and a different one flips sign, while
     self-crossings and crossings not involving the component keep theirs.
     """
-    if not 0 <= component < d.component_count:
-        raise InputError(f"no component {component}")
+    _check_component(d, component)
     crossings = []
     for c in d.crossings:
         on_over = d.semiarc_component[c.over_in] == component

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the budget of its size guards,
-and the integer check of outside input."""
+and the two rules of outside input: its text is read as records, and its
+numbers must be integers."""
 
 from __future__ import annotations
 
@@ -55,6 +56,17 @@ def check_integers(what, values, size=None):
         if not isinstance(v, Integral) or (size is not None and not 1 <= v <= size):
             raise InputError(f"{what} must be integers{span}, got {v!r}")
     return tuple(map(int, values))
+
+
+def records(text):
+    """(line number, body) of each line of text whose body is not blank; the
+    body is the line up to any `#`, which starts a comment, stripped.  The
+    crossing-list, Gauss code, birack and cochain formats read their text
+    through this."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
 
 
 class NotReducedCocycle(Warning):

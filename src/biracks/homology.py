@@ -30,8 +30,8 @@ from math import gcd
 import numpy as np
 
 from .algebra import AugmentedBirack, _cycles
-from .errors import InputError, check_budget, check_integers
-from .linalg import IntegerMatrix, _certified_kernel, invariant_factors
+from .errors import InputError, check_budget, check_integers, records
+from .linalg import IntegerMatrix, invariant_factors, kernel_lattice
 
 __all__ = [
     "Cochain1",
@@ -70,6 +70,9 @@ def _check_degree(degree: int):
 def tuple_basis(size: int, degree: int) -> list[tuple[int, ...]]:
     """Lexicographically ordered basis tuples of C_degree."""
     _check_degree(degree)
+    check_integers("size", (size,))
+    if size < 1:
+        raise InputError("size must be a positive integer")
     _guard(size, degree, None)
     return list(product(range(1, size + 1), repeat=degree))
 
@@ -138,7 +141,7 @@ def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> li
     times the cycle's pairs, so each cycle is taken once, walked from its
     least element; order is deterministic.
     """
-    check_integers("degree", (degree,))
+    _check_degree(degree)
     if degree < 2:
         return []
     _guard(b.size, degree, max_cells)
@@ -353,10 +356,7 @@ class Cochain2:
 def parse_cochain(text: str, size: int) -> Cochain2:
     """Parse the cochain format: lines `i j c` meaning c * chi(i, j)."""
     entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in records(text):
         tokens = body.split()
         if len(tokens) != 3:
             raise InputError(f"line {lineno}: expected `i j c`, got {body!r}")
@@ -405,15 +405,14 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
 
 
 def _reduced_cocycles(b: AugmentedBirack, modulus: int | None, max_cells):
-    """C, its certified invariant factors, and the basis over Z or Z_modulus
-    of its kernel: one elimination of C, which every reduced result reads."""
+    """C and the basis over Z or Z_modulus of its kernel: one certified
+    elimination of C, which every reduced result reads."""
     constraints = reduced_cocycle_constraints(b, max_cells=max_cells)
-    lattice, factors = _certified_kernel(constraints, modulus)
-    columns = lattice.columns()
+    columns = kernel_lattice(constraints, modulus).columns()
     if modulus is not None:
         columns = [[v % modulus for v in col] for col in columns]
     basis = [Cochain2.from_vector(b.size, col) for col in columns if any(col)]
-    return constraints, factors, basis
+    return constraints, basis
 
 
 def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
@@ -425,7 +424,7 @@ def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
     to 0..modulus-1 and zero generators are dropped.
     """
     _check_group_args(2, modulus)
-    return _reduced_cocycles(b, modulus, max_cells)[2]
+    return _reduced_cocycles(b, modulus, max_cells)[1]
 
 
 def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
@@ -459,12 +458,14 @@ def reduced_2_cohomology(b: AugmentedBirack,
     The reduced cocycles are K = ker C for the constraint matrix C, and the
     coboundaries are the image of d_2^T.  K is saturated, so
     K / im d_2^T = Z^(n^2 - rank C - rank d_2) + T(d_2): the cohomology
-    formula of _group with C, factored once for the basis, in place of
-    d_3^T.  Degenerate chains need two adjacent slots, so every coboundary
-    lies in K; the exact product C * d_2^T == 0 certifies it on every call.
+    formula of _group with C in place of d_3^T.  Over Z it reads only the
+    rank of C, which is n^2 minus the length of the certified kernel basis.
+    Degenerate chains need two adjacent slots, so every coboundary lies in
+    K; the exact product C * d_2^T == 0 certifies it on every call.
     """
-    constraints, factors, cocycles = _reduced_cocycles(b, None, max_cells)
+    constraints, cocycles = _reduced_cocycles(b, None, max_cells)
     d_2 = boundary_matrix(b, 2, max_cells=max_cells)
     if not (constraints @ d_2.transpose()).is_zero():
         raise AssertionError("a coboundary is not a reduced 2-cocycle")
-    return cocycles, _group(d_2.cols, _factors(d_2), factors, None, cohomology=True)
+    rank = b.size ** 2 - len(cocycles)  # (1,) * rank stands for C's factors
+    return cocycles, _group(d_2.cols, _factors(d_2), (1,) * rank, None, cohomology=True)

@@ -686,22 +686,19 @@ def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:
     basis of the full-rank lattice {x in Z^n : M x = 0 (mod modulus)}: every
     column j of V scaled by modulus / gcd(d_j, modulus), with d_j the j-th
     invariant factor and d_j = 0 past them.  M may be an IntegerMatrix or
-    any nested sequence of integers.
+    any nested sequence of integers.  One run of the core carries V alone;
+    the checks (a), (b) and (c) of the module docstring certify the result,
+    with no U and no product by it.
     """
-    return _certified_kernel(M, modulus)[0]
-
-
-def _certified_kernel(M, modulus=None):
-    """(kernel_lattice(M, modulus), the invariant factors of M), from one run
-    of the core that carries V alone; the checks (a), (b) and (c) of the
-    module docstring certify both, with no U and no product by it."""
-    if modulus is not None and modulus <= 0:
-        raise InputError("modulus must be positive")
+    if modulus is not None:
+        check_integers("modulus", (modulus,))
+        if modulus <= 0:
+            raise InputError("modulus must be positive")
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
     n = M.cols
     if M.rows == 0 or n == 0:
-        return IntegerMatrix.identity(n), ()
+        return IntegerMatrix.identity(n)
     A, _, V = _run_core(M.array, "V")
     factors = _diagonal_factors(A)
     if factors != invariant_factors(M):  # (a)
@@ -717,8 +714,8 @@ def _certified_kernel(M, modulus=None):
     if image[:, k:].any() or (k and (image[:, :k] % IntegerMatrix([lead]).array).any()):
         raise AssertionError("a kernel column fails the divisibility check")
     if modulus is None:
-        return cols, factors
+        return cols
     d = factors + (0,) * (n - r)
     # in Python ints, so the scaled columns cannot overflow
     scale = np.array([modulus // gcd(x, modulus) for x in d], dtype=object)
-    return IntegerMatrix._of(cols.array * scale), factors
+    return IntegerMatrix._of(cols.array * scale)

@@ -10,13 +10,22 @@ from pathlib import Path
 import pytest
 
 from biracks import (
+    available_biracks,
+    available_cochains,
+    available_diagrams,
     format_birack,
+    load_birack,
+    load_cochain,
     load_diagram,
+    parse_birack,
     parse_crossing_list,
     render_crossing_list,
     tsr_birack,
 )
+from biracks import cli
 from biracks.cli import main
+from biracks.diagram import parse_diagram
+from biracks.homology import parse_cochain
 from biracks.errors import BirackError, InputError
 from test_homology import count_calls
 from test_linalg import (
@@ -136,9 +145,13 @@ _SHEAR_BIRACK = "3\n1 1 1\n2 2 2\n3 3 3\n2 3 1\n3 1 2\n1 2 3\n"  # demo 01's
      "crossing label 1: appears more than once as O"),
     (["invariant", "ab4"], "code.gauss", "O1+U1-\n",
      "crossing label 1 has different signs on its over and under passes"),
+    # the name alone makes these Gauss codes: their first record is not one
+    (["invariant", "ab4"], "code.gauss", "X +1 0 1 1 0\n",
+     "unrecognized Gauss code text: 'X +1 0 1 1 0'"),
+    (["invariant", "ab4"], "code.gauss", "# no code\n", "empty Gauss code"),
 ], ids=["non-permutation-column", "shear", "shear-2", "dangling", "duplicate",
         "sign-2", "sign-plus", "negative-id", "gauss-unmatched", "gauss-repeated",
-        "gauss-sign-mismatch"])
+        "gauss-sign-mismatch", "gauss-by-name", "gauss-by-name-empty"])
 def test_malformed_input_error_text(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)
@@ -388,12 +401,13 @@ def test_invariant_diagram_from_file(tmp_path):
 
 
 @pytest.mark.parametrize("bundled, source", [
-    ("k3_1", "knots/k3_1.gauss"),
+    *((name, f"knots/{name}.gauss") for name in available_diagrams()
+      if (DATA / "knots" / f"{name}.gauss").is_file()),
     ("l2a1", "links/l2a1.txt"),
 ])
 def test_diagram_file_format_skips_leading_comments(tmp_path, bundled, source):
     """A file not named .gauss is read by its first line that is not a
-    comment: the bundled Gauss code and crossing list both start with one."""
+    comment: every bundled Gauss code, and the crossing list, start with one."""
     path = tmp_path / "diagram.txt"
     text = (DATA / source).read_text()
     assert text.startswith("#")
@@ -401,6 +415,45 @@ def test_diagram_file_format_skips_leading_comments(tmp_path, bundled, source):
     for extra in ([], ["--phi", "ab4_phi", "--json"]):
         assert (run(["invariant", "ab4", str(path)] + extra)
                 == run(["invariant", "ab4", bundled] + extra))
+
+
+def _bundled_path(name):
+    """The bundled file of that stem, wherever its folder."""
+    [path] = [entry for folder in DATA.iterdir() if folder.is_dir()
+              for entry in folder.iterdir() if entry.name.split(".")[0] == name]
+    return path
+
+
+def _cochain_size(name):
+    return load_birack(name.split("_")[0]).size
+
+
+# how each command parses the (name, text) that the CLI's loader returns
+PARSE = {
+    "birack": lambda name, text: parse_birack(text),
+    "cochain": lambda name, text: parse_cochain(text, _cochain_size(Path(name).stem)),
+    "diagram": lambda name, text: parse_diagram(text, name),
+}
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("birack", name) for name in available_biracks()),
+    *(("cochain", name) for name in available_cochains()),
+    *(("diagram", name) for name in available_diagrams()),
+])
+def test_bundled_item_loads_alike_by_name_and_by_path(kind, name):
+    path = str(_bundled_path(name))
+    by_name, by_path = (PARSE[kind](*cli._load(kind, value)) for value in (name, path))
+    load = {"birack": load_birack, "diagram": load_diagram,
+            "cochain": lambda name: load_cochain(name, _cochain_size(name))}[kind]
+    assert by_name == by_path == load(name)
+
+
+@pytest.mark.parametrize("name", available_biracks())
+def test_check_prints_alike_by_name_and_by_path(name):
+    path = str(_bundled_path(name))
+    for extra in ([], ["--json"]):
+        assert run(["check", name] + extra) == run(["check", path] + extra)
 
 
 def test_invariant_tile_guard():

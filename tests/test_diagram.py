@@ -44,6 +44,9 @@ def test_parse_crossing_list_free_loops():
     assert d.free_loop_semiarcs == (0,)
     two = parse_crossing_list("L 0\nL 1\n")
     assert two.component_count == 2
+    # in id order, whatever order they are declared in
+    assert parse_crossing_list("L 1\nL 0\n") == two
+    assert two.free_loop_semiarcs == (0, 1)
 
 
 def test_parse_crossing_list_comments_and_blanks():

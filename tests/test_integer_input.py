@@ -4,6 +4,8 @@ Each entry point below once converted its input with int(), and so answered
 for another input: 2.9 read as 2, the string '3' as 3.  They now refuse
 anything that is not a Python or numpy integer with an InputError that
 names the input.  Integer input of every numpy kind still reads exactly.
+Integer arguments out of their range (a negative degree or size) and a
+diagram that a Gauss code cannot describe are refused the same way.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from biracks import (
     Cochain2,
     IntegerMatrix,
     LaurentPolynomial,
+    add_positive_kink,
     boundary_matrix,
     degenerate_generators,
     from_crossings,
@@ -23,6 +26,8 @@ from biracks import (
     is_reduced_2_cocycle,
     kernel_lattice,
     load_diagram,
+    render_gauss,
+    reverse_component,
     smith_normal_form,
     tsr_birack,
     tuple_basis,
@@ -70,13 +75,26 @@ ALPHA_WITH_FLOAT = ((2, 4, 1.5, 3), *AB4_ALPHA[1:])
     (lambda: tuple_basis(2, 2.0), "degree must be integers, got 2.0"),
     (lambda: Cochain1.chi(2, 1.5), "cochain size and index must be integers, got 1.5"),
     (lambda: Cochain1.chi(2.5, 1), "cochain size and index must be integers, got 2.5"),
+    (lambda: kernel_lattice([[2, 1]], 2.5), "modulus must be integers, got 2.5"),
+    (lambda: kernel_lattice([[2, 1]], "3"), "modulus must be integers, got '3'"),
+    (lambda: reverse_component(load_diagram("l2a1"), 1.5),
+     "component must be integers, got 1.5"),
+    (lambda: add_positive_kink(load_diagram("l2a1"), 1.5),
+     "component must be integers, got 1.5"),
+    (lambda: degenerate_generators(AB4, -1), "degree must be nonnegative"),
+    (lambda: tuple_basis(2.5, 2), "size must be integers, got 2.5"),
+    (lambda: tuple_basis(-1, 2), "size must be a positive integer"),
+    (lambda: render_gauss(load_diagram("unknot")),
+     "Gauss codes cannot describe zero-crossing components"),
 ], ids=["invariant_factors", "smith_normal_form", "kernel_lattice", "IntegerMatrix",
         "from_tables", "from_matrix", "from_crossings", "free_loops", "framed_invariants",
         "from_vector", "from_pairs", "from_pairs_string", "tsr_birack", "Cochain1.chi",
         "Cochain2", "LaurentPolynomial.from_pairs", "LaurentPolynomial",
         "homology_group_modulus", "homology_group_degree", "is_reduced_2_cocycle",
         "boundary_matrix", "degenerate_generators", "tuple_basis", "Cochain1.chi_index",
-        "Cochain1.chi_size"])
+        "Cochain1.chi_size", "kernel_lattice_modulus", "kernel_lattice_modulus_string",
+        "reverse_component", "add_positive_kink", "degenerate_generators_negative",
+        "tuple_basis_size", "tuple_basis_negative_size", "render_gauss_free_loop"])
 def test_non_integer_input_is_refused(call, message):
     with pytest.raises(InputError, match=message):
         call()
