@@ -310,9 +310,11 @@ def parse_pd(text: str) -> LinkDiagram:
     strand runs a -> c, and the over strand occupies b and d.  Over-strand
     directions are recovered by propagating head/tail constraints from the
     under slots; codes whose over directions stay undetermined (closed
-    all-over loops) are rejected rather than guessed.
+    all-over loops) are rejected rather than guessed.  As in the other
+    formats, a `#` starts a comment that runs to the end of its line.
     """
-    quads = [tuple(int(v) for v in q) for q in _PD_QUAD.findall(text)]
+    code = " ".join(body for _, body in records(text))
+    quads = [tuple(int(v) for v in q) for q in _PD_QUAD.findall(code)]
     if not quads:
         raise InputError("no X[a,b,c,d] crossings found")
 

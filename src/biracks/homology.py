@@ -13,6 +13,12 @@ degree come from lookups in the alpha and beta arrays at once; chains are
 {tuple: coefficient} dicts only in boundary_of_tuple and
 degenerate_generators.
 
+The faces of a degree have two placements.  boundary_matrix places them
+into the dense d_n, a face's tuple giving the row and the tuple the column.
+The groups need only the invariant factors of the coboundary d_n^T, so they
+place the same faces straight into a C-ordered int64 d_n^T, which the unit
+split of linalg eliminates in place: no dense d_n is alive beside it.
+
 The kink map pi determines the degenerate subcomplex: degree-n generators
 are sums over k = 1..N of tuples carrying (pi^k(x), pi^{k-1}(x)) in a fixed
 adjacent pair of slots, one per cycle of pi.  A reduced 2-cocycle is an
@@ -31,7 +37,7 @@ import numpy as np
 
 from .algebra import AugmentedBirack, _cycles
 from .errors import InputError, check_budget, check_integers, records
-from .linalg import IntegerMatrix, invariant_factors, kernel_lattice
+from .linalg import IntegerMatrix, _factors_in_place, kernel_lattice
 
 __all__ = [
     "Cochain1",
@@ -117,18 +123,27 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     (degree-1)-tuples; degree 0 gives the empty matrix with one column.  A
     face's row is its tuple read as base-size digits.
     """
+    return IntegerMatrix(_boundary(b, degree, max_cells))
+
+
+def _boundary(b: AugmentedBirack, degree: int, max_cells=None,
+              transposed: bool = False) -> np.ndarray:
+    """The int64 array of boundary_matrix, or with transposed its C-ordered
+    transpose d_n^T, built from the same face coordinates."""
     _check_degree(degree)
     _guard(b.size, degree, max_cells)
-    if degree == 0:
-        return IntegerMatrix.zeros(0, 1)
     n = b.size
+    shape = (n ** (degree - 1), n ** degree) if degree else (0, 1)
+    m = np.zeros(shape[::-1] if transposed else shape, dtype=np.int64)
+    if degree == 0:
+        return m
     tuples = np.indices((n,) * degree).reshape(degree, -1)
     places = n ** np.arange(degree - 2, -1, -1)
     columns = np.arange(tuples.shape[1])
-    m = np.zeros((n ** (degree - 1), len(columns)), dtype=np.int64)
     for sign, face in _faces(b, tuples):
-        np.add.at(m, (places @ face, columns), sign)
-    return IntegerMatrix(m)
+        rows = places @ face
+        np.add.at(m, (columns, rows) if transposed else (rows, columns), sign)
+    return m
 
 
 def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> list[dict]:
@@ -209,12 +224,11 @@ def _group(size: int, low, high, modulus: int | None,
     return HomologyGroup(0, tuple(t for t in orders if t > 1))
 
 
-def _factors(m: IntegerMatrix) -> tuple[int, ...]:
+def _factors(b: AugmentedBirack, degree: int, max_cells) -> tuple[int, ...]:
     # groups need the factors only: no transforms, and a check of the sparse
     # elimination's record in place of a product.  The tall d_n^T left the
-    # smaller remainder on d_6(ab4); it goes in as a view, as the split makes
-    # its own C-ordered copy.
-    return invariant_factors(IntegerMatrix._of(m.array.T))
+    # smaller remainder on d_6(ab4); the split eliminates it where it is built.
+    return _factors_in_place(_boundary(b, degree, max_cells, transposed=True))
 
 
 def _check_group_args(degree: int, modulus: int | None):
@@ -230,18 +244,20 @@ def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
                    max_cells=None) -> HomologyGroup:
     """Homology in the given degree, over Z or over Z_modulus."""
     _check_group_args(degree, modulus)
-    d_n = boundary_matrix(b, degree, max_cells=max_cells)
-    d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
-    return _group(d_n.cols, _factors(d_n), _factors(d_up), modulus, cohomology=False)
+    # both guards run before any elimination, d_n's first as its limit is smaller
+    _guard(b.size, degree, max_cells)
+    high = _factors(b, degree + 1, max_cells)
+    return _group(b.size ** degree, _factors(b, degree, max_cells), high, modulus,
+                  cohomology=False)
 
 
 def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
                      max_cells=None) -> HomologyGroup:
     """Cohomology in the given degree, over Z or over Z_modulus."""
     _check_group_args(degree, modulus)
-    d_up = boundary_matrix(b, degree + 1, max_cells=max_cells)
-    d_n = boundary_matrix(b, degree, max_cells=max_cells)
-    return _group(d_n.cols, _factors(d_n), _factors(d_up), modulus, cohomology=True)
+    high = _factors(b, degree + 1, max_cells)
+    return _group(b.size ** degree, _factors(b, degree, max_cells), high, modulus,
+                  cohomology=True)
 
 
 # -- cochains -----------------------------------------------------------
@@ -464,8 +480,9 @@ def reduced_2_cohomology(b: AugmentedBirack,
     K; the exact product C * d_2^T == 0 certifies it on every call.
     """
     constraints, cocycles = _reduced_cocycles(b, None, max_cells)
-    d_2 = boundary_matrix(b, 2, max_cells=max_cells)
-    if not (constraints @ d_2.transpose()).is_zero():
+    d_2t = _boundary(b, 2, max_cells, transposed=True)
+    if not (constraints @ IntegerMatrix._of(d_2t)).is_zero():
         raise AssertionError("a coboundary is not a reduced 2-cocycle")
     rank = b.size ** 2 - len(cocycles)  # (1,) * rank stands for C's factors
-    return cocycles, _group(d_2.cols, _factors(d_2), (1,) * rank, None, cohomology=True)
+    return cocycles, _group(b.size ** 2, _factors_in_place(d_2t), (1,) * rank, None,
+                            cohomology=True)

@@ -30,16 +30,20 @@ computations", 2001).  Step k takes the sparsest row that holds a +-1, and
 the first +-1 in it, as the pivot (r_k, c_k), freezes that row as F_k, and
 uses it only in that form: each live row i that meets c_k loses f_ik F_k.
 So M = (I + G) F exactly, with G[i, r_k] = f_ik, and F the frozen rows at
-the r_k and the final remainder rows elsewhere.  _check_split checks the
-record, with no loop over pivots:
+the r_k and the final remainder rows elsewhere.  The split runs in place,
+in the one array that holds M (_factors_in_place), so that no second dense
+copy of M is alive beside it; M's nonzeros are recorded first as flat
+coordinates and values.  _check_split checks the record, with no loop over
+pivots:
 
   (1) the r_k are distinct, and the c_k are distinct;
   (2) |F_k[c_k]| = 1, and F_k[c_j] = 0 for j < k;
   (3) the remainder rows are 0 on every pivot column;
   (4) G[r_j, r_k] != 0 only for k < j;
-  (5) M == F + G*F exactly: one sparse product over the nonzeros of the
-      frozen rows, in int64 under a bound that keeps every partial sum
-      below 2^62 (past it, _NeedExact).
+  (5) F + G*F - M == 0 at every entry: the array becomes F, then takes one
+      sparse product over the nonzeros of the frozen rows, in int64 under a
+      bound that keeps every partial sum below 2^62 (past it, _NeedExact),
+      and then loses the recorded entries of M; every entry must be left 0.
 
 G is nonzero only in the columns r_k.  With the rows ordered r_1..r_u and
 then the rest, (4) makes I + G unit lower triangular, so unimodular, and
@@ -404,21 +408,38 @@ def invariant_factors(M) -> tuple[int, ...]:
 
     Equal to smith_normal_form(M).invariant_factors, from one sparse
     elimination on +-1 pivots with no transforms, certified as the module
-    docstring says; the dense core runs only on the remainder.
+    docstring says; the dense core runs only on the remainder.  M is copied
+    once, and _factors_in_place eliminates the copy.
     """
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
-    if M.rows == 0 or M.cols == 0:
+    return _factors_in_place(M.array.copy())
+
+
+def _factors_in_place(A) -> tuple[int, ...]:
+    """invariant_factors of the C-ordered array A, which it overwrites.
+
+    The nonzeros of A are recorded as flat coordinates and values, then the
+    unit split eliminates A itself; if an int64 step cannot stay exact, A is
+    rebuilt from the record for smith_normal_form.
+    """
+    if not A.size:
         return ()
+    if A.dtype == object:
+        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors
+    cells = np.flatnonzero(A)
+    values = A.reshape(-1)[cells]
     try:
-        units, B = _unit_split(M.array)
+        units, B = _unit_split(A, cells, values)
         factors = ()
         if B.size:
             factors = _diagonal_factors(_run_core(B, "")[0])
             if factors != _remainder_factors(B):
                 raise AssertionError("invariant factors differ from an independent computation")
     except _NeedExact:
-        return smith_normal_form(M).invariant_factors
+        A.fill(0)
+        A.reshape(-1)[cells] = values
+        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors
     return (1,) * units + factors
 
 
@@ -441,26 +462,27 @@ _MODULUS_LIMIT = 2**31
 _CHUNK = 1 << 13
 
 
-def _unit_split(M):
-    """(u, B) with M ~ I_u + B over Z and B having no +-1 entry; _NeedExact
-    when M is not int64, or a step or the check could reach 2^62.
+def _unit_split(A, cells, values):
+    """(u, B) with M ~ I_u + B over Z and B having no +-1 entry, for the
+    C-ordered int64 array A that holds M, with M's nonzeros at the flat
+    coordinates cells, where it has values; _NeedExact when a step or the
+    check could reach 2^62.
 
-    _sparse_pivots takes the +-1 pivots of a C-ordered copy of M, and its
-    record is checked to give M = (I + G) F as the module docstring says.  B
-    is the remainder with its zero rows and columns dropped.
+    _sparse_pivots takes the +-1 pivots of A in place, and its record is
+    checked against cells and values to give M = (I + G) F as the module
+    docstring says; with a pivot, the check leaves A zero.  B is a copy of
+    the remainder with its zero rows and columns dropped.
     """
-    if M.dtype == object:
-        raise _NeedExact
-    R = M.copy()
-    steps = _sparse_pivots(R, _is_unit, lambda a, p: a * p)
-    R[[s[0] for s in steps]] = 0  # F is the frozen rows there
-    B = R[R.any(axis=1)][:, R.any(axis=0)]
-    _check_split(M, R, steps)
+    steps = _sparse_pivots(A, _is_unit, lambda a, p: a * p)
+    A[[s[0] for s in steps]] = 0  # F is the frozen rows there
+    B = A[A.any(axis=1)][:, A.any(axis=0)]
+    _check_split(A, steps, cells, values)
     return len(steps), B
 
 
 def _is_unit(X):
-    return np.abs(X) == 1
+    # no |X| temporary the size of X
+    return (X == 1) | (X == -1)
 
 
 def _extent(a):
@@ -468,12 +490,14 @@ def _extent(a):
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def _check_split(M, F, steps):
+def _check_split(F, steps, cells, values):
     """Check, with no loop over pivots, that the record of _sparse_pivots
-    over Z gives M = (I + G) F with F unit upper triangular on the pivots;
-    F enters as the remainder, and becomes the full F in place.  _NeedExact
-    when the product could reach 2^62."""
-    m, n = M.shape
+    over Z gives M = (I + G) F with F unit upper triangular on the pivots.
+    M is the matrix whose nonzeros are values at the flat coordinates
+    cells.  F enters as the C-ordered remainder and, in place, becomes the
+    full F, then F + G F, then F + G F - M, which must be zero at every
+    entry.  _NeedExact when the product could reach 2^62."""
+    m, n = F.shape
     u = len(steps)
     if not u:
         return
@@ -525,13 +549,15 @@ def _check_split(M, F, steps):
         # src runs through the frozen entries of each multiplier's row
         src = np.repeat(starts[gk[start:stop]] - (np.cumsum(c) - c), c)
         src += np.arange(len(src))
-        cells = np.repeat(gi[start:stop] * n, c)
-        cells += fcol[src]
+        targets = np.repeat(gi[start:stop] * n, c)
+        targets += fcol[src]
         terms = np.repeat(gf[start:stop], c)
         terms *= fval[src]
-        np.add.at(flat, cells, terms)
+        np.add.at(flat, targets, terms)
         start = stop
-    if not np.array_equal(F, M):
+    # |F + G F| < 2^61 and |M| < 2^62, so the difference stays in int64
+    flat[cells] -= values
+    if F.any():
         raise AssertionError("the unit split does not reproduce the matrix")
 
 
@@ -701,6 +727,7 @@ def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:
         return IntegerMatrix.identity(n)
     A, _, V = _run_core(M.array, "V")
     factors = _diagonal_factors(A)
+    del A  # before (a) makes its own copy of M
     if factors != invariant_factors(M):  # (a)
         raise AssertionError("invariant factors differ from an independent computation")
     r = len(factors)

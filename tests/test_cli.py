@@ -161,10 +161,11 @@ def test_malformed_input_error_text(tmp_path, argv, name, text, message):
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     from biracks import homology
 
-    def broken(b, degree, max_cells=None):
+    def broken(b, tuples):
         raise KeyError("row_index")
 
-    monkeypatch.setattr(homology, "boundary_matrix", broken)
+    # the one face builder, under both placements of the boundary
+    monkeypatch.setattr(homology, "_faces", broken)
     with pytest.raises(KeyError):
         main(["homology", "ab4"])
 
@@ -172,10 +173,11 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     from biracks import homology
 
-    def broken(m):
+    def broken(A):
         raise ValueError("inner dimensions do not match")
 
-    monkeypatch.setattr(homology, "invariant_factors", broken)
+    # the factor elimination that the groups run on each d_n^T
+    monkeypatch.setattr(homology, "_factors_in_place", broken)
     with pytest.raises(ValueError, match="inner dimensions"):
         main(["homology", "ab4"])
 

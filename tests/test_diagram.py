@@ -189,6 +189,14 @@ def test_parse_pd_figure_eight():
     assert d.component_count == 1
 
 
+def test_parse_pd_ignores_comments():
+    # the comment's crossing is not read: edge 1 would appear 6 times
+    d = parse_pd("# from X[1,1,1,1]\nPD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
+    assert d == parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
+    assert sorted(c.sign for c in d.crossings) == [-1, -1, 1, 1]
+    assert d.component_count == 1
+
+
 def test_parse_pd_rejects_ambiguous_over_loops():
     # one circle passing entirely over the other leaves its direction unknowable
     with pytest.raises(ValueError):

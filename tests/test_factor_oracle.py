@@ -8,10 +8,20 @@ floating point, where a wide gap separates zero from the rest, and over
 GF(2) by an elimination on rows packed into bits.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from biracks import IntegerMatrix, from_tables, homology_group, linalg, smith_normal_form
+from biracks import (
+    IntegerMatrix,
+    cohomology_group,
+    from_tables,
+    homology,
+    homology_group,
+    linalg,
+    smith_normal_form,
+)
 from biracks.homology import boundary_matrix
 from biracks.linalg import invariant_factors
 from conftest import AB4_ALPHA, AB4_BETA
@@ -90,10 +100,25 @@ def test_h5_of_ab4(monkeypatch):
     d5, d6 = boundary_matrix(ab4, 5).array, boundary_matrix(ab4, 6).array
     assert d6.shape == (1024, 4096)
     assert (rational_rank(d5), rational_rank(d6), gf2_rank(d6)) == (199, 809, 808)
+    del d5, d6
     monkeypatch.setattr(linalg, "_eliminate", core)
-    group = homology_group(ab4, 5)
+    monkeypatch.setattr(homology, "boundary_matrix", dense)
+    tracemalloc.start()
+    try:
+        group = homology_group(ab4, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     # 1024 - 199 - 809 free generators, and the one factor of d_6 that 2
     # divides, as the rank drop over GF(2) says
     assert group.describe() == "Z^16 + Z/2"
     # the dense core sees only the remainder of d_6, which has no +-1 entry
     assert cores == [False]
+    # d_6^T, 32 MiB in int64, is the one dense copy of d_6: it is built in
+    # place and the split eliminates it there
+    assert peak < 2 * 4096 * 1024 * 8
+    assert cohomology_group(ab4, 4).describe() == "Z^8 + Z/2"
+
+
+def dense(b, degree, max_cells=None):
+    raise AssertionError("a group built the dense d_n")

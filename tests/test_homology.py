@@ -497,10 +497,11 @@ def test_invariant_factors_match_the_smith_form(ab4, ab5):
 
 
 def count_calls(monkeypatch):
-    """Count constraint builds, boundary builds, Smith forms (with transforms),
-    factor-only calls (the kernel's checks make two) and runs of the dense
-    elimination core, which invariant_factors runs on a remainder only,
-    from here on."""
+    """Count constraint builds, boundary builds in either placement (dense
+    d_n or d_n^T), Smith forms (with transforms), factor-only eliminations
+    (the kernel's checks make two; every invariant_factors call and every
+    group's d_n^T is one) and runs of the dense elimination core, which the
+    factor elimination runs on a remainder only, from here on."""
     from biracks import homology, linalg
 
     counts = {"constraints": 0, "boundary": 0, "smith": 0, "factors": 0, "core": 0}
@@ -513,13 +514,12 @@ def count_calls(monkeypatch):
 
     monkeypatch.setattr(homology, "reduced_cocycle_constraints",
                         counting("constraints", homology.reduced_cocycle_constraints))
-    monkeypatch.setattr(homology, "boundary_matrix",
-                        counting("boundary", homology.boundary_matrix))
+    monkeypatch.setattr(homology, "_boundary", counting("boundary", homology._boundary))
     monkeypatch.setattr(linalg, "smith_normal_form",
                         counting("smith", linalg.smith_normal_form))
-    factors = counting("factors", linalg.invariant_factors)
-    monkeypatch.setattr(homology, "invariant_factors", factors)
-    monkeypatch.setattr(linalg, "invariant_factors", factors)
+    factors = counting("factors", linalg._factors_in_place)
+    monkeypatch.setattr(homology, "_factors_in_place", factors)
+    monkeypatch.setattr(linalg, "_factors_in_place", factors)
     monkeypatch.setattr(linalg, "_eliminate", counting("core", linalg._eliminate))
     return counts
 
@@ -584,15 +584,15 @@ def test_reduced_path_builds_no_row_transform(ab4, monkeypatch):
 def test_reduced_cohomology_certificate_fires(ab4, monkeypatch):
     from biracks import cli, homology
 
-    real = homology.boundary_matrix
+    real = homology._boundary
 
-    def corrupted(b, degree, max_cells=None):
-        m = real(b, degree, max_cells=max_cells)
+    def corrupted(b, degree, max_cells=None, transposed=False):
+        m = real(b, degree, max_cells, transposed)
         if degree == 2:
-            m.array[0, 1] += 1
+            m[(1, 0) if transposed else (0, 1)] += 1
         return m
 
-    monkeypatch.setattr(homology, "boundary_matrix", corrupted)
+    monkeypatch.setattr(homology, "_boundary", corrupted)
     with pytest.raises(AssertionError, match="coboundary"):
         reduced_2_cohomology(ab4)
     # an internal fault is not a usage error: the CLI does not catch it

@@ -452,6 +452,22 @@ def test_invariant_factor_certificate_falls_back_to_the_exact_check(monkeypatch)
         invariant_factors([[2**61 - 1]])
 
 
+def test_exact_fallback_rebuilds_the_matrix_from_the_record(monkeypatch):
+    calls = []
+    real = linalg.smith_normal_form
+
+    def counting(M):
+        calls.append(M.data)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    # the unit step leaves -2^60 where M is 0, and the check's bound then
+    # needs Python ints: the Smith form must see M, not the eliminated array
+    M = [[1, 2**30], [2**30, 0]]
+    assert invariant_factors(M) == (1, 2**60)
+    assert calls == [tuple(map(tuple, M))]
+
+
 def corrupt_transform(monkeypatch, change):
     """Make the elimination core return its column transform V after
     change(V, r), with r the number of nonzero diagonal entries."""
