@@ -19,6 +19,30 @@ The groups need only the invariant factors of the coboundary d_n^T, so they
 place the same faces straight into a C-ordered int64 d_n^T, which the unit
 split of linalg eliminates in place: no dense d_n is alive beside it.
 
+H_n and H^n read the factors of the pair d_n^T, d_(n+1)^T, and the pair is
+factored in that order.  The unit split of d_n^T records M = (I + G) F
+with I + G unit lower triangular and the pivot block P of F unit upper
+triangular; its pivot rows are a set S of n-cells and its pivot columns a
+set C of (n-1)-cells.  d_(n+1)^T is then built without the columns S, so
+the split there no longer pays their fill-in, and its factors are those of
+the full map, for three reasons:
+
+  - ker d_n is saturated (a kernel always is);
+  - M[S, C] = (I + G)[S, S] P is unimodular, so the minor of d_n on the
+    rows C and the columns S is too.  If x in ker d_n vanishes off S, then
+    d_n[C, S] x_S = 0 and x = 0; if x is k z off S, then x_S = -k d_n[C, S]^-1
+    d_n[C, rest] z is divisible by k.  So deleting the coordinates S maps
+    ker d_n isomorphically onto a saturated sublattice;
+  - im d_(n+1) lies in ker d_n, as d_n d_(n+1) = 0 (the identity that the
+    formula of _group rests on too).
+
+The invariant factors of d_(n+1) are those of im d_(n+1) inside the
+saturated ker d_n, which the deletion carries to the image of d_(n+1)
+with the rows S deleted inside a saturated lattice.  Reducing a chain
+complex by its unit pivots before reading its homology is standard
+(Kaczynski, Mrozek and Slusarek, "Homology computation by reduction of
+chain complexes", 1998).
+
 The kink map pi determines the degenerate subcomplex: degree-n generators
 are sums over k = 1..N of tuples carrying (pi^k(x), pi^{k-1}(x)) in a fixed
 adjacent pair of slots, one per cycle of pi.  A reduced 2-cocycle is an
@@ -127,22 +151,33 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
 
 
 def _boundary(b: AugmentedBirack, degree: int, max_cells=None,
-              transposed: bool = False) -> np.ndarray:
+              transposed: bool = False, drop=()) -> np.ndarray:
     """The int64 array of boundary_matrix, or with transposed its C-ordered
-    transpose d_n^T, built from the same face coordinates."""
+    transpose d_n^T, built from the same face coordinates.  The faces in
+    drop, indices of (degree-1)-cells, are left out: their rows of d_n, or
+    columns of d_n^T, are not built, and the others keep their order."""
     _check_degree(degree)
     _guard(b.size, degree, max_cells)
     n = b.size
-    shape = (n ** (degree - 1), n ** degree) if degree else (0, 1)
-    m = np.zeros(shape[::-1] if transposed else shape, dtype=np.int64)
     if degree == 0:
-        return m
+        return np.zeros((1, 0) if transposed else (0, 1), dtype=np.int64)
+    faces = n ** (degree - 1)
+    if len(drop):
+        kept = np.ones(faces, dtype=bool)
+        kept[np.asarray(drop, dtype=np.intp)] = False
+        place = np.where(kept, np.cumsum(kept) - 1, -1)  # a kept face's row of d_n
+        faces = int(kept.sum())
+    shape = (faces, n ** degree)
+    m = np.zeros(shape[::-1] if transposed else shape, dtype=np.int64)
     tuples = np.indices((n,) * degree).reshape(degree, -1)
     places = n ** np.arange(degree - 2, -1, -1)
     columns = np.arange(tuples.shape[1])
     for sign, face in _faces(b, tuples):
-        rows = places @ face
-        np.add.at(m, (columns, rows) if transposed else (rows, columns), sign)
+        at = (columns, places @ face)
+        if len(drop):
+            rows = place[at[1]]
+            at = (columns[rows >= 0], rows[rows >= 0])
+        np.add.at(m, at if transposed else at[::-1], sign)
     return m
 
 
@@ -224,11 +259,23 @@ def _group(size: int, low, high, modulus: int | None,
     return HomologyGroup(0, tuple(t for t in orders if t > 1))
 
 
-def _factors(b: AugmentedBirack, degree: int, max_cells) -> tuple[int, ...]:
-    # groups need the factors only: no transforms, and a check of the sparse
-    # elimination's record in place of a product.  The tall d_n^T left the
-    # smaller remainder on d_6(ab4); the split eliminates it where it is built.
-    return _factors_in_place(_boundary(b, degree, max_cells, transposed=True))
+def _factor_pair(b: AugmentedBirack, degree: int, max_cells):
+    """The invariant factors of d_n^T and of d_(n+1)^T, for n = degree.
+
+    d_n^T is factored first; d_(n+1)^T is then built without the columns of
+    the n-cells S that were pivot rows of d_n^T's checked unit split, none
+    when smith_normal_form decided.  The factors do not change: ker d_n is
+    saturated; the split makes the minor of d_n on S and its pivot columns
+    unimodular, so deleting the coordinates S maps ker d_n isomorphically
+    onto a saturated sublattice; and im d_(n+1) lies in ker d_n, as
+    d_n d_(n+1) = 0.  The module docstring gives the proof in full.
+    """
+    # d_(n+1)'s guard too before any elimination
+    _guard(b.size, degree + 1, max_cells)
+    low, pivots = _factors_in_place(_boundary(b, degree, max_cells, transposed=True))
+    high = _factors_in_place(_boundary(b, degree + 1, max_cells, transposed=True,
+                                       drop=pivots))[0]
+    return low, high
 
 
 def _check_group_args(degree: int, modulus: int | None):
@@ -246,8 +293,7 @@ def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
     _check_group_args(degree, modulus)
     # both guards run before any elimination, d_n's first as its limit is smaller
     _guard(b.size, degree, max_cells)
-    high = _factors(b, degree + 1, max_cells)
-    return _group(b.size ** degree, _factors(b, degree, max_cells), high, modulus,
+    return _group(b.size ** degree, *_factor_pair(b, degree, max_cells), modulus,
                   cohomology=False)
 
 
@@ -255,8 +301,7 @@ def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None
                      max_cells=None) -> HomologyGroup:
     """Cohomology in the given degree, over Z or over Z_modulus."""
     _check_group_args(degree, modulus)
-    high = _factors(b, degree + 1, max_cells)
-    return _group(b.size ** degree, _factors(b, degree, max_cells), high, modulus,
+    return _group(b.size ** degree, *_factor_pair(b, degree, max_cells), modulus,
                   cohomology=True)
 
 
@@ -484,5 +529,5 @@ def reduced_2_cohomology(b: AugmentedBirack,
     if not (constraints @ IntegerMatrix._of(d_2t)).is_zero():
         raise AssertionError("a coboundary is not a reduced 2-cocycle")
     rank = b.size ** 2 - len(cocycles)  # (1,) * rank stands for C's factors
-    return cocycles, _group(b.size ** 2, _factors_in_place(d_2t), (1,) * rank, None,
+    return cocycles, _group(b.size ** 2, _factors_in_place(d_2t)[0], (1,) * rank, None,
                             cohomology=True)

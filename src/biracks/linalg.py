@@ -6,7 +6,10 @@ object array otherwise, so matrices stay arrays from the boundary build
 through the Smith form and its checks.  smith_normal_form keeps the
 unimodular transforms U and V.  Every group (homology, cohomology, and
 reduced 2-cohomology) needs only invariant factors, which
-invariant_factors computes with no transforms at all.  kernel_lattice
+invariant_factors computes with no transforms at all.  A group factors
+d_n^T first and then d_(n+1)^T without the columns of the pivot rows of
+d_n^T's unit split, which _factors_in_place returns beside the factors
+(the homology module says why the factors do not change).  kernel_lattice
 reads kernels, and kernels mod m, off the column transform V alone.
 
 The dense elimination core, _eliminate, carries no transform, V alone, or
@@ -52,7 +55,14 @@ the rest, (2) and (3) give F = [[P, X], [0, B]] with P upper triangular
 with +-1 on its diagonal, so unimodular, and [[P, X], [0, B]] times
 [[P^-1, -P^-1 X], [0, I]] is I_u + B.  So the invariant factors of M are u
 ones and those of B, the remainder with its zero rows and columns dropped,
-which has no +-1 entry and is usually empty or small.  B's factors are
+which has no +-1 entry and is usually empty or small.  Rows of B that are
+multiples of one primitive row p, a p and b p, span the lattice of
+gcd(a, b) p, and one unimodular pair of column steps turns two such
+columns into gcd(a, b) p and 0; so B's columns and then its rows are
+merged that way, which keeps its factors, and its rows are ordered by
+their largest |entry|, which is what the dense core's pivots and the
+minor below meet first.  Both computations below read the merged B, so
+the tests check the merge against smith_normal_form.  B's factors are
 computed twice, by the dense core and by code that shares nothing with it
 (_remainder_factors): a fraction-free elimination gives the rank and a
 nonsingular minor D, whose primes are the only ones the factors can have,
@@ -413,24 +423,29 @@ def invariant_factors(M) -> tuple[int, ...]:
     """
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
-    return _factors_in_place(M.array.copy())
+    return _factors_in_place(M.array.copy())[0]
 
 
-def _factors_in_place(A) -> tuple[int, ...]:
-    """invariant_factors of the C-ordered array A, which it overwrites.
+_NO_PIVOTS = np.zeros(0, dtype=np.intp)
+
+
+def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
+    """(invariant_factors of the C-ordered array A, which it overwrites, and
+    the pivot rows r_k of its checked unit split).
 
     The nonzeros of A are recorded as flat coordinates and values, then the
     unit split eliminates A itself; if an int64 step cannot stay exact, A is
-    rebuilt from the record for smith_normal_form.
+    rebuilt from the record for smith_normal_form, and no pivot rows are
+    returned.
     """
     if not A.size:
-        return ()
+        return (), _NO_PIVOTS
     if A.dtype == object:
-        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors
+        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors, _NO_PIVOTS
     cells = np.flatnonzero(A)
     values = A.reshape(-1)[cells]
     try:
-        units, B = _unit_split(A, cells, values)
+        pivots, B = _unit_split(A, cells, values)
         factors = ()
         if B.size:
             factors = _diagonal_factors(_run_core(B, "")[0])
@@ -439,8 +454,8 @@ def _factors_in_place(A) -> tuple[int, ...]:
     except _NeedExact:
         A.fill(0)
         A.reshape(-1)[cells] = values
-        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors
-    return (1,) * units + factors
+        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors, _NO_PIVOTS
+    return (1,) * len(pivots) + factors, pivots
 
 
 def _diagonal_factors(A):
@@ -463,26 +478,53 @@ _CHUNK = 1 << 13
 
 
 def _unit_split(A, cells, values):
-    """(u, B) with M ~ I_u + B over Z and B having no +-1 entry, for the
-    C-ordered int64 array A that holds M, with M's nonzeros at the flat
-    coordinates cells, where it has values; _NeedExact when a step or the
-    check could reach 2^62.
+    """(rows, B) with M ~ I_u + B over Z for the u pivot rows r_k in rows and
+    B having no +-1 entry, for the C-ordered int64 array A that holds M, with
+    M's nonzeros at the flat coordinates cells, where it has values;
+    _NeedExact when a step or the check could reach 2^62.
 
     _sparse_pivots takes the +-1 pivots of A in place, and its record is
     checked against cells and values to give M = (I + G) F as the module
     docstring says; with a pivot, the check leaves A zero.  B is a copy of
-    the remainder with its zero rows and columns dropped.
+    the remainder with its zero rows and columns dropped (_remainder).
     """
     steps = _sparse_pivots(A, _is_unit, lambda a, p: a * p)
-    A[[s[0] for s in steps]] = 0  # F is the frozen rows there
-    B = A[A.any(axis=1)][:, A.any(axis=0)]
+    rows = np.array([s[0] for s in steps], dtype=np.intp)
+    A[rows] = 0  # F is the frozen rows there
+    B = _remainder(A)
     _check_split(A, steps, cells, values)
-    return len(steps), B
+    return rows, B
+
+
+def _remainder(A):
+    """The copy B of the remainder in A: its nonzero rows on its nonzero
+    columns, the columns and then the rows merged by _merge_rows, and the
+    rows in the order of their largest |entry|."""
+    B = A[np.ix_(A.any(axis=1).nonzero()[0], A.any(axis=0).nonzero()[0])]
+    if not B.size:
+        return B
+    B = _merge_rows(_merge_rows(B.T).T)
+    return B[np.argsort(np.abs(B).max(axis=1), kind="stable")]
+
+
+def _merge_rows(B):
+    """B, whose rows are nonzero, with the rows a p, b p, ... that are
+    multiples of one primitive row p (first nonzero entry positive) merged
+    into the one row gcd(a, b, ...) p.  The module docstring says why the
+    factors do not change."""
+    g = np.gcd.reduce(B, axis=1)
+    P = np.ascontiguousarray(B // g[:, None])
+    P *= np.sign(P[np.arange(len(P)), (P != 0).argmax(axis=1)])[:, None]
+    rows = P.view(np.dtype((np.void, P.itemsize * P.shape[1]))).reshape(-1)
+    _, first, merged = np.unique(rows, return_index=True, return_inverse=True)
+    multiplier = np.zeros(len(first), dtype=B.dtype)
+    np.gcd.at(multiplier, merged, g)
+    return P[first] * multiplier[:, None]
 
 
 def _is_unit(X):
-    # no |X| temporary the size of X
-    return (X == 1) | (X == -1)
+    # X is a row, a block of the rows changed, or M's nonzeros: never all of M
+    return np.abs(X) == 1
 
 
 def _extent(a):
@@ -660,15 +702,23 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
 
     Each pivot is the first pivotal entry of the row with the fewest
     nonzeros that holds one.  The pivot row is frozen as it stands, and
-    only the rows meeting the pivot column change: each loses f times the
-    frozen row, f = multipliers(its entries in the pivot column, the pivot),
-    which clears its entry there.  The pivot row is then cleared, so the
+    only the rows meeting the pivot column change (a nonzero pattern kept
+    column by column finds them): each loses f times the frozen row,
+    f = multipliers(its entries in the pivot column, the pivot), which
+    clears its entry there.  The pivot row is then cleared, so the
     pivot drops out with its row and column.  Step k is recorded as (pivot
     row, pivot column, the frozen row's support and entries there, the rows
     changed, their multipliers).
     """
-    nonzeros = (A != 0).sum(axis=1)
-    live = pivotal(A).sum(axis=1)
+    m, n = A.shape
+    at, columns = np.divmod(np.flatnonzero(A), n)
+    nonzeros = np.bincount(at, minlength=m)
+    live = np.bincount(at[pivotal(A[at, columns])], minlength=m)
+    # the nonzero pattern column by column, so that the rows meeting the
+    # pivot column are one contiguous scan
+    pattern = np.zeros((n, m), dtype=bool)
+    pattern[columns, at] = True
+    del at, columns
     # over Z every entry stays below top, so a step is safe while
     # top + top^2 < 2^62; past that each step checks its own entries
     top = _extent(A)
@@ -683,14 +733,15 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
         i = np.argmax(pivotal(frozen))
         c = support[i]
         A[r] = 0
+        pattern[support, r] = False
         nonzeros[r] = live[r] = 0
-        others = A[:, c].nonzero()[0]
-        f = multipliers(A[others, c], frozen[i])
+        others = pattern[c].nonzero()[0]
+        rows = others[:, None]
+        old = A[rows, support]
+        f = multipliers(old[:, i], frozen[i])
         steps.append((r, c, support, frozen, others, f))
         if not len(others):
             continue
-        rows = others[:, None]
-        old = A[rows, support]
         if modulus is not None:
             new = (old - f[:, None] * frozen) % modulus
         else:
@@ -700,7 +751,9 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
             new = old - f[:, None] * frozen
             top = max(top, _max_abs(new))
         A[rows, support] = new
-        nonzeros[others] += (new != 0).sum(axis=1) - (old != 0).sum(axis=1)
+        nonzero = new != 0
+        pattern[support[:, None], others] = nonzero.T
+        nonzeros[others] += nonzero.sum(axis=1) - (old != 0).sum(axis=1)
         live[others] += pivotal(new).sum(axis=1) - pivotal(old).sum(axis=1)
 
 

@@ -577,8 +577,9 @@ def test_reduced_path_builds_no_row_transform(ab4, monkeypatch):
     # C * (kernel columns) three times, then C * d_2^T; a U of C would be
     # rows x rows and meet a product as an operand with `rows` columns
     assert products == [(rows, 16, 4), (rows, 16, 16), (rows, 16, 4), (rows, 16, 4)]
-    # the last is the remainder of d_2^T (16 x 4) after its unit split
-    assert cores == [((rows, 16), "V")] * 3 + [((8, 2), "")]
+    # the last is the remainder of d_2^T (16 x 4) after its unit split, its
+    # rows and columns merged into one entry, the Z/2 of the quotient
+    assert cores == [((rows, 16), "V")] * 3 + [((1, 1), "")]
 
 
 def test_reduced_cohomology_certificate_fires(ab4, monkeypatch):

@@ -280,7 +280,9 @@ def add_unit_factor(A):
     ([[2, 3], [3, 5]], drop_last_factor),  # 1 for 1 + 1, with no +-1 entry
     ([[0, 3], [3, 3]], triple_last_factor),  # Z/3 + Z/9 for Z/3 + Z/3
     ([[3]], triple_last_factor),  # Z/9 for Z/3
-    ([[2, 3], [2, 3]], add_unit_factor),  # 1 + 1 for 1, with no +-1 entry
+    # 1 + 1 + 1 for 1 + 1, with no +-1 entry, and no row or column a
+    # multiple of another, which the remainder would merge
+    ([[2, 3, 5], [3, 5, 8], [5, 8, 13]], add_unit_factor),
     # a prime dropped from the only factor it divides
     ([[2]], halve_last_factor),  # 1 for Z/2
     ([[6]], halve_last_factor),  # Z/3 for Z/6
@@ -422,6 +424,19 @@ def test_unit_split_record():
     steps = linalg._sparse_pivots(A, linalg._is_unit, lambda a, p: a * p)
     assert [(s[0], s[1]) for s in steps] == [(0, 0), (3, 3)]
     assert A[[1, 2]][:, [1, 2]].tolist() == [[-15, 16], [7, -2]]
+
+
+@pytest.mark.parametrize("M, merged, factors", [
+    # the columns 1 (2, -3) and 2 (2, -3) merge, then the rows 2 (1) and -3 (1)
+    ([[2, 4], [-3, -6]], (1, 1), (1,)),
+    # the rows 6 (1, 0) and 9 (1, 0) merge into 3 (1, 0); Z/12 hides in 3 and 4
+    ([[6, 0], [0, 4], [9, 0]], (2, 2), (1, 12)),
+    # no row or column is a multiple of another
+    ([[2, 3, 5], [3, 5, 8], [5, 8, 13]], (3, 3), (1, 1)),
+])
+def test_remainder_merges_keep_the_factors(M, merged, factors):
+    assert linalg._remainder(np.array(M)).shape == merged
+    assert invariant_factors(M) == smith_normal_form(M).invariant_factors == factors
 
 
 def test_invariant_factor_certificate_falls_back_to_the_exact_check(monkeypatch):

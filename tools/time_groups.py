@@ -1,0 +1,74 @@
+"""Time the high-degree groups, each in a fresh process.
+
+    python tools/time_groups.py [--repeat K] [NAME ...]
+
+Runs H_4(ab5), H_5(ab4), H_5(ab5), H_6(ab4) and H_4(tsr(6,5,2,1)), or the
+named ones, each in its own Python process, so that one group's arrays
+never raise the next one's peak.  For each it prints the group, the
+seconds of the group call alone (not the import or the birack build) and
+the child's peak resident set size in MB, as the child's own getrusage
+reports it.  With --repeat K each group runs K times, in K processes, and
+every run gets its line.  The package is imported from the src/ of the
+checkout that holds this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# name: (birack, degree)
+GROUPS = {
+    "H_4(ab5)": ("ab5", 4),
+    "H_5(ab4)": ("ab4", 5),
+    "H_5(ab5)": ("ab5", 5),
+    "H_6(ab4)": ("ab4", 6),
+    "H_4(tsr(6,5,2,1))": ("tsr(6,5,2,1)", 4),
+}
+
+CHILD = """
+import json, resource, sys, time
+from biracks import homology_group, load_birack, tsr_birack
+name, degree = sys.argv[1], int(sys.argv[2])
+b = tsr_birack(6, 5, 2, 1) if name.startswith("tsr") else load_birack(name)
+start = time.perf_counter()
+group = homology_group(b, degree)
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(json.dumps({"group": group.describe(), "seconds": seconds, "peak_mb": peak}))
+"""
+
+
+def run(name: str) -> dict:
+    birack, degree = GROUPS[name]
+    out = subprocess.run([sys.executable, "-c", CHILD, birack, str(degree)],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"groups to time, of {', '.join(GROUPS)} (default: all)")
+    parser.add_argument("--repeat", type=int, default=1, help="runs of each group")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in GROUPS]
+    if unknown:
+        parser.error(f"unknown group {unknown[0]!r}")
+    for name in args.names or GROUPS:
+        for _ in range(args.repeat):
+            r = run(name)
+            print(f"{name:<20} {r['group']:<22} {r['seconds']:8.2f} s {r['peak_mb']:8.1f} MB",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
