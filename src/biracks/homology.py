@@ -13,11 +13,11 @@ degree come from lookups in the alpha and beta arrays at once; chains are
 {tuple: coefficient} dicts only in boundary_of_tuple and
 degenerate_generators.
 
-The faces of a degree have two placements.  boundary_matrix places them
-into the dense d_n, a face's tuple giving the row and the tuple the column.
-The groups need only the invariant factors of the coboundary d_n^T, so they
-place the same faces straight into a C-ordered int64 d_n^T, which the unit
-split of linalg eliminates in place: no dense d_n is alive beside it.
+The faces of a degree have one placement: a C-ordered int64 d_n^T, the
+tuple giving the row and a face's tuple the column.  The groups need only
+the invariant factors of the coboundary d_n^T, which the unit split of
+linalg eliminates in place, and the reduced cocycle constraints stack it
+as it is; boundary_matrix returns its transpose, the dense d_n.
 
 H_n and H^n read the factors of the pair d_n^T, d_(n+1)^T, and the pair is
 factored in that order.  The unit split of d_n^T records M = (I + G) F
@@ -91,15 +91,21 @@ def _guard(size: int, degree: int, max_cells):
                  max_cells, "max_cells", "BIRACKS_MAX_CELLS", DEFAULT_MAX_CELLS)
 
 
-def _check_degree(degree: int):
-    check_integers("degree", (degree,))
+def _check_args(degree: int, modulus: int | None = None):
+    # before any cell guard or array, so bad input never meets either
+    if modulus is None:
+        check_integers("degree", (degree,))
+    else:
+        check_integers("degree and modulus", (degree, modulus))
     if degree < 0:
         raise InputError("degree must be nonnegative")
+    if modulus is not None and modulus <= 0:
+        raise InputError("modulus must be positive")
 
 
 def tuple_basis(size: int, degree: int) -> list[tuple[int, ...]]:
     """Lexicographically ordered basis tuples of C_degree."""
-    _check_degree(degree)
+    _check_args(degree)
     check_integers("size", (size,))
     if size < 1:
         raise InputError("size must be a positive integer")
@@ -147,37 +153,35 @@ def boundary_matrix(b: AugmentedBirack, degree: int, max_cells=None) -> IntegerM
     (degree-1)-tuples; degree 0 gives the empty matrix with one column.  A
     face's row is its tuple read as base-size digits.
     """
-    return IntegerMatrix(_boundary(b, degree, max_cells))
-
-
-def _boundary(b: AugmentedBirack, degree: int, max_cells=None,
-              transposed: bool = False, drop=()) -> np.ndarray:
-    """The int64 array of boundary_matrix, or with transposed its C-ordered
-    transpose d_n^T, built from the same face coordinates.  The faces in
-    drop, indices of (degree-1)-cells, are left out: their rows of d_n, or
-    columns of d_n^T, are not built, and the others keep their order."""
-    _check_degree(degree)
+    _check_args(degree)
     _guard(b.size, degree, max_cells)
+    return IntegerMatrix._of(_boundary(b, degree)).transpose()
+
+
+def _boundary(b: AugmentedBirack, degree: int, drop=()) -> np.ndarray:
+    """The C-ordered int64 transpose d_n^T of boundary_matrix, n = degree.
+    The faces in drop, indices of (degree-1)-cells, are left out: their
+    columns are not built, and the others keep their order.  The caller
+    checks the degree and guards the cells."""
     n = b.size
     if degree == 0:
-        return np.zeros((1, 0) if transposed else (0, 1), dtype=np.int64)
+        return np.zeros((1, 0), dtype=np.int64)
     faces = n ** (degree - 1)
     if len(drop):
         kept = np.ones(faces, dtype=bool)
         kept[np.asarray(drop, dtype=np.intp)] = False
-        place = np.where(kept, np.cumsum(kept) - 1, -1)  # a kept face's row of d_n
+        place = np.where(kept, np.cumsum(kept) - 1, -1)  # a kept face's column
         faces = int(kept.sum())
-    shape = (faces, n ** degree)
-    m = np.zeros(shape[::-1] if transposed else shape, dtype=np.int64)
+    m = np.zeros((n ** degree, faces), dtype=np.int64)
     tuples = np.indices((n,) * degree).reshape(degree, -1)
     places = n ** np.arange(degree - 2, -1, -1)
-    columns = np.arange(tuples.shape[1])
+    cells = np.arange(tuples.shape[1])
     for sign, face in _faces(b, tuples):
-        at = (columns, places @ face)
+        rows, columns = cells, places @ face
         if len(drop):
-            rows = place[at[1]]
-            at = (columns[rows >= 0], rows[rows >= 0])
-        np.add.at(m, at if transposed else at[::-1], sign)
+            columns = place[columns]
+            rows, columns = cells[columns >= 0], columns[columns >= 0]
+        np.add.at(m, (rows, columns), sign)
     return m
 
 
@@ -191,7 +195,7 @@ def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> li
     times the cycle's pairs, so each cycle is taken once, walked from its
     least element; order is deterministic.
     """
-    _check_degree(degree)
+    _check_args(degree)
     if degree < 2:
         return []
     _guard(b.size, degree, max_cells)
@@ -270,29 +274,18 @@ def _factor_pair(b: AugmentedBirack, degree: int, max_cells):
     onto a saturated sublattice; and im d_(n+1) lies in ker d_n, as
     d_n d_(n+1) = 0.  The module docstring gives the proof in full.
     """
-    # d_(n+1)'s guard too before any elimination
+    # both guards before any elimination, d_n's first as its limit is smaller
+    _guard(b.size, degree, max_cells)
     _guard(b.size, degree + 1, max_cells)
-    low, pivots = _factors_in_place(_boundary(b, degree, max_cells, transposed=True))
-    high = _factors_in_place(_boundary(b, degree + 1, max_cells, transposed=True,
-                                       drop=pivots))[0]
+    low, pivots = _factors_in_place(_boundary(b, degree))
+    high = _factors_in_place(_boundary(b, degree + 1, drop=pivots))[0]
     return low, high
-
-
-def _check_group_args(degree: int, modulus: int | None):
-    # before any boundary matrix is built, so bad input never meets the cell guard
-    check_integers("degree and modulus", (degree,) if modulus is None else (degree, modulus))
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
-    if modulus is not None and modulus <= 0:
-        raise InputError("modulus must be positive")
 
 
 def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
                    max_cells=None) -> HomologyGroup:
     """Homology in the given degree, over Z or over Z_modulus."""
-    _check_group_args(degree, modulus)
-    # both guards run before any elimination, d_n's first as its limit is smaller
-    _guard(b.size, degree, max_cells)
+    _check_args(degree, modulus)
     return _group(b.size ** degree, *_factor_pair(b, degree, max_cells), modulus,
                   cohomology=False)
 
@@ -300,7 +293,7 @@ def homology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
 def cohomology_group(b: AugmentedBirack, degree: int, modulus: int | None = None,
                      max_cells=None) -> HomologyGroup:
     """Cohomology in the given degree, over Z or over Z_modulus."""
-    _check_group_args(degree, modulus)
+    _check_args(degree, modulus)
     return _group(b.size ** degree, *_factor_pair(b, degree, max_cells), modulus,
                   cohomology=True)
 
@@ -455,14 +448,14 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
     one row per degenerate 2-generator (vanishing condition); columns run
     over the lexicographic pair basis of 2-cochains.
     """
-    d3 = boundary_matrix(b, 3, max_cells=max_cells)
+    _guard(b.size, 3, max_cells)
     n = b.size
-    cycles = _cycles(b.pi)
-    degenerate = np.zeros((len(cycles), n * n), dtype=np.int64)
-    for r, cycle in enumerate(cycles):
-        degenerate[r, [(b.pi[x] - 1) * n + x for x in cycle]] = (
-            b.characteristic // len(cycle))
-    return IntegerMatrix(np.vstack([d3.array.T, degenerate]))
+    chains = degenerate_generators(b, 2, max_cells)
+    degenerate = np.zeros((len(chains), n * n), dtype=np.int64)
+    for r, chain in enumerate(chains):
+        for (x, y), c in chain.items():
+            degenerate[r, (x - 1) * n + y - 1] = c
+    return IntegerMatrix(np.vstack([_boundary(b, 3), degenerate]))
 
 
 def _reduced_cocycles(b: AugmentedBirack, modulus: int | None, max_cells):
@@ -484,7 +477,7 @@ def reduced_2_cocycles(b: AugmentedBirack, modulus: int | None = None,
     Z_modulus the cochains generate the solution group; entries are reduced
     to 0..modulus-1 and zero generators are dropped.
     """
-    _check_group_args(2, modulus)
+    _check_args(2, modulus)
     return _reduced_cocycles(b, modulus, max_cells)[1]
 
 
@@ -493,7 +486,7 @@ def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
     """Direct check, independent of the constraint matrix: the cocycle
     identity on all triples (x, y, z) as one array expression, and a zero
     sum of phi(pi^k(x), pi^(k-1)(x)) over k = 1..N for every x at once."""
-    _check_group_args(2, modulus)
+    _check_args(2, modulus)
     if phi.size != b.size:
         return False
     table = np.array(phi.values, dtype=object)
@@ -525,7 +518,7 @@ def reduced_2_cohomology(b: AugmentedBirack,
     K; the exact product C * d_2^T == 0 certifies it on every call.
     """
     constraints, cocycles = _reduced_cocycles(b, None, max_cells)
-    d_2t = _boundary(b, 2, max_cells, transposed=True)
+    d_2t = _boundary(b, 2)  # C's guard, of degree 3, has passed
     if not (constraints @ IntegerMatrix._of(d_2t)).is_zero():
         raise AssertionError("a coboundary is not a reduced 2-cocycle")
     rank = b.size ** 2 - len(cocycles)  # (1,) * rank stands for C's factors

@@ -216,7 +216,8 @@ def _kink_entries(b: AugmentedBirack, weights, kinks):
     for _ in range(period):
         ends.append(pi[ends[-1]])
         sums.append(sums[-1] + weights[ends[-1], ends[-2]])
-    q, r = np.divmod(np.array(kinks), period)
+    q, r = zip(*(divmod(k, period) for k in kinks))  # Python ints: k may pass 2^63
+    q, r = np.array(q, dtype=object), np.array(r)
     exps = (q[:, None] * sums[period] + np.array(sums)[r]).ravel()
     j = np.repeat(np.arange(len(kinks)), n)
     x = np.tile(np.arange(n), len(kinks))

@@ -195,9 +195,6 @@ class IntegerMatrix:
     def transpose(self):
         return IntegerMatrix._of(self.array.T.copy())
 
-    def max_abs(self):
-        return int(np.abs(self.array).max(initial=0))
-
     def is_zero(self):
         return not self.array.any()
 
@@ -212,7 +209,7 @@ class IntegerMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         a, b = self.array, other.array
-        if self.cols * max(self.max_abs(), 1) * max(other.max_abs(), 1) >= _INT64_SAFE:
+        if self.cols * max(_extent(a), 1) * max(_extent(b), 1) >= _INT64_SAFE:
             a, b = a.astype(object), b.astype(object)
         return IntegerMatrix._of(a @ b)
 
@@ -281,7 +278,7 @@ def _eliminate(M, dtype, transforms):
             source = source[support]
             block = Y[targets, support]
             if guarded:
-                check(_max_abs(block) + _max_abs(q) * _max_abs(source))
+                check(_extent(block) + _extent(q) * _extent(source))
             Y[targets, support] = block + np.outer(q, source)
 
     def combine(views, i, j, x, y, xj, yj):
@@ -289,7 +286,7 @@ def _eliminate(M, dtype, transforms):
         for Y in views:
             if guarded:
                 check((abs(x) + abs(y) + abs(xj) + abs(yj))
-                      * max(_max_abs(Y[i]), _max_abs(Y[j])))
+                      * max(_extent(Y[i]), _extent(Y[j])))
             Y[[i, j]] = np.stack([x * Y[i] + y * Y[j], xj * Y[i] + yj * Y[j]])
 
     def swap(views, i, j):
@@ -346,10 +343,6 @@ def _eliminate(M, dtype, transforms):
                 Y[t] = -Y[t]
         t += 1
     return A, U, V
-
-
-def _max_abs(a):
-    return int(np.abs(a).max(initial=0))
 
 
 def _first_least_entry(S):
@@ -575,7 +568,7 @@ def _check_split(F, steps, cells, values):
     # int64 is exact while every partial sum of F + G F stays below 2^62:
     # (1 + the row sums of |G|) max |F| bounds them, with room for the
     # rounding of those sums
-    top = max(_extent(F), _max_abs(fval))
+    top = max(_extent(F), _extent(fval))
     weight = np.bincount(gi, weights=np.abs(gf.astype(float)), minlength=m)
     if (weight.max(initial=0) + 1) * top >= _INT64_SAFE / 2:
         raise _NeedExact
@@ -746,10 +739,10 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
             new = (old - f[:, None] * frozen) % modulus
         else:
             if top * (top + 1) >= _INT64_SAFE and (
-                    _max_abs(old) + _max_abs(f) * _max_abs(frozen) >= _INT64_SAFE):
+                    _extent(old) + _extent(f) * _extent(frozen) >= _INT64_SAFE):
                 raise _NeedExact
             new = old - f[:, None] * frozen
-            top = max(top, _max_abs(new))
+            top = max(top, _extent(new))
         A[rows, support] = new
         nonzero = new != 0
         pattern[support[:, None], others] = nonzero.T

@@ -342,7 +342,8 @@ def test_axiom_checks_match_a_brute_force_oracle(ab4, ab5):
     rng = random.Random(2013)
     outcomes = {True: 0, False: 0}
     cases = [random_tables(rng, rng.randint(1, 4)) for _ in range(400)]
-    # (ii) and (iii) hold, but the kink map is missing or not unique at x=1
+    # (ii) holds; (iii) fails, first at (1, 1) and at (2, 1), and the kink
+    # map is missing or not unique at x=1
     cases += [(((2, 1), (1, 2)), ((1, 2), (1, 2))), (((1, 2), (2, 1)), ((1, 2), (1, 2)))]
     # valid biracks and near misses: one row of alpha or beta rotated
     for b in (ab4, ab5, *(tsr_birack(*p) for p in ((3, 1, 2, 2), (4, 3, 0, 1), (5, 2, 0, 3)))):

@@ -25,7 +25,7 @@ from biracks import (
 from biracks import cli
 from biracks.cli import main
 from biracks.diagram import parse_diagram
-from biracks.homology import parse_cochain
+from biracks.homology import parse_cochain, reduced_cocycle_constraints
 from biracks.errors import BirackError, InputError
 from test_homology import count_calls
 from test_linalg import (
@@ -335,6 +335,15 @@ def test_homology_env_override(monkeypatch):
     assert "limit" in err
 
 
+def test_explicit_budget_governs_every_guard_of_the_reduced_path(ab4, monkeypatch):
+    # 4^3 = 64 cells for the constraints' d_3, 16 for the degenerate rows and d_2
+    monkeypatch.setenv("BIRACKS_MAX_CELLS", "1")
+    assert reduced_cocycle_constraints(ab4, max_cells=64).cols == 16
+    code, out, err = run(["cocycles", "ab4", "--quotient", "--max-cells", "64"])
+    assert (code, err) == (0, "")
+    assert "Z + Z/2" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "ab4", "--mod", "0"],
     ["homology", "ab4", "--cohomology", "--mod", "-2"],
@@ -389,6 +398,10 @@ def test_invariant_framed():
     code, out, _ = run(["invariant", "ab4", "l2a1", "--framed", "1,1"])
     assert code == 0
     assert "(1, 1): 16" in out
+    # a coordinate past 2^64 is valid input
+    code, out, _ = run(["invariant", "ab4", "l2a1", "--framed", "100000000000000000000,0"])
+    assert code == 0
+    assert "counting invariant: 0" in out
     code, _, err = run(["invariant", "ab4", "l2a1", "--framed", "1"])
     assert code == 2
     assert "error:" in err

@@ -67,7 +67,7 @@ ALPHA_WITH_FLOAT = ((2, 4, 1.5, 3), *AB4_ALPHA[1:])
     (lambda: LaurentPolynomial({1: 2.7}), "polynomial coefficients must be integers, got 2.7"),
     (lambda: homology_group(AB4, 2, modulus=2.5),
      "degree and modulus must be integers, got 2.5"),
-    (lambda: homology_group(AB4, 2.0), "degree and modulus must be integers, got 2.0"),
+    (lambda: homology_group(AB4, 2.0), "degree must be integers, got 2.0"),
     (lambda: is_reduced_2_cocycle(AB4, PHI4, modulus=2.5),
      "degree and modulus must be integers, got 2.5"),
     (lambda: boundary_matrix(AB4, 2.0), "degree must be integers, got 2.0"),

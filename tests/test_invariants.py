@@ -194,6 +194,16 @@ def test_framed_invariants_defaults_and_errors(ab4, ab5, phi4, phi5):
             framed_invariants(l2a1, b, phi)
 
 
+def test_framings_past_int64_wrap_by_the_characteristic(ab4, phi4):
+    # 2*10^20 kinks are orbits of the kink map, on which a reduced cocycle sums to 0
+    l2a1 = load_diagram("l2a1")
+    base = framed_invariants(l2a1, ab4, phi4, framing=(1, 1))
+    far = framed_invariants(l2a1, ab4, phi4, framing=(2 * 10**20 + 1, 1))
+    assert base.per_framing == (((1, 1), 16),) and base.poly == P([(0, 8), (1, 8)])
+    assert far.per_framing == (((2 * 10**20 + 1, 1), 16),)
+    assert far.poly == base.poly
+
+
 def test_coboundary_weights_vanish(ab4, ab5, kinked_unknot):
     for b in (ab4, ab5):
         for d in (load_diagram("l2a1"), kinked_unknot):
