@@ -24,17 +24,19 @@ Axiom (i) makes M the permutation matrix of the kink map pi.  A free loop is
 its own cut, so F closes it by a trace.  The framing indices w stay open, so
 one contraction gives every per-framing count of the tile.
 
-Weights stay exact integers: every tensor is held as one integer slice per
-Boltzmann weight, so a crossing entry goes to the slice of its own +-phi
-and F's entries to the weight of their w kinks.  Contracting two tensors
-adds the weights of each pair of slices.  The order is greedy and pairwise,
-chosen from the index sizes alone; each step reads the operand with fewer
-nonzero entries entry by entry, which suits the crossings, whose n^4 cells
-hold n^2 ones.  Before any tensor is built, the inputs (their cells times
-their number of weights) and the largest intermediate of the order are
-checked against MAX_CONTRACTION_CELLS, and each step checks its cells times
-its number of weights before it allocates; each check raises
-ResourceLimitExceeded.
+Every tensor is a list of its nonzero entries: the coordinates of its open
+indices, one exact Boltzmann weight and one labeling count each.  A
+crossing's n^4 cells hold n^2 entries, each weighing its own +-phi, and F's
+entries weigh their w kinks.  Closing a tensor keeps the entries that agree
+on its repeated indices.  A contraction joins two lists on their shared
+coordinates by sorting; weights add, counts multiply, and entries alike in
+coordinates and weight merge.  Both stay int64 while a bound from the
+operands allows, and become Python ints otherwise.  The order is greedy and
+pairwise, chosen from the index sizes alone.  MAX_CONTRACTION_CELLS still
+bounds each tensor's dense shape times its number of weights, and so its
+entries: the inputs and the largest intermediate of the order are checked
+before any tensor is built, and each step before it joins; each check
+raises ResourceLimitExceeded.
 
 This contraction is the package's only labeling engine.  The tests keep a
 backtracking search and brute force that list labelings one by one, as
@@ -172,20 +174,41 @@ def _check_cochain(b: AugmentedBirack, phi: Cochain2 | None, quiet: bool):
 
 # -- the state sum as one tensor contraction -------------------------------
 #
-# A tensor is a pair (slices, indices): slices maps each Boltzmann weight to
-# an integer array with one axis per index, and only weights with a nonzero
-# slice are kept.
+# A tensor is a tuple (indices, code, weights, counts) of equal-length entry
+# lists: entry i sits at the coordinates that code[i] ravels over the sizes
+# of indices, and counts[i] > 0 labelings there have weight weights[i].
 
 
-def _slices(coords, exps, shape):
-    """0/1 slices with a one at each coordinate tuple, under its weight."""
-    out = {}
-    for e in set(exps.ravel().tolist()):
-        at = exps == e
-        tensor = np.zeros(shape, dtype=np.int64)
-        tensor[tuple(c[at] for c in coords)] = 1
-        out[e] = tensor
-    return out
+def _ravel(coords, shape, size):
+    """One int64 code for each of size entries, from its coordinates."""
+    code = np.zeros(size, dtype=np.int64)
+    for x, n in zip(coords, shape):
+        code = code * n + x
+    return code
+
+
+def _unravel(code, shape):
+    return np.unravel_index(code, shape) if shape else ()
+
+
+def _top(values):
+    return int(np.abs(values).max(initial=0))
+
+
+def _exact(values, top):
+    """values in int64 when top, a bound on what is made of them, is below
+    2^63; in Python ints otherwise."""
+    return values.astype(np.int64 if top <= _INT64_MAX else object, copy=False)
+
+
+def _merged(indices, code, weights, counts):
+    """The tensor whose entries alike in coordinates and weight are one."""
+    order = np.lexsort((code, weights))
+    code, weights, counts = code[order], weights[order], counts[order]
+    first = np.ones(len(code), dtype=bool)
+    first[1:] = (code[1:] != code[:-1]) | (weights[1:] != weights[:-1])
+    at = np.flatnonzero(first)
+    return indices, code[at], weights[at], np.add.reduceat(counts, at)
 
 
 def _crossing_entries(b: AugmentedBirack, weights, sign: int):
@@ -196,7 +219,7 @@ def _crossing_entries(b: AugmentedBirack, weights, sign: int):
     sign * phi(y, x).
     """
     alpha, beta, _ = b._arrays
-    x, y = np.indices((b.size, b.size))
+    x, y = (v.ravel() for v in np.indices((b.size, b.size)))
     over_right, under_right = alpha[y, x], beta[x, y]
     coords = ((x, over_right, under_right, y) if sign > 0
               else (over_right, x, y, under_right))
@@ -232,16 +255,17 @@ def _open(indices, dims):
     return tuple(k for k in indices if indices.count(k) == 1 and dims[k] > 1)
 
 
-def _close(tensor, indices, dims):
-    """Drop the indices of size 1 and sum out the repeated ones."""
-    kept = tuple(k for k in indices if dims[k] > 1)
+def _close(coords, weights, indices, dims):
+    """One input tensor as an entry list, from the coordinates of its ones:
+    those that agree on each repeated index, at the indices it keeps."""
+    first, agree = {}, np.ones(len(weights), dtype=bool)
+    for x, k in zip(coords, indices):
+        agree &= x == first.setdefault(k, x)
     once = _open(indices, dims)
-    local = {k: i for i, k in enumerate(dict.fromkeys(kept))}
-    shape = [dims[k] for k in kept]
-    closed = {e: np.einsum(t.reshape(shape), [local[k] for k in kept],
-                           [local[k] for k in once])
-              for e, t in tensor.items()}
-    return {e: t for e, t in closed.items() if t.any()}, once
+    code = _ravel([first[k][agree] for k in once], [dims[k] for k in once],
+                  np.count_nonzero(agree))
+    return _merged(once, code, _exact(weights[agree], _top(weights)),
+                   np.ones(len(code), dtype=np.int64))
 
 
 def _merge(ia, ib):
@@ -290,8 +314,8 @@ def _greedy(specs, dims, framings, defer):
 
 
 def _guard(shape, weights=1):
-    """Refuse an intermediate with one slice of this shape per weight when
-    its cells would exceed MAX_CONTRACTION_CELLS."""
+    """Refuse a tensor of this dense shape and number of weights when its
+    cells over all weights would exceed MAX_CONTRACTION_CELLS."""
     cells = prod(shape) * weights
     if cells > MAX_CONTRACTION_CELLS:
         what = "x".join(map(str, shape)) or "scalar"
@@ -301,56 +325,46 @@ def _guard(shape, weights=1):
                                     cells, MAX_CONTRACTION_CELLS)
 
 
-def _nonzeros(tensor):
-    return sum(np.count_nonzero(t) for t in tensor.values())
+def _contract_pair(a, b, dims):
+    """Sum over the indices a and b share; weights add, counts multiply.
 
-
-def _contract_pair(a, ia, b, ib):
-    """Sum over the indices a and b share; weights add.
-
-    The operand with fewer nonzero entries is read entry by entry: each
-    entry picks the slab of the other operand at its shared labels and adds
-    it, scaled, at its other labels.  Entries stay int64 while a bound from
-    the operands' largest entries allows, and become Python ints otherwise.
+    The entries join on the code of their shared coordinates: b's are
+    sorted once, and each entry of a meets the run of b's that agree with
+    it.  Weights stay int64 while the operands' largest ones add below
+    2^63, and counts while their largest ones times the shorter entry list
+    do, as at most that many pairs merge into one entry.
     """
-    if _nonzeros(a) > _nonzeros(b):
-        a, ia, b, ib = b, ib, a, ia
+    if len(a[1]) > len(b[1]):
+        a, b = b, a
+    (ia, ca, wa, na), (ib, cb, wb, nb) = a, b
     keep = _merge(ia, ib)
-    if not a or not b:
-        return {}, keep
-    ta, tb = next(iter(a.values())), next(iter(b.values()))
+    if not len(ca) or not len(cb):
+        return (keep,) + (np.zeros(0, dtype=np.int64),) * 3
+    _guard([dims[k] for k in keep],
+           len({x + y for x in set(wa.tolist()) for y in set(wb.tolist())}))
+    xa = dict(zip(ia, _unravel(ca, [dims[k] for k in ia])))
+    xb = dict(zip(ib, _unravel(cb, [dims[k] for k in ib])))
     shared = [k for k in ia if k in ib]
-    rest = [ta.shape[ia.index(k)] for k in ia if k not in ib]
-    slab = tuple(tb.shape[ib.index(k)] for k in ib if k not in ia)
-    _guard(rest + list(slab), len({ea + eb for ea in a for eb in b}))
-    bound = (sum(int(t.max()) for t in a.values())
-             * sum(int(t.max()) for t in b.values())
-             * prod(tb.shape[ib.index(k)] for k in shared))
-    dtype = object if bound > _INT64_MAX else np.result_type(ta, tb)
-    b = {e: np.moveaxis(t, [ib.index(k) for k in shared], range(len(shared)))
-         for e, t in b.items()}
-    out = {}
-    for ea, sa in a.items():
-        coords = np.argwhere(sa).T
-        scale = sa[sa != 0].astype(dtype).reshape((-1,) + (1,) * len(slab))
-        at = tuple(coords[ia.index(k)] for k in shared)
-        row = np.ravel_multi_index(
-            tuple(coords[ia.index(k)] for k in ia if k not in ib), rest)
-        row = np.broadcast_to(row, len(scale))  # a scalar when rest is empty
-        for eb, sb in b.items():
-            if ea + eb not in out:
-                out[ea + eb] = np.zeros((prod(rest),) + slab, dtype)
-            np.add.at(out[ea + eb], row, sb[at] * scale)
-    shape = tuple(rest) + slab
-    return {e: t.reshape(shape) for e, t in out.items() if t.any()}, keep
+    size = [dims[k] for k in shared]
+    key_a = _ravel([xa[k] for k in shared], size, len(ca))
+    key_b = _ravel([xb[k] for k in shared], size, len(cb))
+    order = np.argsort(key_b)
+    lo = np.searchsorted(key_b, key_a, "left", order)
+    hits = np.searchsorted(key_b, key_a, "right", order) - lo
+    ai = np.repeat(np.arange(len(ca)), hits)
+    bi = order[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(len(ai))]
+    at = {k: x[ai] for k, x in xa.items()} | {k: x[bi] for k, x in xb.items()}
+    code = _ravel([at[k] for k in keep], [dims[k] for k in keep], len(ai))
+    top = _top(wa) + _top(wb)
+    weights = _exact(wa, top)[ai] + _exact(wb, top)[bi]
+    top = _top(na) * _top(nb) * min(len(ca), len(cb))
+    return _merged(keep, code, weights, _exact(na, top)[ai] * _exact(nb, top)[bi])
 
 
 def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
-    """Labeling counts by weight, each an array over the kink vectors.
-
-    kinks[i] lists the kink counts taken on component i.  Under weight w,
-    entry j of the array counts the labelings whose Boltzmann weight is w,
-    on the diagram with the j-th kink vector of product(*kinks).
+    """The labeling counts as entry lists (j, weights, counts): counts[i]
+    labelings of the diagram with the j[i]-th kink vector of product(*kinks)
+    have weight weights[i].  kinks[c] lists the kink counts of component c.
     """
     n = b.size
     semiarcs, c = d.semiarc_count, d.component_count
@@ -380,24 +394,28 @@ def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
         _guard([dims[k] for k in ix], len(set(exps.ravel().tolist())))
     _guard([dims[k] for k in largest])
 
-    slots = [_close(_slices(coords, exps, [dims[k] for k in ix]), ix, dims)
+    slots = [_close(coords, exps, ix, dims)
              for ix, (coords, exps) in zip(raw, entries)]
     for i, j in steps:
-        slots.append(_contract_pair(*slots[i], *slots[j]))
+        slots.append(_contract_pair(slots[i], slots[j], dims))
         slots[i] = slots[j] = None
-    table, indices = slots[-1]
-    order = [indices.index(k) for k in framings if k in indices]
-    return {e: t.transpose(order).ravel() for e, t in table.items()}
+    indices, code, weights, counts = slots[-1]
+    at = dict(zip(indices, _unravel(code, [dims[k] for k in indices])))
+    tile = [k for k in framings if k in indices]
+    j = _ravel([at[k] for k in tile], [dims[k] for k in tile], len(code))
+    return j, weights, counts
 
 
 def _collect(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None,
              kinks, warn_messages) -> InvariantResult:
-    table = _state_sum(d, b, phi, kinks)
-    counts = sum(table.values(), np.zeros(prod(map(len, kinks)), dtype=np.int64))
+    counts, by_weight = [0] * prod(map(len, kinks)), {}
+    for j, w, m in zip(*(x.tolist() for x in _state_sum(d, b, phi, kinks))):
+        counts[j] += m
+        by_weight[w] = by_weight.get(w, 0) + m
     per_framing = tuple(
-        (tuple(base + k for base, k in zip(d.framing, added)), int(count))
+        (tuple(base + k for base, k in zip(d.framing, added)), count)
         for added, count in zip(product(*kinks), counts))
-    weight_counts = {e: int(t.sum()) for e, t in sorted(table.items())}
+    weight_counts = dict(sorted(by_weight.items()))
     return InvariantResult(
         per_framing=per_framing,
         phi_z=sum(count for _, count in per_framing),

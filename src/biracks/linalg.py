@@ -742,7 +742,7 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
                     _extent(old) + _extent(f) * _extent(frozen) >= _INT64_SAFE):
                 raise _NeedExact
             new = old - f[:, None] * frozen
-            top = max(top, _extent(new))
+            top = max(top, int(np.abs(new).max()))  # |new| < 2^62: no wrap
         A[rows, support] = new
         nonzero = new != 0
         pattern[support[:, None], others] = nonzero.T

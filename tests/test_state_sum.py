@@ -8,6 +8,7 @@ its labelings, and sums their Boltzmann weights one by one.
 import contextlib
 import io
 import json
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from biracks import (
     tsr_birack,
 )
 from biracks import cli, invariants
-from biracks.errors import ResourceLimitExceeded
+from biracks.errors import NotReducedCocycle, ResourceLimitExceeded
 from biracks.homology import Cochain2
 from labeling_oracles import (
     brute_force_labelings,
@@ -86,6 +87,22 @@ def test_large_characteristic_tiles_match_recorded_search():
                 == search_reference(d, b, phi, [kinks]))
 
 
+def test_tile_contraction_builds_no_dense_intermediate():
+    """The cocycle invariant of l2a1 over the 10^2 tile of
+    tsr_birack(11, 1, 0, 2) in entry lists: a crossing's 11^4 cells in
+    int64 are 0.1 MB per weight, and dense intermediates peaked at 2.4 MB."""
+    b = tsr_birack(*TILE_N10["birack"])
+    phi = Cochain2.from_pairs(b.size, TILE_N10["phi"])
+    d = load_diagram("l2a1")
+    tracemalloc.start()
+    try:
+        cocycle_invariant(d, b, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_framed_invariants_far_above_the_base(ab4, ab5, phi4, phi5):
     for b, phi in ((ab4, phi4), (ab5, phi5)):
         top = 2 * b.characteristic
@@ -112,6 +129,18 @@ def test_counts_beyond_int64(ab4, ab5):
     assert framed.per_framing == (((0,) * 40, 4**40),)
 
 
+def test_weights_whose_sums_pass_int64(ab4):
+    """Every value fits int64 but the sum of two does not, so the weights
+    of a contraction step must become Python ints."""
+    phi = Cochain2(tuple(tuple(2**62 + 4 * i + j for j in range(4))
+                         for i in range(4)))
+    for name in ("l2a1", "k3_1"):
+        d = load_diagram(name)
+        with pytest.warns(NotReducedCocycle):
+            result = cocycle_invariant(d, ab4, phi)
+        assert summary(result) == search_reference(d, ab4, phi, tile(d, ab4))
+
+
 def test_search_is_not_bounded_by_the_recursion_limit(one_element):
     d = from_crossings([], free_loops=range(1200))
     assert enumerate_labelings(d, one_element) == [(1,) * 1200]
@@ -121,13 +150,14 @@ def test_contraction_guard_raises_before_building_tensors(ab4, phi4, monkeypatch
     def unexpected(*args):
         raise AssertionError("a tensor was built before the guard")
 
-    monkeypatch.setattr(invariants, "_slices", unexpected)
+    monkeypatch.setattr(invariants, "_close", unexpected)
     monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 100)
     with pytest.raises(ResourceLimitExceeded) as info:
         counting_invariant(load_diagram("l2a1"), ab4)
     assert info.value.limit == 100
     assert "labeling contraction intermediate" in str(info.value)
-    # a crossing of ab4 holds one 4^4 slice for each of phi4's two values
+    # the guard counts a crossing of ab4 as 4^4 cells for each of phi4's
+    # two values
     monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 4**4)
     with pytest.raises(ResourceLimitExceeded, match="4x4x4x4 over 2 weights"):
         cocycle_invariant(load_diagram("l2a1"), ab4, phi4)
