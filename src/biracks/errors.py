@@ -18,15 +18,16 @@ class InputError(BirackError, ValueError):
 
 
 class ResourceLimitExceeded(BirackError):
-    """A computation would exceed the configured size budget."""
+    """A computation would exceed the configured size budget, or, when fixed
+    names the constant that sets limit, a bound that nothing can raise."""
 
-    def __init__(self, what: str, needed: int, limit: int):
+    def __init__(self, what: str, needed: int, limit: int, fixed: str | None = None):
         self.what = what
         self.needed = needed
         self.limit = limit
-        super().__init__(
-            f"{what} needs {needed} cells, above the limit {limit}; "
-            f"raise the limit to proceed")
+        above = (f"the limit {limit}; raise the limit to proceed" if fixed is None
+                 else f"the fixed bound {fixed} = {limit}")
+        super().__init__(f"{what} needs {needed} cells, above {above}")
 
 
 def check_budget(what, needed, override, keyword, variable, default):

@@ -322,7 +322,8 @@ def _guard(shape, weights=1):
         if weights > 1:
             what += f" over {weights} weights"
         raise ResourceLimitExceeded(f"labeling contraction intermediate {what}",
-                                    cells, MAX_CONTRACTION_CELLS)
+                                    cells, MAX_CONTRACTION_CELLS,
+                                    fixed="invariants.MAX_CONTRACTION_CELLS")
 
 
 def _contract_pair(a, b, dims):

@@ -27,17 +27,17 @@ entries could reach 2^62 the whole computation restarts on Python ints.
 smith_normal_form verifies D == U*M*V exactly and the divisibility chain.
 
 invariant_factors runs one full elimination, the unit split: sparse steps
-on +-1 pivots (_sparse_pivots over Z; Markowitz-style, as in Dumas,
-Saunders and Villard, "On efficient sparse integer matrix Smith normal form
-computations", 2001).  Step k takes the sparsest row that holds a +-1, and
-the first +-1 in it, as the pivot (r_k, c_k), freezes that row as F_k, and
-uses it only in that form: each live row i that meets c_k loses f_ik F_k.
-So M = (I + G) F exactly, with G[i, r_k] = f_ik, and F the frozen rows at
-the r_k and the final remainder rows elsewhere.  The split runs in place,
-in the one array that holds M (_factors_in_place), so that no second dense
-copy of M is alive beside it; M's nonzeros are recorded first as flat
-coordinates and values.  _check_split checks the record, with no loop over
-pivots:
+on +-1 pivots (_sparse_pivots over Z, after Dumas, Saunders and Villard,
+"On efficient sparse integer matrix Smith normal form computations", 2001).
+Step k takes the sparsest row that holds a +-1, and the first +-1 in it, as
+the pivot (r_k, c_k); no column count enters the choice.  It freezes that
+row as F_k, and uses it only in that form: each live row i that meets c_k
+loses f_ik F_k.  So M = (I + G) F exactly, with G[i, r_k] = f_ik, and F
+the frozen rows at the r_k and the final remainder rows elsewhere.  The
+split runs in place, in the one array that holds M (_factors_in_place), so
+that no second dense copy of M is alive beside it; M's nonzeros are
+recorded first as flat coordinates and values.  _check_split checks the
+record, with no loop over pivots:
 
   (1) the r_k are distinct, and the c_k are distinct;
   (2) |F_k[c_k]| = 1, and F_k[c_j] = 0 for j < k;
@@ -433,22 +433,21 @@ def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
     """
     if not A.size:
         return (), _NO_PIVOTS
-    if A.dtype == object:
-        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors, _NO_PIVOTS
-    cells = np.flatnonzero(A)
-    values = A.reshape(-1)[cells]
-    try:
-        pivots, B = _unit_split(A, cells, values)
-        factors = ()
-        if B.size:
-            factors = _diagonal_factors(_run_core(B, "")[0])
-            if factors != _remainder_factors(B):
-                raise AssertionError("invariant factors differ from an independent computation")
-    except _NeedExact:
-        A.fill(0)
-        A.reshape(-1)[cells] = values
-        return smith_normal_form(IntegerMatrix._of(A)).invariant_factors, _NO_PIVOTS
-    return (1,) * len(pivots) + factors, pivots
+    if A.dtype != object:
+        cells = np.flatnonzero(A)
+        values = A.reshape(-1)[cells]
+        try:
+            pivots, B = _unit_split(A, cells, values)
+            factors = ()
+            if B.size:
+                factors = _diagonal_factors(_run_core(B, "")[0])
+                if factors != _remainder_factors(B):
+                    raise AssertionError("invariant factors differ from an independent computation")
+            return (1,) * len(pivots) + factors, pivots
+        except _NeedExact:
+            A.fill(0)
+            A.reshape(-1)[cells] = values
+    return smith_normal_form(IntegerMatrix._of(A)).invariant_factors, _NO_PIVOTS
 
 
 def _diagonal_factors(A):
@@ -476,14 +475,14 @@ def _unit_split(A, cells, values):
     M's nonzeros at the flat coordinates cells, where it has values;
     _NeedExact when a step or the check could reach 2^62.
 
-    _sparse_pivots takes the +-1 pivots of A in place, and its record is
-    checked against cells and values to give M = (I + G) F as the module
-    docstring says; with a pivot, the check leaves A zero.  B is a copy of
-    the remainder with its zero rows and columns dropped (_remainder).
+    _sparse_pivots takes the +-1 pivots of A in place and clears each pivot
+    row, so A holds the remainder; its record is checked against cells and
+    values to give M = (I + G) F as the module docstring says; with a pivot,
+    the check leaves A zero.  B is a copy of the remainder with its zero rows
+    and columns dropped (_remainder).
     """
     steps = _sparse_pivots(A, _is_unit, lambda a, p: a * p)
     rows = np.array([s[0] for s in steps], dtype=np.intp)
-    A[rows] = 0  # F is the frozen rows there
     B = _remainder(A)
     _check_split(A, steps, cells, values)
     return rows, B

@@ -158,6 +158,45 @@ def test_malformed_input_error_text(tmp_path, argv, name, text, message):
     assert run(argv + [str(path)]) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["check", "{file}"], b"\xff\xfe\n", "cannot read {file}: …"),
+    (["invariant", "ab4", "l2a1", "--framed", "a"], None,
+     "--framed expects integers, got 'a'"),
+    (["check", "{file}"], "# no tables\n", "empty birack file"),
+    (["check", "{file}"], "2\n1 x\n", "birack file has a non-integer token: …"),
+    (["check", "{file}"], "0\n", "size must be a positive integer"),
+    (["invariant", "ab4", "{file}"], "L 0\nL 0\n", "semiarc 0 appears more than once as in"),
+    (["invariant", "ab4", "{file}"], "X +1 0 1 1 1\n",
+     "semiarc 1 appears more than once as out"),
+    (["invariant", "ab4", "{file}"], "# no records\n",
+     "diagram has no semiarcs; declare at least a free loop"),
+    (["invariant", "ab4", "{file}"], "L 1\n", "semiarc 0 has no in endpoint"),
+    (["invariant", "ab4", "{file}"], "L\n", "line 1: expected `L semiarc`"),
+    (["invariant", "ab4", "{file}"], "L 0\nQ 1\n", "line 2: unknown record 'Q'"),
+    (["invariant", "ab4", "l2a1", "--phi", "{file}"], "1 2\n",
+     "line 1: expected `i j c`, got '1 2'"),
+    (["invariant", "ab4", "l2a1", "--phi", "{file}"], "1 2 x\n",
+     "line 1: non-integer token in '1 2 x'"),
+    (["invariant", "ab4", "l2a1", "--phi", "{file}"], "5 1 1\n",
+     "pair (5, 1) out of range 1..4"),
+], ids=["not-utf8", "framed", "empty-birack", "birack-token", "birack-size",
+        "free-loop-twice", "out-twice", "no-semiarcs", "no-in-endpoint", "free-loop-record",
+        "unknown-record", "cochain-record", "cochain-token", "cochain-pair"])
+def test_every_malformed_input_refusal_exits_2(tmp_path, argv, text, message):
+    """Each is a usage error with exactly its message; a message ending in
+    `…` carries OS or codec text after it, so only its start is fixed."""
+    file = tmp_path / "input.txt"
+    if text is not None:
+        file.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out, err = run([arg.format(file=file) for arg in argv])
+    assert (code, out) == (2, "")
+    message = "error: " + message.format(file=file)
+    if message.endswith("…"):
+        assert err.startswith(message[:-1])
+    else:
+        assert err == message + "\n"
+
+
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     from biracks import homology
 
@@ -325,7 +364,8 @@ def test_homology_reduced_matches_library(ab4):
 def test_homology_resource_guard():
     code, _, err = run(["homology", "ab4", "-n", "9"])
     assert code == 1
-    assert "limit" in err
+    assert err == ("error: degree-9 chain basis on 4 elements needs 262144 cells, "
+                   "above the limit 20000; raise the limit to proceed\n")
 
 
 def test_homology_env_override(monkeypatch):
@@ -474,7 +514,8 @@ def test_check_prints_alike_by_name_and_by_path(name):
 def test_invariant_tile_guard():
     code, _, err = run(["invariant", "ab4", "l2a1", "--max-tile", "1"])
     assert code == 1
-    assert "limit" in err
+    assert err == ("error: framing tile of 2^2 vectors needs 4 cells, above the "
+                   "limit 1; raise the limit to proceed\n")
 
 
 def test_invariant_warning_goes_to_stderr(tmp_path):

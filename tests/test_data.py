@@ -14,6 +14,7 @@ from biracks import (
     load_birack,
     load_cochain,
     load_diagram,
+    render_gauss,
 )
 from conftest import AB4_ALPHA, AB4_BETA, AB5_ALPHA, AB5_BETA, PHI4_PAIRS, PHI5_PAIRS
 
@@ -81,7 +82,7 @@ def test_build_script_uses_only_root_names():
 
 def test_bundled_data_matches_its_generator():
     """Every file the generator writes is on disk as written, and every
-    recorded construction passes its checks."""
+    record it builds a diagram from passes its checks."""
     assert build_data.main(check=True) == []
 
 
@@ -90,7 +91,10 @@ def test_bundled_data_matches_its_generator():
     ("WORDS", "l7a3", build_data.WORDS["l7a1"], "l7a3: signature repeats"),
     ("WORDS", "l7a1", build_data.WORDS["l7n1"], "l7a1: not a prime reduced alternating"),
     ("WORDS", "l7n1", build_data.WORDS["l7a1"], "l7n1: not a prime reduced non-alternating"),
-], ids=["wrong_value", "repeated_signature", "not_alternating", "alternating"])
+    # the (2,6) torus link shares l6a2's value, shape and component count
+    ("CODES", "l6a2", render_gauss(load_diagram("l6a3")), "l6a2: dihedral 3-coloring count"),
+], ids=["wrong_value", "repeated_signature", "not_alternating", "alternating",
+        "torus_link_as_l6a2"])
 def test_generator_refuses_a_wrong_record(monkeypatch, table, name, record, message):
     monkeypatch.setitem(getattr(build_data, table), name, record)
     with pytest.raises(build_data.BuildError, match=message):

@@ -467,6 +467,33 @@ def test_invariant_factor_certificate_falls_back_to_the_exact_check(monkeypatch)
         invariant_factors([[2**61 - 1]])
 
 
+def test_a_minor_with_a_prime_past_the_moduli_falls_back(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    smith, minors = [], []
+    real_smith, real_primes = linalg.smith_normal_form, linalg._primes_of
+
+    def counting(M):
+        smith.append(M)
+        return real_smith(M)
+
+    def recording(D):
+        minors.append(D)
+        return real_primes(D)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    monkeypatch.setattr(linalg, "_primes_of", recording)
+    # p is a prime just past 2^31: trial division ends below sqrt(2^31) and
+    # leaves p, which no modulus below 2^31 can take
+    p = 2147483659
+    for M in ([[p]], [[2 * p, 3], [p, 5]]):
+        expected = tuple(int(x) for x in sympy_factors(sympy.Matrix(M), domain=sympy.ZZ))
+        assert invariant_factors(M) == expected
+    assert minors == [p, 7 * p]
+    assert len(smith) == 2
+
+
 def test_exact_fallback_rebuilds_the_matrix_from_the_record(monkeypatch):
     calls = []
     real = linalg.smith_normal_form

@@ -168,7 +168,10 @@ def test_contraction_guard_exits_1_from_the_cli(monkeypatch, capsys):
     assert cli.main(["invariant", "ab4", "l2a1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "labeling contraction intermediate 4x4x4x4" in captured.err
+    # no option raises this bound, so the refusal names it and gives no advice
+    assert captured.err == (
+        "error: labeling contraction intermediate 4x4x4x4 needs 256 cells, above "
+        "the fixed bound invariants.MAX_CONTRACTION_CELLS = 100\n")
 
 
 def test_weight_slices_count_toward_the_guard(ab4, phi4, monkeypatch):

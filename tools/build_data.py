@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Generate the bundled data files under src/biracks/data/.
 
-Every diagram is produced by an explicit construction: a braid closure,
-a plat closure, a clasp chain or a Gauss code.  The words and codes that
-earlier searches found are recorded below, and each recorded construction
-is checked before anything is written: its value against the reference
-invariant values, its shape (prime reduced alternating, or not), and its
-signature against every earlier entry and every smaller diagram it must
-not be.  The script aborts without writing if any check fails.
+Every diagram comes from one of three kinds of record: a braid word,
+closed; a signed Gauss code; or a list of crossings.  The words and codes
+that earlier searches found are recorded below, and each record is checked
+before anything is written: its value against the reference invariant
+values, its shape (prime reduced alternating, or not), and its signature
+against every earlier entry and every smaller diagram it must not be.  The
+script aborts without writing if any check fails.
 
 Run from the repository root:
 
@@ -98,37 +98,26 @@ def _roots(n, pairs) -> list[int]:
 
 # ---------------------------------------------------------------- braids
 
-def _braid_walk(word, strands):
-    """Read a braid word downward; letter +i / -i is the positive / negative
-    crossing between strand positions i and i+1 (1-based).
-
-    Returns the crossings as (sign, over_in, over_out, under_in, under_out)
-    of arc ids, the arc ids at the top and at the bottom of each position,
-    and the number of arcs.
-    """
+def braid_closure(word, strands) -> bk.LinkDiagram:
+    """Close a braid word read downward; letter +i / -i is the positive /
+    negative crossing between strand positions i and i+1 (1-based)."""
     counter = itertools.count()
     top = [next(counter) for _ in range(strands)]
-    cur = list(top)
-    raw = []
+    bottom = list(top)
+    raw = []  # (sign, over_in, over_out, under_in, under_out) of arc ids
     for letter in word:
         i = abs(letter) - 1
         if letter == 0 or i + 1 >= strands:
             raise ValueError(f"letter {letter} needs more strands")
-        a, b = cur[i], cur[i + 1]
+        a, b = bottom[i], bottom[i + 1]
         lo, hi = next(counter), next(counter)
         if letter > 0:
             # strand entering at position i passes over toward i+1
             raw.append((+1, a, hi, b, lo))
         else:
             raw.append((-1, b, lo, a, hi))
-        cur[i], cur[i + 1] = lo, hi
-    return raw, top, cur, next(counter)
-
-
-def braid_closure(word, strands) -> bk.LinkDiagram:
-    """Close a braid word, read as in _braid_walk."""
-    raw, top, bottom, total = _braid_walk(word, strands)
-    root = _roots(total, zip(bottom, top))
+        bottom[i], bottom[i + 1] = lo, hi
+    root = _roots(next(counter), zip(bottom, top))
     label: dict[int, int] = {}
 
     def lab(x):
@@ -153,93 +142,6 @@ def mirror(d: bk.LinkDiagram) -> bk.LinkDiagram:
     return bk.from_crossings(cr, d.free_loop_semiarcs)
 
 
-def plat_closure(word, strands=4) -> bk.LinkDiagram:
-    """Plat closure: braid on an even number of strands with caps joining
-    positions (1,2), (3,4), ... at top and bottom.
-
-    Caps reverse the downward flow, so crossings are re-oriented after
-    the walk and their signs adjusted per reversed strand.
-    """
-    raw, top, cur, total = _braid_walk(word, strands)
-    # Arc endpoints: (arc, 0) = tail end, (arc, 1) = head end.  Partner
-    # links the strand onward: through a crossing, or around a cap.
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for s, oi, oo, ui, uo in raw:
-        partner[(oi, 1)] = (oo, 0)
-        partner[(oo, 0)] = (oi, 1)
-        partner[(ui, 1)] = (uo, 0)
-        partner[(uo, 0)] = (ui, 1)
-    at_crossing = set(partner)
-    for p in range(0, strands, 2):
-        partner[(top[p], 0)] = (top[p + 1], 0)
-        partner[(top[p + 1], 0)] = (top[p], 0)
-        partner[(cur[p], 1)] = (cur[p + 1], 1)
-        partner[(cur[p + 1], 1)] = (cur[p], 1)
-
-    # Walk every strand cycle, recording the flow direction of each arc.
-    flow: dict[int, bool] = {}  # arc -> True when flow runs tail->head
-    for start in range(total):
-        if start in flow:
-            continue
-        arc, end_in = start, 0  # enter the arc at its tail end
-        while True:
-            flow[arc] = end_in == 0
-            out_end = (arc, 1 - end_in)
-            nxt = partner[out_end]
-            arc, entered = nxt
-            end_in = entered
-            if arc == start and end_in == 0:
-                break
-
-    # Final semiarcs: chains of arcs between crossing attachments.  An
-    # arc end not attached to a crossing continues around a cap.
-    final_id: dict[int, int] = {}
-    free_loops = []
-
-    def chain_of(arc):
-        seen = {arc}
-        ends = []
-        for direction in (0, 1):
-            a, e = arc, direction
-            while (a, e) not in at_crossing:
-                a, e = partner[(a, e)]
-                if a in seen and (a, e) not in at_crossing:
-                    return sorted(seen), None  # closed cap-only loop
-                seen.add(a)
-                e = 1 - e
-            ends.append((a, e))
-        return sorted(seen), tuple(ends)
-
-    next_id = itertools.count()
-    for arc in range(total):
-        if arc in final_id:
-            continue
-        members, ends = chain_of(arc)
-        fid = next(next_id)
-        for m in members:
-            final_id[m] = fid
-        if ends is None:
-            free_loops.append(fid)
-
-    crossings = []
-    for ci, (s, oi, oo, ui, uo) in enumerate(raw):
-        sign = s
-        # under strand: flow enters at ui iff arc ui flows tail->head
-        # (its head end sits at this crossing).
-        if flow[ui]:
-            u_in, u_out = final_id[ui], final_id[uo]
-        else:
-            u_in, u_out = final_id[uo], final_id[ui]
-            sign = -sign
-        if flow[oi]:
-            o_in, o_out = final_id[oi], final_id[oo]
-        else:
-            o_in, o_out = final_id[oo], final_id[oi]
-            sign = -sign
-        crossings.append((sign, o_in, o_out, u_in, u_out))
-    return bk.from_crossings(crossings, free_loops)
-
-
 def connected_sum(d1, d2, s1=0, s2=0) -> bk.LinkDiagram:
     """Splice semiarc s2 of d2 into semiarc s1 of d1."""
     off = d1.semiarc_count
@@ -253,18 +155,6 @@ def connected_sum(d1, d2, s1=0, s2=0) -> bk.LinkDiagram:
         cr.append((c.sign, fix(c.over_in + off), c.over_out + off,
                    fix(c.under_in + off), c.under_out + off))
     return bk.from_crossings(cr, d1.free_loop_semiarcs)
-
-
-def clasp_necklace(k: int = 3) -> bk.LinkDiagram:
-    """k rings in a cycle, consecutive rings joined by a positive clasp."""
-    cr = []
-    for i in range(k):
-        j = (i + 1) % k
-        a_i, xm_i, b_i = i, k + i, 2 * k + i
-        a_j, b_j, ym_j = j, 2 * k + j, 3 * k + j
-        cr.append((+1, a_i, xm_i, ym_j, a_j))
-        cr.append((+1, b_j, ym_j, xm_i, b_i))
-    return bk.from_crossings(cr)
 
 
 # ------------------------------------------------ diagram shape predicates
@@ -429,11 +319,10 @@ class BuildError(RuntimeError):
     pass
 
 
-# The braid words (for l6a2, a 4-plat word) and Gauss codes that searches
-# once found; main() certifies each again and refuses any that fails.
+# The braid words and Gauss codes that searches once found; main()
+# certifies each again and refuses any that fails.
 WORDS = {
     "l6a1": [1, -2, 1, 3, -2, 3],
-    "l6a2": [-2, 1, 1, -2, -2, -2],
     "l7a1": [1, 1, 1, -2, 1, 1, -2],
     "l7a3": [1, 1, -2, 1, -2, 1, -2],
     "l7a4": [1, -2, 1, 1, 1, -2, 1],
@@ -446,6 +335,7 @@ WORDS = {
 }
 
 CODES = {
+    "l6a2": "U1+O2+U3+O6+U5+O4+\nU6+O1+U2+O3+U4+O5+",  # one line per component
     "v3_1": "O1-U2+U1-U3-O2+O3-",
     "v3_6": "O1-U2+U3+U1-O3+O2+",
     "v3_2": "O1-U2+U1-O3-O2+U3-",
@@ -505,7 +395,7 @@ def main(check: bool = False) -> list[Path]:
                              f"diagram with {components} components")
         adopt(name, d, note)
 
-    # --- fixed constructions -------------------------------------------
+    # --- fixed records ---------------------------------------------------
     adopt("unknot", bk.from_crossings([], [0]), "zero-crossing circle")
     adopt("l0a1", bk.from_crossings([], [0, 1]), "two-component unlink")
     adopt_alternating("l2a1", braid_closure([1, 1], 2), 2,
@@ -525,7 +415,14 @@ def main(check: bool = False) -> list[Path]:
     if alternating(torus33):
         raise BuildError("l6n1 closure unexpectedly alternating")
     adopt("l6n1", torus33, "closure of (s1 s2)^3, the (3,3) torus link")
-    adopt_alternating("l6a5", clasp_necklace(3), 3,
+    # Ring i is semiarcs i, 3+i, 6+i, 9+i; crossings 2i and 2i+1 clasp it
+    # to ring i+1 (mod 3).
+    necklace = bk.from_crossings([
+        (+1, 0, 3, 10, 1), (+1, 7, 10, 3, 6),
+        (+1, 1, 4, 11, 2), (+1, 8, 11, 4, 7),
+        (+1, 2, 5, 9, 0), (+1, 6, 9, 5, 8),
+    ])
+    adopt_alternating("l6a5", necklace, 3,
                       "three rings in a cyclic chain of positive clasps")
 
     # Hopf with a cancelling positive/negative kink pair on one component.
@@ -547,19 +444,19 @@ def main(check: bool = False) -> list[Path]:
                       "it from l6a2/l6a3")
 
     # l6a2 has no 6-letter closed-braid diagram (strand parity and
-    # generator coverage rule it out), so it is a 4-plat.  It shares its
-    # value with the (2,6) torus link but not its determinant, so the
-    # dihedral 3-coloring count separates the two.
-    word = WORDS["l6a2"]
-    plat = plat_closure(word, 4)
-    if phi_z(plat, DIH3) == phi_z(links["l6a3"], DIH3):
+    # generator coverage rule it out), so it is recorded by its Gauss code.
+    # It shares its value with the (2,6) torus link but not its
+    # determinant, so the dihedral 3-coloring count separates the two.
+    code = CODES["l6a2"]
+    d = bk.parse_gauss(code)
+    if phi_z(d, DIH3) == phi_z(links["l6a3"], DIH3):
         raise BuildError("l6a2: dihedral 3-coloring count of the (2,6) torus "
                          "link")
-    adopt_alternating("l6a2", plat, 2,
-                      f"4-plat closure of {word}; prime reduced alternating "
-                      "with 6 crossings; the value excludes l6a1 and the "
-                      "dihedral 3-coloring count separates it from the (2,6) "
-                      "torus link")
+    adopt_alternating("l6a2", d, 2,
+                      f"Gauss code {' / '.join(code.split())}; prime reduced "
+                      "alternating with 6 crossings; the value excludes l6a1 "
+                      "and the dihedral 3-coloring count separates it from "
+                      "the (2,6) torus link")
 
     # Equal values in a row: the signature check in adopt keeps the picks
     # apart from each other and from every earlier entry.
