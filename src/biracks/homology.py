@@ -61,7 +61,7 @@ import numpy as np
 
 from .algebra import AugmentedBirack, _cycles
 from .errors import InputError, check_budget, check_integers, records
-from .linalg import IntegerMatrix, _factors_in_place, kernel_lattice
+from .linalg import IntegerMatrix, _exact, _factors_in_place, kernel_lattice
 
 __all__ = [
     "Cochain1",
@@ -485,11 +485,13 @@ def is_reduced_2_cocycle(b: AugmentedBirack, phi: Cochain2,
                          modulus: int | None = None) -> bool:
     """Direct check, independent of the constraint matrix: the cocycle
     identity on all triples (x, y, z) as one array expression, and a zero
-    sum of phi(pi^k(x), pi^(k-1)(x)) over k = 1..N for every x at once."""
+    sum of phi(pi^k(x), pi^(k-1)(x)) over k = 1..N for every x at once.
+    The table is int64 while six values, or N of them, add below 2^63."""
     _check_args(2, modulus)
     if phi.size != b.size:
         return False
     table = np.array(phi.values, dtype=object)
+    table = _exact(table, max(6, b.characteristic) * int(np.abs(table).max(initial=0)))
     alpha, beta, pi = b._arrays
     x, y, z = np.ix_(*[range(b.size)] * 3)
     defect = (table[y, z] + table[beta[y, x], alpha[y, z]] + table[x, y]

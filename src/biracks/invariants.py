@@ -31,12 +31,22 @@ entries weigh their w kinks.  Closing a tensor keeps the entries that agree
 on its repeated indices.  A contraction joins two lists on their shared
 coordinates by sorting; weights add, counts multiply, and entries alike in
 coordinates and weight merge.  Both stay int64 while a bound from the
-operands allows, and become Python ints otherwise.  The order is greedy and
-pairwise, chosen from the index sizes alone.  MAX_CONTRACTION_CELLS still
-bounds each tensor's dense shape times its number of weights, and so its
-entries: the inputs and the largest intermediate of the order are checked
-before any tensor is built, and each step before it joins; each check
-raises ResourceLimitExceeded.
+operands allows, and become Python ints otherwise; so do the cochain table
+and F's weights, from a bound on phi and on the kink counts.  Tensors that
+differ only in their index labels share their entries: each crossing sign,
+and each list of kink counts, is built once per call, and closed once per
+pattern of repeated indices.
+
+The order is greedy and pairwise, chosen from the index sizes alone: each
+step joins the pair that grows the cells least.  A deferred order also
+holds back growing steps that carry a framing index.  The two agree up to
+the first step at which the plain order takes such a pair, so the deferred
+one is planned only from there, and only if that step comes; the order
+with the smaller largest tensor, then fewer flops, is the one run.
+MAX_CONTRACTION_CELLS still bounds each tensor's dense shape times its
+number of weights, and so its entries: the inputs and the largest
+intermediate of the order are checked before any tensor is built, and each
+step before it joins; each check raises ResourceLimitExceeded.
 
 This contraction is the package's only labeling engine.  The tests keep a
 backtracking search and brute force that list labelings one by one, as
@@ -57,10 +67,10 @@ from .diagram import LinkDiagram
 from .errors import InputError, NotReducedCocycle
 from .errors import ResourceLimitExceeded, check_budget, check_integers
 from .homology import Cochain2, is_reduced_2_cocycle
+from .linalg import _exact
 
 DEFAULT_MAX_TILE = 4096
 MAX_CONTRACTION_CELLS = 1 << 24
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 class LaurentPolynomial:
@@ -181,10 +191,9 @@ def _check_cochain(b: AugmentedBirack, phi: Cochain2 | None, quiet: bool):
 
 def _ravel(coords, shape, size):
     """One int64 code for each of size entries, from its coordinates."""
-    code = np.zeros(size, dtype=np.int64)
-    for x, n in zip(coords, shape):
-        code = code * n + x
-    return code
+    if not shape:
+        return np.zeros(size, dtype=np.int64)
+    return np.ravel_multi_index(coords, shape).astype(np.int64, copy=False)
 
 
 def _unravel(code, shape):
@@ -193,12 +202,6 @@ def _unravel(code, shape):
 
 def _top(values):
     return int(np.abs(values).max(initial=0))
-
-
-def _exact(values, top):
-    """values in int64 when top, a bound on what is made of them, is below
-    2^63; in Python ints otherwise."""
-    return values.astype(np.int64 if top <= _INT64_MAX else object, copy=False)
 
 
 def _merged(indices, code, weights, counts):
@@ -231,20 +234,24 @@ def _kink_entries(b: AugmentedBirack, weights, kinks):
 
     One kink takes x to pi(x), the unique label with alpha_{pi(x)}(x) =
     beta_x(pi(x)), and weighs phi(pi(x), x).  pi has order N, so k = qN + r
-    kinks weigh q full orbits plus r steps.
+    kinks weigh q full orbits plus r steps.  The table is int64 while q and
+    q + 1 orbits of the largest |phi| stay below 2^63.
     """
     n, period = b.size, b.characteristic
     pi = b._arrays[2]
-    ends, sums = [np.arange(n)], [np.zeros(n, dtype=object)]
+    q, r = zip(*(divmod(k, period) for k in kinks))  # Python ints: k may pass 2^63
+    top = max(max(q), (max(q) + 1) * period * _top(weights))
+    ends = [np.arange(n)]
     for _ in range(period):
         ends.append(pi[ends[-1]])
-        sums.append(sums[-1] + weights[ends[-1], ends[-2]])
-    q, r = zip(*(divmod(k, period) for k in kinks))  # Python ints: k may pass 2^63
-    q, r = np.array(q, dtype=object), np.array(r)
-    exps = (q[:, None] * sums[period] + np.array(sums)[r]).ravel()
+    ends = np.array(ends)  # ends[t] = pi^t
+    steps = _exact(weights[ends[1:], ends[:-1]], top)
+    sums = np.concatenate((np.zeros((1, n), dtype=steps.dtype), np.cumsum(steps, axis=0)))
+    q, r = _exact(np.array(q, dtype=object), top), np.array(r)
+    exps = (q[:, None] * sums[period] + sums[r]).ravel()
     j = np.repeat(np.arange(len(kinks)), n)
     x = np.tile(np.arange(n), len(kinks))
-    return (j, x, np.array(ends)[r].ravel()), exps
+    return (j, x, ends[r].ravel()), exps
 
 
 def _open(indices, dims):
@@ -260,12 +267,14 @@ def _close(coords, weights, indices, dims):
     those that agree on each repeated index, at the indices it keeps."""
     first, agree = {}, np.ones(len(weights), dtype=bool)
     for x, k in zip(coords, indices):
-        agree &= x == first.setdefault(k, x)
+        if k in first:
+            agree &= x == first[k]
+        else:
+            first[k] = x
     once = _open(indices, dims)
     code = _ravel([first[k][agree] for k in once], [dims[k] for k in once],
                   np.count_nonzero(agree))
-    return _merged(once, code, _exact(weights[agree], _top(weights)),
-                   np.ones(len(code), dtype=np.int64))
+    return _merged(once, code, weights[agree], np.ones(len(code), dtype=np.int64))
 
 
 def _merge(ia, ib):
@@ -273,44 +282,82 @@ def _merge(ia, ib):
     return tuple(k for k in ia if k not in ib) + tuple(k for k in ib if k not in ia)
 
 
-def _greedy(specs, dims, framings, defer):
-    """One greedy pairwise order over the index tuples in specs.
+def _greedy(specs, dims, framings):
+    """A greedy pairwise order over the index tuples in specs: its steps,
+    and the largest index tuple it meets.
 
     Each step contracts the pair of live tensors sharing an index that
     shrinks the cell count most (grows it least), then carries the fewest
-    framing indices.  With defer, growing steps that carry a framing index
-    wait behind every other step.  A network that falls apart joins its two
-    smallest pieces.  A result takes the next free slot.  Returns the
-    steps, the largest index tuple met and its cells, and the flop count.
+    framing indices, then keeps the fewest indices; ties go to the lowest
+    pair of slots.  A network that falls apart joins its two smallest
+    pieces.  A result takes the next free slot.  Each live tensor keeps its
+    cell count, each pair's score is kept while both its tensors live, and
+    the owners of each index change only where a step changes them.
+
+    The deferred order differs in one rule: growing steps that carry a
+    framing index wait behind every other step.  Only such pairs score
+    differently in it, so while the plain order's choice is not one, that
+    choice leads in both orders.  The deferred pass thus runs only if the
+    plain one takes such a step, and resumes from the state before it.  Of
+    the two, the order with the smaller largest tensor and then the fewer
+    flops (the cells of each step's two operands together) wins, the plain
+    one on ties.
     """
     def cells(indices):
         return prod(dims[k] for k in indices)
 
-    live = dict(enumerate(specs))
-    steps, largest, flops = [], max(specs, key=cells), 0
-    while len(live) > 1:
-        owners = {}
-        for slot, indices in live.items():
-            for k in indices:
-                owners.setdefault(k, []).append(slot)
-        pairs = sorted({tuple(s) for s in owners.values() if len(s) == 2})
-        if not pairs:
-            pairs = [tuple(sorted(sorted(live, key=lambda s: cells(live[s]))[:2]))]
-        best = None
-        for i, j in pairs:
-            merged = _merge(live[i], live[j])
-            growth = cells(merged) - cells(live[i]) - cells(live[j])
-            carried = len(framings.intersection(merged))
-            key = (defer and growth > 0 and carried, growth, carried, len(merged))
-            if best is None or key < best[0]:
-                best = (key, i, j, merged)
-        _, i, j, merged = best
-        flops += cells(set(live[i] + live[j]))
-        del live[i], live[j]
-        live[len(specs) + len(steps)] = merged
-        steps.append((i, j))
-        largest = max(largest, merged, key=cells)
-    return steps, largest, cells(largest), flops
+    def score(live, i, j):
+        (a, sa), (b, sb) = live[i], live[j]
+        merged = _merge(a, b)
+        size = cells(merged)
+        return (size - sa - sb, len(framings.intersection(merged)), len(merged),
+                i, j, merged, size)
+
+    def deferred(s):
+        return s[0] > 0 and s[1], s[:5]
+
+    def run(live, owners, scores, steps, largest, flops, defer):
+        fork = None
+        while len(live) > 1:
+            if scores:
+                growth, carried, _, i, j, merged, size = min(
+                    scores.values(), key=deferred if defer else None)
+                if not defer and fork is None and growth > 0 and carried:
+                    fork = (dict(live), dict(owners), dict(scores), list(steps),
+                            largest, flops)
+            else:
+                i, j = sorted(sorted(live, key=lambda s: live[s][1])[:2])
+                merged = _merge(live[i][0], live[j][0])
+                size = cells(merged)
+            (a, _), (b, _) = live.pop(i), live.pop(j)
+            flops += cells(set(a + b))
+            new = len(specs) + len(steps)
+            for k in a + b:
+                if k in merged:
+                    owners[k] = tuple(x for x in owners[k] if x != i and x != j) + (new,)
+                else:
+                    owners.pop(k, None)
+            live[new] = merged, size
+            scores = {p: s for p, s in scores.items() if i not in p and j not in p}
+            for k in merged:
+                for x in owners[k][:-1]:
+                    if (x, new) not in scores:
+                        scores[x, new] = score(live, x, new)
+            steps.append((i, j))
+            if size > largest[1]:
+                largest = merged, size
+        return (steps, *largest, flops), fork
+
+    live, owners = {slot: (ix, cells(ix)) for slot, ix in enumerate(specs)}, {}
+    for slot, indices in enumerate(specs):
+        for k in indices:
+            owners[k] = owners.get(k, ()) + (slot,)
+    scores = {pair: score(live, *pair) for pair in owners.values() if len(pair) == 2}
+    largest = max(live.values(), key=lambda t: t[1])
+    plan, fork = run(live, owners, scores, [], largest, 0, False)
+    if fork is not None:
+        plan = min(plan, run(*fork, True)[0], key=lambda p: p[2:])
+    return plan[:2]
 
 
 def _guard(shape, weights=1):
@@ -341,25 +388,50 @@ def _contract_pair(a, b, dims):
     keep = _merge(ia, ib)
     if not len(ca) or not len(cb):
         return (keep,) + (np.zeros(0, dtype=np.int64),) * 3
-    _guard([dims[k] for k in keep],
-           len({x + y for x in set(wa.tolist()) for y in set(wb.tolist())}))
+    top = _top(wa) + _top(wb)
+    wa, wb = _exact(wa, top), _exact(wb, top)
+    ub = set(wb.tolist())
+    _guard([dims[k] for k in keep], len({x + y for x in set(wa.tolist()) for y in ub}))
     xa = dict(zip(ia, _unravel(ca, [dims[k] for k in ia])))
     xb = dict(zip(ib, _unravel(cb, [dims[k] for k in ib])))
     shared = [k for k in ia if k in ib]
     size = [dims[k] for k in shared]
     key_a = _ravel([xa[k] for k in shared], size, len(ca))
     key_b = _ravel([xb[k] for k in shared], size, len(cb))
+    # keep is a's kept indices and then b's, so a's part of the code goes first
+    rest_a, rest_b = keep[:len(ia) - len(shared)], keep[len(ia) - len(shared):]
+    code_a = _ravel([xa[k] for k in rest_a], [dims[k] for k in rest_a], len(ca))
+    code_b = _ravel([xb[k] for k in rest_b], [dims[k] for k in rest_b], len(cb))
     order = np.argsort(key_b)
     lo = np.searchsorted(key_b, key_a, "left", order)
     hits = np.searchsorted(key_b, key_a, "right", order) - lo
     ai = np.repeat(np.arange(len(ca)), hits)
     bi = order[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(len(ai))]
-    at = {k: x[ai] for k, x in xa.items()} | {k: x[bi] for k, x in xb.items()}
-    code = _ravel([at[k] for k in keep], [dims[k] for k in keep], len(ai))
-    top = _top(wa) + _top(wb)
-    weights = _exact(wa, top)[ai] + _exact(wb, top)[bi]
-    top = _top(na) * _top(nb) * min(len(ca), len(cb))
+    code = code_a[ai] * prod(dims[k] for k in rest_b) + code_b[bi]
+    weights = wa[ai] + wb[bi]
+    top = int(na.max()) * int(nb.max()) * min(len(ca), len(cb))
     return _merged(keep, code, weights, _exact(na, top)[ai] * _exact(nb, top)[bi])
+
+
+def _network(d: LinkDiagram, n: int, kinks):
+    """(raw, dims, framings): the index tuple of each input tensor, the
+    crossings' and then each component's F, the size of each index, and
+    the framing indices.
+
+    Index ids are the semiarcs, then per component its cut end and its kink
+    count (a framing index, left open).
+    """
+    semiarcs, c = d.semiarc_count, d.component_count
+    dims = [n] * (semiarcs + c) + [len(k) for k in kinks]
+    framings = range(semiarcs + c, semiarcs + 2 * c)
+    free = set(d.free_loop_semiarcs)
+    cut = {min(comp): semiarcs + i for i, comp in enumerate(d.components)
+           if min(comp) not in free}
+    raw = [(cut.get(x.over_in, x.over_in), x.over_out,
+            cut.get(x.under_in, x.under_in), x.under_out) for x in d.crossings]
+    raw += [(framings[i], min(comp), cut.get(min(comp), min(comp)))
+            for i, comp in enumerate(d.components)]
+    return raw, dims, framings
 
 
 def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
@@ -368,35 +440,36 @@ def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
     have weight weights[i].  kinks[c] lists the kink counts of component c.
     """
     n = b.size
-    semiarcs, c = d.semiarc_count, d.component_count
-    # Python ints: a weight can grow with the number of kinks
-    weights = (np.array(phi.values, dtype=object) if phi is not None
-               else np.zeros((n, n), dtype=object))
-    # index ids: the semiarcs, then per component its cut end and its kink
-    # count (a framing index, left open)
-    dims = [n] * (semiarcs + c) + [len(k) for k in kinks]
-    framings = range(semiarcs + c, semiarcs + 2 * c)
-    free = set(d.free_loop_semiarcs)
-    cut = {min(comp): semiarcs + i for i, comp in enumerate(d.components)
-           if min(comp) not in free}
-
-    raw = [(cut.get(x.over_in, x.over_in), x.over_out,
-            cut.get(x.under_in, x.under_in), x.under_out) for x in d.crossings]
-    raw += [(framings[i], min(comp), cut.get(min(comp), min(comp)))
-            for i, comp in enumerate(d.components)]
-    by_sign = {x.sign: _crossing_entries(b, weights, x.sign) for x in d.crossings}
-    entries = [by_sign[x.sign] for x in d.crossings]
-    entries += [_kink_entries(b, weights, k) for k in kinks]
-    steps, largest, _, _ = min(
-        (_greedy([_open(ix, dims) for ix in raw], dims, set(framings), defer)
-         for defer in (False, True)),
-        key=lambda plan: plan[2:])
-    for ix, (_, exps) in zip(raw, entries):
-        _guard([dims[k] for k in ix], len(set(exps.ravel().tolist())))
+    table = (np.array(phi.values, dtype=object) if phi is not None
+             else np.zeros((n, n), dtype=np.int64))
+    weights = _exact(table, _top(table))
+    raw, dims, framings = _network(d, n, kinks)
+    # the ones of each crossing sign and of each kink list, built once with
+    # their number of weights: the tensors that share them differ only in
+    # their index labels
+    sources = [(_crossing_entries, x.sign) for x in d.crossings]
+    sources += [(_kink_entries, tuple(k)) for k in kinks]
+    entries = {}
+    for build, key in sources:
+        if (build, key) not in entries:
+            coords, exps = build(b, weights, key)
+            entries[build, key] = coords, exps, len(set(exps.tolist()))
+    steps, largest = _greedy([_open(ix, dims) for ix in raw], dims, set(framings))
+    for ix, source in zip(raw, sources):
+        _guard([dims[k] for k in ix], entries[source][2])
     _guard([dims[k] for k in largest])
 
-    slots = [_close(coords, exps, ix, dims)
-             for ix, (coords, exps) in zip(raw, entries)]
+    # each source is closed once per pattern of repeated indices, with the
+    # positions of its indices for labels, and relabeled per tensor
+    closed, slots = {}, []
+    for ix, source in zip(raw, sources):
+        pattern = tuple(map(ix.index, ix))
+        if (source, pattern) not in closed:
+            coords, exps, _ = entries[source]
+            closed[source, pattern] = _close(coords, exps, pattern,
+                                             [dims[k] for k in ix])
+        at, *lists = closed[source, pattern]
+        slots.append((tuple(ix[p] for p in at), *lists))
     for i, j in steps:
         slots.append(_contract_pair(slots[i], slots[j], dims))
         slots[i] = slots[j] = None
@@ -409,14 +482,17 @@ def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
 
 def _collect(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None,
              kinks, warn_messages) -> InvariantResult:
-    counts, by_weight = [0] * prod(map(len, kinks)), {}
-    for j, w, m in zip(*(x.tolist() for x in _state_sum(d, b, phi, kinks))):
-        counts[j] += m
-        by_weight[w] = by_weight.get(w, 0) + m
-    per_framing = tuple(
-        (tuple(base + k for base, k in zip(d.framing, added)), count)
-        for added, count in zip(product(*kinks), counts))
-    weight_counts = dict(sorted(by_weight.items()))
+    j, weights, counts = _state_sum(d, b, phi, kinks)
+    counts = _exact(counts, _top(counts) * len(counts))  # bounds every total
+    by_framing = np.zeros(prod(map(len, kinks)), dtype=counts.dtype)
+    np.add.at(by_framing, j, counts)
+    exps, at = np.unique(weights, return_inverse=True)
+    by_weight = np.zeros(len(exps), dtype=counts.dtype)
+    np.add.at(by_weight, at, counts)
+    framings = product(*([base + k for k in added]
+                         for base, added in zip(d.framing, kinks)))
+    per_framing = tuple(zip(framings, by_framing.tolist()))
+    weight_counts = dict(zip(exps.tolist(), by_weight.tolist()))
     return InvariantResult(
         per_framing=per_framing,
         phi_z=sum(count for _, count in per_framing),

@@ -29,15 +29,16 @@ smith_normal_form verifies D == U*M*V exactly and the divisibility chain.
 invariant_factors runs one full elimination, the unit split: sparse steps
 on +-1 pivots (_sparse_pivots over Z, after Dumas, Saunders and Villard,
 "On efficient sparse integer matrix Smith normal form computations", 2001).
-Step k takes the sparsest row that holds a +-1, and the first +-1 in it, as
-the pivot (r_k, c_k); no column count enters the choice.  It freezes that
-row as F_k, and uses it only in that form: each live row i that meets c_k
-loses f_ik F_k.  So M = (I + G) F exactly, with G[i, r_k] = f_ik, and F
-the frozen rows at the r_k and the final remainder rows elsewhere.  The
-split runs in place, in the one array that holds M (_factors_in_place), so
-that no second dense copy of M is alive beside it; M's nonzeros are
-recorded first as flat coordinates and values.  _check_split checks the
-record, with no loop over pivots:
+Step k takes the sparsest row that holds a +-1, the lowest on ties, and the
+first +-1 in it, as the pivot (r_k, c_k); no column count enters the
+choice, and the rows that meet c_k are read off column c_k itself.  It
+freezes that row as F_k, and uses it only in that form: each live row i
+that meets c_k loses f_ik F_k.  So M = (I + G) F exactly, with G[i, r_k] =
+f_ik, and F the frozen rows at the r_k and the final remainder rows
+elsewhere.  The split runs in place, in the one array that holds M
+(_factors_in_place), so that no second dense copy of M is alive beside it;
+M's nonzeros are recorded first as flat coordinates and values.
+_check_split checks the record, with no loop over pivots:
 
   (1) the r_k are distinct, and the c_k are distinct;
   (2) |F_k[c_k]| = 1, and F_k[c_j] = 0 for j < k;
@@ -107,6 +108,13 @@ import numpy as np
 from .errors import InputError, check_integers
 
 _INT64_SAFE = 2**62
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _exact(values, top):
+    """values in int64 when top, a bound on what is made of them, is below
+    2^63; in Python ints otherwise."""
+    return values.astype(np.int64 if top <= _INT64_MAX else object, copy=False)
 
 
 class _NeedExact(Exception):
@@ -688,46 +696,46 @@ def _valuation_pivots(B, q):
 
 
 def _sparse_pivots(A, pivotal, multipliers, modulus=None):
-    """Eliminate, in place, on the entries of the int64 matrix A where
-    pivotal(A) holds, over Z when modulus is None, and return the record of
-    the steps; _NeedExact over Z if a step could reach 2^62.
+    """Eliminate, in place, on the entries of the nonempty int64 matrix A
+    where pivotal(A) holds, over Z when modulus is None, and return the
+    record of the steps; _NeedExact over Z if a step could reach 2^62.
 
     Each pivot is the first pivotal entry of the row with the fewest
-    nonzeros that holds one.  The pivot row is frozen as it stands, and
-    only the rows meeting the pivot column change (a nonzero pattern kept
-    column by column finds them): each loses f times the frozen row,
-    f = multipliers(its entries in the pivot column, the pivot), which
-    clears its entry there.  The pivot row is then cleared, so the
-    pivot drops out with its row and column.  Step k is recorded as (pivot
-    row, pivot column, the frozen row's support and entries there, the rows
-    changed, their multipliers).
+    nonzeros that holds one, the lowest such row on ties.  score keeps each
+    row's nonzero count; a row chosen with no pivotal entry is set aside,
+    its score raised above any count, until a step changes it.  The pivot
+    row is frozen as it stands, and only the rows meeting the pivot column
+    change: each loses f times the frozen row, f = multipliers(its entries
+    in the pivot column, the pivot), which clears its entry there.  The
+    pivot row is then cleared, so the pivot drops out with its row and
+    column.  Step k is recorded as (pivot row, pivot column, the frozen
+    row's support and entries there, the rows changed, their multipliers).
     """
     m, n = A.shape
-    at, columns = np.divmod(np.flatnonzero(A), n)
-    nonzeros = np.bincount(at, minlength=m)
-    live = np.bincount(at[pivotal(A[at, columns])], minlength=m)
-    # the nonzero pattern column by column, so that the rows meeting the
-    # pivot column are one contiguous scan
-    pattern = np.zeros((n, m), dtype=bool)
-    pattern[columns, at] = True
-    del at, columns
+    at = np.flatnonzero(A)
+    aside = n + 1
+    score = np.bincount(at // n, minlength=m)
+    score[np.bincount(at[pivotal(A.reshape(-1)[at])] // n, minlength=m) == 0] += aside
+    del at
     # over Z every entry stays below top, so a step is safe while
     # top + top^2 < 2^62; past that each step checks its own entries
     top = _extent(A)
     steps = []
     while True:
-        candidates = live.nonzero()[0]
-        if not len(candidates):
+        r = int(np.argmin(score))
+        if score[r] >= aside:
             return steps
-        r = candidates[np.argmin(nonzeros[candidates])]
         support = A[r].nonzero()[0]
         frozen = A[r, support]
-        i = np.argmax(pivotal(frozen))
+        hit = pivotal(frozen)
+        i = np.argmax(hit)
+        if not hit[i]:
+            score[r] += aside
+            continue
         c = support[i]
         A[r] = 0
-        pattern[support, r] = False
-        nonzeros[r] = live[r] = 0
-        others = pattern[c].nonzero()[0]
+        score[r] = aside
+        others = A[:, c].nonzero()[0]
         rows = others[:, None]
         old = A[rows, support]
         f = multipliers(old[:, i], frozen[i])
@@ -743,10 +751,11 @@ def _sparse_pivots(A, pivotal, multipliers, modulus=None):
             new = old - f[:, None] * frozen
             top = max(top, int(np.abs(new).max()))  # |new| < 2^62: no wrap
         A[rows, support] = new
-        nonzero = new != 0
-        pattern[support[:, None], others] = nonzero.T
-        nonzeros[others] += nonzero.sum(axis=1) - (old != 0).sum(axis=1)
-        live[others] += pivotal(new).sum(axis=1) - pivotal(old).sum(axis=1)
+        # a row set aside comes back with its count, as counts stay below
+        # aside, and a row left empty is set aside at once
+        count = (score[others] + (new != 0).sum(axis=1) - (old != 0).sum(axis=1)) % aside
+        count[count == 0] = aside
+        score[others] = count
 
 
 def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:

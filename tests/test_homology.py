@@ -419,6 +419,53 @@ def test_reduced_cocycles_mod_two(ab4, phi4):
     assert is_reduced_2_cocycle(ab4, phi4, modulus=2)
 
 
+def reduced_by_the_chains(b, phi, modulus=None):
+    """phi vanishes, in Python ints, on the boundary of every 3-tuple and
+    on every degenerate 2-chain, reduced mod modulus when one is given."""
+    chains = [chain_oracles.boundary_of_tuple(b, t) for t in tuple_basis(b.size, 3)]
+    chains += chain_oracles.degenerate_generators(b, 2)
+    values = (sum(c * phi(*t) for t, c in chain.items()) for chain in chains)
+    return all((v % modulus if modulus else v) == 0 for v in values)
+
+
+INT64_MAX = 2**63 - 1
+
+
+def scaled(phi, k, shift=0):
+    return Cochain2(tuple(tuple(k * v + shift for v in row) for row in phi.values))
+
+
+def test_reduced_cocycle_check_past_int64(ab4):
+    """The check's table is int64 while six values, or N of them, add
+    below 2^63, and Python ints past that."""
+    delta = evaluate_coboundary(ab4, Cochain1.chi(4, 2))
+    top = max(abs(v) for row in delta.values for v in row)
+    edge = INT64_MAX // (6 * top)
+    ones = Cochain2(((1,) * 4,) * 4)
+    cochains = [
+        # the weights of test_weights_whose_sums_pass_int64
+        Cochain2(tuple(tuple(2**62 + 4 * i + j for j in range(4)) for i in range(4))),
+        scaled(delta, edge), scaled(delta, -edge), scaled(delta, edge + 1),
+        scaled(delta, edge, 1), scaled(delta, edge + 1, 1),
+        scaled(ones, INT64_MAX // 6), scaled(ones, INT64_MAX // 6 + 1),
+    ]
+    for phi in cochains:
+        for modulus in (None, 2):
+            assert (is_reduced_2_cocycle(ab4, phi, modulus)
+                    == reduced_by_the_chains(ab4, phi, modulus))
+    assert is_reduced_2_cocycle(ab4, scaled(delta, edge + 1))
+
+
+def test_degenerate_sums_that_wrap_int64_are_not_zero():
+    # N = 4 values of 2^62 add to 2^64, which int64 would wrap to 0
+    b = tsr_birack(5, 1, 0, 2)
+    assert b.characteristic == 4
+    phi = Cochain2(((2**62,) * 5,) * 5)
+    assert not reduced_by_the_chains(b, phi)
+    assert not is_reduced_2_cocycle(b, phi)
+    assert is_reduced_2_cocycle(b, phi, modulus=2) == reduced_by_the_chains(b, phi, 2)
+
+
 def valid_tsr_biracks(max_n):
     out = []
     for n in range(1, max_n + 1):

@@ -426,6 +426,62 @@ def test_unit_split_record():
     assert A[[1, 2]][:, [1, 2]].tolist() == [[-15, 16], [7, -2]]
 
 
+def reference_split(M, pivotal, multiplier, modulus=None):
+    """The split's documented rule on lists of Python ints, one step at a
+    time: the row with the fewest nonzeros that holds a pivotal entry, the
+    lowest such row on ties, and the first pivotal entry in it; the pivot
+    row is frozen and cleared, and every row meeting the pivot column loses
+    f times it.  Returns the record, as the split keeps it, and the rows
+    left."""
+    A = [list(row) for row in M]
+    record = []
+    while True:
+        held = [(sum(1 for x in row if x), i) for i, row in enumerate(A)
+                if any(x and pivotal(x) for x in row)]
+        if not held:
+            return record, A
+        r = min(held)[1]
+        support = [j for j, x in enumerate(A[r]) if x]
+        frozen = [A[r][j] for j in support]
+        c = next(j for j in support if pivotal(A[r][j]))
+        A[r] = [0] * len(A[r])
+        others = [i for i, row in enumerate(A) if row[c]]
+        f = [multiplier(A[i][c], frozen[support.index(c)]) for i in others]
+        for i, fi in zip(others, f):
+            for j, x in zip(support, frozen):
+                A[i][j] -= fi * x
+                if modulus is not None:
+                    A[i][j] %= modulus
+        record.append((r, c, support, frozen, others, f))
+
+
+def split_record(M, pivotal, multipliers, modulus=None):
+    A = np.array(M, dtype=np.int64)
+    steps = linalg._sparse_pivots(A, pivotal, multipliers, modulus)
+    return [tuple(x if np.isscalar(x) else x.tolist() for x in step)
+            for step in steps], A.tolist()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_follows_its_documented_rule(seed):
+    """Random small matrices, with rows that hold no +-1 among them, over Z
+    and over Z/3^19 at the first two valuation levels."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 9), rng.randint(1, 7)
+    M = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 6]) for _ in range(n)] for _ in range(m)]
+    want = reference_split(M, lambda x: abs(x) == 1, lambda a, p: a * p)
+    assert split_record(M, linalg._is_unit, lambda a, p: a * p) == want
+    Q = 3**19
+    for low in (1, 3):
+        step = 3 * low
+        A = [[x * low % Q for x in row] for row in M]
+        want = reference_split(A, lambda x: x % step != 0,
+                               lambda a, p: (a // low) * pow(p // low, -1, Q) % Q, Q)
+        assert split_record(
+            A, lambda X: X % step != 0,
+            lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q) == want
+
+
 @pytest.mark.parametrize("M, merged, factors", [
     # the columns 1 (2, -3) and 2 (2, -3) merge, then the rows 2 (1) and -3 (1)
     ([[2, 4], [-3, -6]], (1, 1), (1,)),

@@ -141,6 +141,46 @@ def test_weights_whose_sums_pass_int64(ab4):
         assert summary(result) == search_reference(d, ab4, phi, tile(d, ab4))
 
 
+def free_loop_reference(b, phi, kinks):
+    """The multiset of weights of a free loop with kinks positive kinks, in
+    Python ints: x labels it when pi^r(x) = x, k = qN + r, and weighs q
+    orbit sums plus the first r steps of phi(pi(x), x)."""
+    q, r = divmod(kinks, b.characteristic)
+    weights = {}
+    for x in range(1, b.size + 1):
+        path = [x]
+        for _ in range(b.characteristic):
+            path.append(b.pi[path[-1] - 1])
+        steps = [phi(y, z) for z, y in zip(path, path[1:])]
+        if path[r] == x:
+            w = q * sum(steps) + sum(steps[:r])
+            weights[w] = weights.get(w, 0) + 1
+    return tuple(sorted(weights.items()))
+
+
+INT64_MAX = 2**63 - 1
+
+
+def test_kink_tables_at_the_int64_edge(ab4):
+    """The kink table is int64 while the orbit count q and q + 1 orbits of
+    the largest |phi| stay below 2^63, and Python ints past that.  Both
+    biracks have N = 2; pi of tsr(3,1,0,2) fixes an element, which labels
+    the loop for an odd number of kinks too."""
+    loop = from_crossings([], [0])
+    for b in (ab4, tsr_birack(3, 1, 0, 2)):
+        period = b.characteristic
+        for value in (0, 3, -3):
+            phi = Cochain2(((value,) * b.size,) * b.size)
+            edge = INT64_MAX // (period * abs(value)) - 1 if value else INT64_MAX
+            for q in (edge - 1, edge, edge + 1, edge + 2):
+                for r in range(period):
+                    kinks = q * period + r
+                    result = framed_invariants(loop, b, phi, (kinks,))
+                    want = free_loop_reference(b, phi, kinks)
+                    assert result.multiset == want, (b, value, q, r)
+                    assert result.phi_z == sum(m for _, m in want)
+
+
 def test_search_is_not_bounded_by_the_recursion_limit(one_element):
     d = from_crossings([], free_loops=range(1200))
     assert enumerate_labelings(d, one_element) == [(1,) * 1200]
