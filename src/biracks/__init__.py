@@ -37,7 +37,6 @@ from .diagram import (
     from_crossings,
     parse_crossing_list,
     parse_gauss,
-    parse_pd,
     render_crossing_list,
     render_gauss,
     reverse_component,

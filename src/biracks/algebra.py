@@ -27,8 +27,9 @@ two scatter assignments.  Axiom (iii) compares the three identities at
 every (x, y, z) at once, over blocks of x and y of at most 2^18 cells (for
 n <= 2^18), so every table with n <= 64 takes one block and the temporaries
 stay a few MB at any n.  The kink solutions of x are the nonzeros of row x
-of A^T == B.  Witnesses are 1-based tuples of Python ints, sorted
-(row-major order).
+of A^T == B.  When pi does not exist, one refusal names why: the first x
+with no solution or several, or else pi not being injective.  Witnesses
+are 1-based tuples of Python ints, sorted (row-major order).
 
 A validated birack keeps the 1-based tuples as its fields and gives the
 numeric layers one read-only 0-based view of alpha, beta and pi.
@@ -49,13 +50,6 @@ from .errors import InputError, check_integers, records
 
 Perm = tuple[int, ...]  # perm[i-1] is the 1-based image of i
 _BLOCK_CELLS = 1 << 18  # (x, y, z) cells per block of the exchange check
-
-
-def _invert_perm(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 def _cycles(p: Perm) -> list[list[int]]:
@@ -169,16 +163,6 @@ class AugmentedBirack:
         return self.beta[x - 1][y - 1]
 
     @cached_property
-    def alpha_inv(self) -> tuple[Perm, ...]:
-        """Permutation inverses of the maps alpha_x (not alpha_bar)."""
-        return tuple(_invert_perm(p) for p in self.alpha)
-
-    @cached_property
-    def beta_inv(self) -> tuple[Perm, ...]:
-        """Permutation inverses of the maps beta_x (not beta_bar)."""
-        return tuple(_invert_perm(p) for p in self.beta)
-
-    @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """alpha, beta and pi as read-only 0-based int arrays, the view every
         numeric layer reads: alpha[x, y] = alpha_{x+1}(y+1) - 1."""
@@ -197,21 +181,6 @@ class AugmentedBirack:
         """S(x, y) = (alpha_x(y), beta_y(x))."""
         self._check(x, y)
         return self.alpha[x - 1][y - 1], self.beta[y - 1][x - 1]
-
-    def sideways_inverse(self, u: int, v: int) -> tuple[int, int]:
-        """S_inverse(u, v) = (beta_bar_u(v), alpha_bar_v(u))."""
-        self._check(u, v)
-        return self.beta_bar[u - 1][v - 1], self.alpha_bar[v - 1][u - 1]
-
-    def birack_map(self, x: int, y: int) -> tuple[int, int]:
-        """B(x, y) = (beta_x^-1(y), alpha_{beta_x^-1(y)}(x)).
-
-        beta_x^-1 is the permutation inverse of beta_x, which differs from
-        beta_bar_x in general.
-        """
-        self._check(x, y)
-        w = self.beta_inv[x - 1][y - 1]
-        return w, self.alpha[w - 1][x - 1]
 
     # -- rendering ----------------------------------------------------
 
@@ -233,8 +202,10 @@ class AugmentedBirack:
 
 
 def _check_tables(alpha, beta):
-    """check_axioms' report plus what from_tables builds on: the normalized
-    tables and their sideways inverse (None when S is not a bijection)."""
+    """check_axioms' report, the refusal that names the first x where the
+    kink map fails to exist or to be a permutation (None when pi exists),
+    and what from_tables builds on: the normalized tables and their
+    sideways inverse (None when S is not a bijection)."""
     alpha, beta, n = _normalize_tables(alpha, beta)
     A = np.array(alpha) - 1  # A[x, y] = alpha_x(y) - 1
     B = np.array(beta) - 1
@@ -271,9 +242,17 @@ def _check_tables(alpha, beta):
     solves = A.T == B
     p = solves.argmax(axis=1)  # pi - 1, where x has one solution
     bad = solves.sum(axis=1) != 1
-    if not bad.any():
+    kink_refusal = None
+    if bad.any():
+        x = int(bad.argmax())
+        sols = (solves[x].nonzero()[0] + 1).tolist()
+        kink_refusal = (f"kink identity at x={x + 1} has multiple solutions {sols}"
+                        if sols else f"no label y satisfies the kink identity at x={x + 1}")
+    else:
         bad = np.bincount(p, minlength=n)[p] > 1  # pi is not injective
-    pi = None if bad.any() else tuple((p + 1).tolist())
+        if bad.any():
+            kink_refusal = "kink map solutions do not form a permutation"
+    pi = None if kink_refusal else tuple((p + 1).tolist())
     if pi and alpha_bar is not None:
         bad = bb[p, xs] != ab[xs, p]  # beta_bar_{pi(x)}(x) = alpha_bar_x(pi(x))
     witnesses = _cells(bad)
@@ -286,7 +265,7 @@ def _check_tables(alpha, beta):
         pi=pi,
         characteristic=_perm_order(pi) if pi else None,
     )
-    return report, (alpha, beta, alpha_bar, beta_bar)
+    return report, kink_refusal, (alpha, beta, alpha_bar, beta_bar)
 
 
 def check_axioms(alpha, beta) -> AxiomReport:
@@ -298,37 +277,24 @@ def check_axioms(alpha, beta) -> AxiomReport:
     return _check_tables(alpha, beta)[0]
 
 
-def _kink_map(alpha, beta) -> Perm:
-    """pi from normalized tables, or the error naming the first failure."""
-    solves = np.array(alpha).T == np.array(beta)  # 1-based, as A^T == B
-    solutions = [(row.nonzero()[0] + 1).tolist() for row in solves]
-    for x, sols in enumerate(solutions, start=1):
-        if not sols:
-            raise InputError(f"no label y satisfies the kink identity at x={x}")
-        if len(sols) > 1:
-            raise InputError(
-                f"kink identity at x={x} has multiple solutions {sols}")
-    pi = tuple(sols[0] for sols in solutions)
-    if set(pi) != set(range(1, len(pi) + 1)):
-        raise InputError("kink map solutions do not form a permutation")
-    return pi
-
-
 def derive_kink_map(alpha, beta) -> Perm:
-    """The kink map pi: for each x the unique y with alpha_y(x) = beta_x(y)."""
-    return _kink_map(*_normalize_tables(alpha, beta)[:2])
+    """The kink map pi: for each x the unique y with alpha_y(x) = beta_x(y),
+    whether or not the tables pass (ii), (iii) and the mirror identity."""
+    report, kink_refusal, _ = _check_tables(alpha, beta)
+    if kink_refusal:
+        raise InputError(kink_refusal)
+    return report.pi
 
 
 def from_tables(alpha, beta) -> AugmentedBirack:
     """Build and validate a birack from permutation tables alpha, beta."""
-    report, (alpha, beta, alpha_bar, beta_bar) = _check_tables(alpha, beta)
+    report, kink_refusal, (alpha, beta, alpha_bar, beta_bar) = _check_tables(alpha, beta)
     if not report.axiom_ii.passed:
         raise InputError(f"axiom ii fails at {report.axiom_ii.witnesses[0]}")
     if not report.axiom_iii.passed:
         raise InputError(f"axiom iii fails at {report.axiom_iii.witnesses[0]}")
     if not report.axiom_i.passed:
-        _kink_map(alpha, beta)  # raises the precise error when pi is not a permutation
-        raise InputError(f"axiom i fails at {report.axiom_i.witnesses[0]}")
+        raise InputError(kink_refusal or f"axiom i fails at {report.axiom_i.witnesses[0]}")
     return AugmentedBirack(
         size=report.size,
         alpha=alpha,

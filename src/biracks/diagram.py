@@ -61,12 +61,6 @@ class LinkDiagram:
     def component_count(self) -> int:
         return len(self.components)
 
-    def successor(self, s: int) -> int:
-        return self.successors[s]
-
-    def component_of(self, s: int) -> int:
-        return self.semiarc_component[s]
-
     def __repr__(self):
         return (f"LinkDiagram({len(self.crossings)} crossings, "
                 f"{self.component_count} components, framing={self.framing})")
@@ -295,85 +289,6 @@ def canonical_relabel(d: LinkDiagram) -> LinkDiagram:
         for c in d.crossings
     ]
     return from_crossings(crossings, [new_id[s] for s in d.free_loop_semiarcs])
-
-
-# -- planar diagram codes ------------------------------------------------
-
-_PD_QUAD = re.compile(
-    r"[Xx]\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
-
-
-def parse_pd(text: str) -> LinkDiagram:
-    """Import a planar diagram code of X[a,b,c,d] crossings.
-
-    Reading is counterclockwise from the incoming under-edge: the under
-    strand runs a -> c, and the over strand occupies b and d.  Over-strand
-    directions are recovered by propagating head/tail constraints from the
-    under slots; codes whose over directions stay undetermined (closed
-    all-over loops) are rejected rather than guessed.  As in the other
-    formats, a `#` starts a comment that runs to the end of its line.
-    """
-    code = " ".join(body for _, body in records(text))
-    quads = [tuple(int(v) for v in q) for q in _PD_QUAD.findall(code)]
-    if not quads:
-        raise InputError("no X[a,b,c,d] crossings found")
-
-    occurrences: dict[int, list] = {}
-    for ci, (a, b, c, dd) in enumerate(quads):
-        occurrences.setdefault(a, []).append((ci, "uin"))
-        occurrences.setdefault(c, []).append((ci, "uout"))
-        occurrences.setdefault(b, []).append((ci, "b"))
-        occurrences.setdefault(dd, []).append((ci, "d"))
-    for e, occ in occurrences.items():
-        if len(occ) != 2:
-            raise InputError(f"edge {e} appears {len(occ)} times; expected 2")
-
-    # bit per crossing: True when the over strand runs b -> d
-    bits: dict[int, bool] = {}
-
-    def direction(ci, kind):
-        if kind == "uin":
-            return "head"
-        if kind == "uout":
-            return "tail"
-        if ci not in bits:
-            return None
-        if kind == "b":
-            return "head" if bits[ci] else "tail"
-        return "tail" if bits[ci] else "head"
-
-    changed = True
-    while changed:
-        changed = False
-        for e, occ in occurrences.items():
-            dirs = [direction(ci, kind) for ci, kind in occ]
-            if None not in dirs:
-                if dirs[0] == dirs[1]:
-                    raise InputError(f"edge {e} is oriented inconsistently")
-                continue
-            if dirs.count(None) == 2:
-                continue
-            i = dirs.index(None)
-            want = "tail" if dirs[1 - i] == "head" else "head"
-            ci, kind = occ[i]
-            bit = (want == "head") if kind == "b" else (want == "tail")
-            if bits.setdefault(ci, bit) != bit:
-                raise InputError(f"edge {e} is oriented inconsistently")
-            changed = True
-
-    if len(bits) < len(quads):
-        raise InputError(
-            "over-strand directions are ambiguous in this code; refusing to guess")
-
-    ids = {e: i for i, e in enumerate(sorted(occurrences))}
-    crossings = []
-    for ci, (a, b, c, dd) in enumerate(quads):
-        if bits[ci]:
-            # over runs b -> d: over direction crosses under from its left
-            crossings.append(Crossing(-1, ids[b], ids[dd], ids[a], ids[c]))
-        else:
-            crossings.append(Crossing(+1, ids[dd], ids[b], ids[a], ids[c]))
-    return from_crossings(crossings)
 
 
 # -- surgery -------------------------------------------------------------

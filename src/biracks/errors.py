@@ -62,8 +62,8 @@ def check_integers(what, values, size=None):
 def records(text):
     """(line number, body) of each line of text whose body is not blank; the
     body is the line up to any `#`, which starts a comment, stripped.  The
-    crossing-list, Gauss code, planar diagram, birack and cochain formats
-    read their text through this."""
+    crossing-list, Gauss code, birack and cochain formats read their text
+    through this."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if body:

@@ -346,10 +346,6 @@ class Cochain2:
                              f"{[len(row) for row in self.values]}")
 
     @classmethod
-    def zero(cls, n: int):
-        return cls(tuple((0,) * n for _ in range(n)))
-
-    @classmethod
     def from_pairs(cls, n: int, pairs):
         """Build from (i, j) or (i, j, coeff) entries; repeats accumulate."""
         table = [[0] * n for _ in range(n)]

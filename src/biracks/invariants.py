@@ -112,9 +112,6 @@ class LaurentPolynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def evaluate(self, u: int = 1) -> int:
-        return sum(c * u**e for e, c in self.terms.items())
-
     def pairs(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs, ascending in exponent."""
         return sorted(self.terms.items())

@@ -25,6 +25,9 @@ change.  Pivots depend on A alone, so V is the same with or without U.  On
 int64 each step first checks a bound from the entries it touches; if
 entries could reach 2^62 the whole computation restarts on Python ints.
 smith_normal_form verifies D == U*M*V exactly and the divisibility chain.
+It refuses, with ResourceLimitExceeded, an m x n matrix whose U and V would
+hold more than MAX_TRANSFORM_CELLS = 2^24 cells (m^2 + n^2), before it
+allocates them.
 
 invariant_factors runs one full elimination, the unit split: sparse steps
 on +-1 pivots (_sparse_pivots over Z, after Dumas, Saunders and Villard,
@@ -71,7 +74,8 @@ and an elimination over Z/q^k for each prime q of D gives the q-adic
 valuations.  The two must agree.  An int64 step here that cannot stay
 exact or decide (an entry or step at 2^62, a prime of D past trial
 division, a valuation past a modulus below 2^31) raises _NeedExact, and
-then smith_normal_form(M), with its exact check of U*M*V, decides instead.
+then smith_normal_form(M), with its exact check of U*M*V, decides instead,
+or refuses M past MAX_TRANSFORM_CELLS.
 
 kernel_lattice builds no U and multiplies by none.  Let d be the core's
 diagonal for M (n columns), r the number of nonzero d_j, and d_j = 0 for
@@ -105,8 +109,11 @@ from math import gcd
 
 import numpy as np
 
-from .errors import InputError, check_integers
+from .errors import InputError, ResourceLimitExceeded, check_integers
 
+# smith_normal_form refuses an m x n matrix when m^2 + n^2, the cells of U
+# and V, is above this
+MAX_TRANSFORM_CELLS = 1 << 24
 _INT64_SAFE = 2**62
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -139,8 +146,8 @@ class IntegerMatrix:
 
     The array is int64 while every |entry| is below 2^62 (_INT64_SAFE), and
     an object array of Python ints otherwise, so it is always exact.  Code
-    that writes into `array` must keep that rule.  `data`, `column` and
-    `columns` read Python ints; `data` is a tuple snapshot, not a view.
+    that writes into `array` must keep that rule.  `data` and `columns`
+    read Python ints; `data` is a tuple snapshot, not a view.
     Multiplication uses int64 when a product bound rules out overflow and
     Python ints otherwise.  The matrix is built from integers only: a float
     or a string is an InputError.
@@ -183,19 +190,8 @@ class IntegerMatrix:
         return tuple(map(tuple, self.array.tolist()))
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls._of(np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, n):
         return cls._of(np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_columns(cls, columns, rows):
-        return cls(columns, len(columns), rows).transpose()
-
-    def column(self, j):
-        return self.array[:, j].tolist()
 
     def columns(self):
         return self.array.T.tolist()
@@ -388,10 +384,16 @@ def smith_normal_form(M) -> SmithDecomposition:
     M may be an IntegerMatrix or any nested sequence of integers.  The
     returned diagonal is nonnegative and satisfies d[i] | d[i+1]; U, V are
     unimodular.  The exact product U * M * V == D is checked before return.
+    ResourceLimitExceeded, before U and V are allocated, when m^2 + n^2 is
+    above MAX_TRANSFORM_CELLS.
     """
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
     m, n = M.rows, M.cols
+    if m * m + n * n > MAX_TRANSFORM_CELLS:
+        raise ResourceLimitExceeded(f"Smith form transform pair for a {m}x{n} matrix",
+                                    m * m + n * n, MAX_TRANSFORM_CELLS,
+                                    fixed="linalg.MAX_TRANSFORM_CELLS")
     if m == 0 or n == 0:
         return SmithDecomposition(
             (m, n), (), IntegerMatrix.identity(m), IntegerMatrix.identity(n))
@@ -434,10 +436,14 @@ def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
     """(invariant_factors of the C-ordered array A, which it overwrites, and
     the pivot rows r_k of its checked unit split).
 
-    The nonzeros of A are recorded as flat coordinates and values, then the
-    unit split eliminates A itself; if an int64 step cannot stay exact, A is
-    rebuilt from the record for smith_normal_form, and no pivot rows are
-    returned.
+    The nonzeros of M, the matrix that A holds, are recorded as flat
+    coordinates and values.  The unit split then takes the +-1 pivots of A
+    in place and clears each pivot row, so A holds the remainder, and B, its
+    copy with the zero rows and columns dropped and the rest merged
+    (_remainder), has no +-1 entry.  _check_split checks the record against
+    the nonzeros, which leaves A zero, so M ~ I_u + B.  If an int64 step or
+    the check could reach 2^62, A is rebuilt from the record for
+    smith_normal_form, and no pivot rows are returned.
     """
     if not A.size:
         return (), _NO_PIVOTS
@@ -445,13 +451,16 @@ def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
         cells = np.flatnonzero(A)
         values = A.reshape(-1)[cells]
         try:
-            pivots, B = _unit_split(A, cells, values)
+            steps = _sparse_pivots(A, _is_unit, lambda a, p: a * p)
+            B = _remainder(A)
+            _check_split(A, steps, cells, values)
             factors = ()
             if B.size:
                 factors = _diagonal_factors(_run_core(B, "")[0])
                 if factors != _remainder_factors(B):
                     raise AssertionError("invariant factors differ from an independent computation")
-            return (1,) * len(pivots) + factors, pivots
+            return ((1,) * len(steps) + factors,
+                    np.array([s[0] for s in steps], dtype=np.intp))
         except _NeedExact:
             A.fill(0)
             A.reshape(-1)[cells] = values
@@ -475,25 +484,6 @@ def _diagonal_factors(A):
 _MODULUS_LIMIT = 2**31
 # pairs (multiplier, frozen entry) expanded at once by the split's check
 _CHUNK = 1 << 13
-
-
-def _unit_split(A, cells, values):
-    """(rows, B) with M ~ I_u + B over Z for the u pivot rows r_k in rows and
-    B having no +-1 entry, for the C-ordered int64 array A that holds M, with
-    M's nonzeros at the flat coordinates cells, where it has values;
-    _NeedExact when a step or the check could reach 2^62.
-
-    _sparse_pivots takes the +-1 pivots of A in place and clears each pivot
-    row, so A holds the remainder; its record is checked against cells and
-    values to give M = (I + G) F as the module docstring says; with a pivot,
-    the check leaves A zero.  B is a copy of the remainder with its zero rows
-    and columns dropped (_remainder).
-    """
-    steps = _sparse_pivots(A, _is_unit, lambda a, p: a * p)
-    rows = np.array([s[0] for s in steps], dtype=np.intp)
-    B = _remainder(A)
-    _check_split(A, steps, cells, values)
-    return rows, B
 
 
 def _remainder(A):

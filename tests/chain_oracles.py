@@ -10,7 +10,8 @@ element and dropping repeats.
 
 from itertools import product
 
-from biracks import IntegerMatrix, tuple_basis
+from biracks import tuple_basis
+from maps import zeros
 
 
 def partial_prime(k, tup):
@@ -45,10 +46,10 @@ def boundary_of_tuple(b, tup):
 def boundary_matrix(b, degree):
     """The boundary matrix, one column per basis tuple, from the dicts above."""
     if degree == 0:
-        return IntegerMatrix.zeros(0, 1)
+        return zeros(0, 1)
     cols = tuple_basis(b.size, degree)
     row_index = {t: i for i, t in enumerate(tuple_basis(b.size, degree - 1))}
-    m = IntegerMatrix.zeros(len(row_index), len(cols))
+    m = zeros(len(row_index), len(cols))
     for j, tup in enumerate(cols):
         for t, c in boundary_of_tuple(b, tup).items():
             m.array[row_index[t], j] = c

@@ -11,6 +11,7 @@ its listed labelings, the tile loop the contraction replaced.
 from itertools import product
 
 from biracks import LaurentPolynomial, add_positive_kink
+from maps import inverses
 
 
 def crossing_equations(d):
@@ -30,15 +31,16 @@ def crossing_equations(d):
     return eqs
 
 
-def _propagate(b, by_var, labels, queue):
-    """Fixpoint unit propagation; False on contradiction."""
+def _propagate(maps, by_var, labels, queue):
+    """Fixpoint unit propagation; False on contradiction.  maps[kind] is the
+    pair (table, inverses of its maps) of alpha for 'a' and beta for 'b'."""
     while queue:
         v = queue.pop()
         for kind, sub, src, dst in by_var[v]:
             ls = labels[sub]
             if not ls:
                 continue
-            fwd = b.alpha if kind == "a" else b.beta
+            fwd, inv = maps[kind]
             lsrc, ldst = labels[src], labels[dst]
             if lsrc:
                 want = fwd[ls - 1][lsrc - 1]
@@ -48,7 +50,6 @@ def _propagate(b, by_var, labels, queue):
                 elif ldst != want:
                     return False
             elif ldst:
-                inv = b.alpha_inv if kind == "a" else b.beta_inv
                 labels[src] = inv[ls - 1][ldst - 1]
                 queue.append(src)
     return True
@@ -64,6 +65,7 @@ def enumerate_labelings(d, b):
     recursion limit.
     """
     count = d.semiarc_count
+    maps = {"a": (b.alpha, inverses(b.alpha)), "b": (b.beta, inverses(b.beta))}
     by_var = [[] for _ in range(count)]
     for eq in crossing_equations(d):
         for v in {eq[1], eq[2], eq[3]}:
@@ -82,7 +84,7 @@ def enumerate_labelings(d, b):
         for value in range(b.size, 0, -1):
             trial = labels[:]
             trial[v] = value
-            if _propagate(b, by_var, trial, [v]):
+            if _propagate(maps, by_var, trial, [v]):
                 stack.append(trial)
     return out
 

@@ -8,7 +8,6 @@ from itertools import product
 
 from biracks import (
     Cochain2,
-    IntegerMatrix,
     LaurentPolynomial,
     boundary_matrix,
     check_axioms,
@@ -34,6 +33,7 @@ from labeling_oracles import (
     kinked_labelings,
     tile,
 )
+from maps import from_columns
 from test_homology import boundary_of_chain, chain_vector
 from test_linalg import assert_valid_decomposition, solve
 
@@ -135,7 +135,7 @@ def test_criterion_08_degenerate_boundaries(ab4, ab5, tsr3, random_biracks):
             assert boundary_of_chain(b, g) == {}
         index = {t: i for i, t in enumerate(tuple_basis(b.size, 2))}
         gens2 = degenerate_generators(b, 2)
-        span = IntegerMatrix.from_columns(
+        span = from_columns(
             [chain_vector(g, index) for g in gens2], len(index)
         )
         snf = smith_normal_form(span)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from biracks import (
 from biracks import algebra
 from biracks.errors import BirackError, InputError
 from conftest import AB4_ALPHA, AB4_BETA, AB5_ALPHA, AB5_BETA, dihedral_tables
+from maps import birack_map, sideways_inverse
 
 # matrix with alpha columns stacked over beta columns, the 3-element example
 THREE_ELEMENT_MATRIX = [
@@ -90,7 +92,7 @@ def test_tsr_birack_map_formula(tsr3):
         for y in range(1, 4):
             u = (y + 2 * x - 1) % 3 + 1
             v = (2 * x - 1) % 3 + 1
-            assert tsr3.birack_map(x, y) == (u, v)
+            assert birack_map(tsr3, x, y) == (u, v)
 
 
 def test_identity_birack_swaps():
@@ -98,7 +100,7 @@ def test_identity_birack_swaps():
     b = from_tables((ident,) * 3, (ident,) * 3)
     for x in range(1, 4):
         for y in range(1, 4):
-            assert b.birack_map(x, y) == (y, x)
+            assert birack_map(b, x, y) == (y, x)
 
 
 def test_axiom_failure_shears():
@@ -153,13 +155,73 @@ def test_kink_map_not_unique():
         from_tables(alpha, beta)
 
 
+# Tables on which axiom (i) fails in each way it can: the kink map is
+# missing at x=1, not unique at x=1, not injective, or a permutation that
+# breaks the mirror identity at x=2.  Each row holds the tables, pi (None
+# when it does not exist), the refusal that names the failure, the
+# witnesses of (i), and what from_tables raises first, as (ii) or (iii)
+# also fails on each.
+KINK_FAILURES = [
+    (((1, 2), (2, 1)), ((2, 1), (1, 2)), None,
+     "no label y satisfies the kink identity at x=1", ((1,), (2,)),
+     "axiom ii fails at (1, 1)"),
+    (((1, 2), (2, 1)), ((1, 2), (1, 2)), None,
+     "kink identity at x=1 has multiple solutions [1, 2]", ((1,), (2,)),
+     "axiom iii fails at (2, 1)"),
+    (((1, 2), (1, 2)), ((1, 2), (2, 1)), None,
+     "kink map solutions do not form a permutation", ((1,), (2,)),
+     "axiom iii fails at (1, 2)"),
+    (((1, 2, 3),) * 3, ((1, 2, 3), (1, 3, 2), (2, 3, 1)), (1, 3, 2),
+     "axiom i fails at (2,)", ((2,),),
+     "axiom iii fails at (1, 3)"),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, pi, refusal, witnesses, first", KINK_FAILURES,
+                         ids=["missing", "not-unique", "not-injective", "mirror"])
+def test_kink_map_refusals_are_worded_exactly(alpha, beta, pi, refusal, witnesses, first):
+    report = check_axioms(alpha, beta)
+    assert report.axiom_i.witnesses == witnesses and report.pi == pi
+    if pi is None:
+        with pytest.raises(InputError) as caught:
+            derive_kink_map(alpha, beta)
+        assert str(caught.value) == refusal
+    else:
+        assert derive_kink_map(alpha, beta) == pi
+    with pytest.raises(InputError) as caught:
+        from_tables(alpha, beta)
+    assert str(caught.value) == first
+
+
+@pytest.mark.parametrize("alpha, beta, pi, refusal, witnesses, first", KINK_FAILURES,
+                         ids=["missing", "not-unique", "not-injective", "mirror"])
+def test_from_tables_words_a_failure_of_axiom_i_alone(
+        monkeypatch, alpha, beta, pi, refusal, witnesses, first):
+    # Tables that pass (ii) and (iii) form a birack, whose kink map exists
+    # and is a permutation; an enumeration of every table with n <= 3 finds
+    # none that passes (ii) and (iii) but fails (i).  So the report is made
+    # to pass both here, to reach the refusals of (i) that from_tables words
+    # after them.
+    real = algebra._check_tables
+
+    def passing(a, b):
+        report, kink_refusal, tables = real(a, b)
+        ok = algebra.AxiomCheck("", True, ())
+        return replace(report, axiom_ii=ok, axiom_iii=ok), kink_refusal, tables
+
+    monkeypatch.setattr(algebra, "_check_tables", passing)
+    with pytest.raises(InputError) as caught:
+        from_tables(alpha, beta)
+    assert str(caught.value) == refusal
+
+
 def test_sideways_roundtrip(ab4, ab5, tsr3):
     for b in (ab4, ab5, tsr3):
         seen = set()
         for x in range(1, b.size + 1):
             for y in range(1, b.size + 1):
                 u, v = b.sideways(x, y)
-                assert b.sideways_inverse(u, v) == (x, y)
+                assert sideways_inverse(b, u, v) == (x, y)
                 seen.add((u, v))
         assert len(seen) == b.size * b.size
 

@@ -27,6 +27,7 @@ from biracks.cli import main
 from biracks.diagram import parse_diagram
 from biracks.homology import parse_cochain, reduced_cocycle_constraints
 from biracks.errors import BirackError, InputError
+from test_algebra import KINK_FAILURES
 from test_homology import count_calls
 from test_linalg import (
     add_row_space_column_to_kernel,
@@ -75,6 +76,24 @@ def test_check_reports_axiom_failure(tmp_path):
     code, out, _ = run(["check", str(path)])
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("alpha, beta, pi, refusal, witnesses, first", KINK_FAILURES,
+                         ids=["missing", "not-unique", "not-injective", "mirror"])
+def test_check_json_lists_the_axiom_i_witnesses(tmp_path, alpha, beta, pi, refusal,
+                                               witnesses, first):
+    n = len(alpha)
+    rows = [[table[j][i] for j in range(n)] for table in (alpha, beta) for i in range(n)]
+    path = tmp_path / "tables.txt"
+    path.write_text(f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    code, out, err = run(["check", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, err, payload["ok"]) == (1, "", False)
+    assert payload["axioms"]["i"] == {"passed": False,
+                                      "witnesses": [list(w) for w in witnesses]}
+    assert payload["pi"] == (list(pi) if pi else None)
+    code, out, _ = run(["check", str(path)])
+    assert "axiom i: FAIL at " + ", ".join(map(str, witnesses)) + "\n" in out
 
 
 def test_check_rejects_malformed_file(tmp_path):
@@ -366,6 +385,20 @@ def test_homology_resource_guard():
     assert code == 1
     assert err == ("error: degree-9 chain basis on 4 elements needs 262144 cells, "
                    "above the limit 20000; raise the limit to proceed\n")
+
+
+def test_homology_past_the_transform_bound_is_refused(tmp_path, monkeypatch):
+    # H_4(tsr(6,1,2,5)) passes the cell guard, but its exact fallback would
+    # need the Smith form transforms of all of the 7776 x 1123 d_5^T
+    monkeypatch.delenv("BIRACKS_MAX_CELLS", raising=False)
+    path = tmp_path / "tsr6.txt"
+    path.write_text(format_birack(tsr_birack(6, 1, 2, 5)))
+    for extra in ([], ["--json"]):
+        code, out, err = run(["homology", str(path), "-n", "4"] + extra)
+        assert (code, out) == (1, "")
+        assert err == ("error: Smith form transform pair for a 7776x1123 matrix needs "
+                       "61727305 cells, above the fixed bound "
+                       "linalg.MAX_TRANSFORM_CELLS = 16777216\n")
 
 
 def test_homology_env_override(monkeypatch):

@@ -11,7 +11,6 @@ from biracks import (
     load_diagram,
     parse_crossing_list,
     parse_gauss,
-    parse_pd,
     render_crossing_list,
     render_gauss,
     reverse_component,
@@ -32,8 +31,8 @@ def test_parse_crossing_list_hopf():
     assert d.framing == (0, 0)
     assert d.crossings[0] == Crossing(1, 0, 1, 2, 3)
     # each component is a closed walk under successor
-    assert d.successor(0) == 1 and d.successor(1) == 0
-    assert d.successor(2) == 3 and d.successor(3) == 2
+    assert d.successors[0] == 1 and d.successors[1] == 0
+    assert d.successors[2] == 3 and d.successors[3] == 2
 
 
 def test_parse_crossing_list_free_loops():
@@ -176,40 +175,6 @@ def test_canonical_relabel_is_idempotent():
         assert once.component_count == d.component_count
 
 
-def test_parse_pd_left_trefoil():
-    d = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
-    assert [c.sign for c in d.crossings] == [-1, -1, -1]
-    assert d.component_count == 1
-    assert d.semiarc_count == 6
-
-
-def test_parse_pd_figure_eight():
-    d = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
-    assert sorted(c.sign for c in d.crossings) == [-1, -1, 1, 1]
-    assert d.component_count == 1
-
-
-def test_parse_pd_ignores_comments():
-    # the comment's crossing is not read: edge 1 would appear 6 times
-    d = parse_pd("# from X[1,1,1,1]\nPD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
-    assert d == parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
-    assert sorted(c.sign for c in d.crossings) == [-1, -1, 1, 1]
-    assert d.component_count == 1
-
-
-def test_parse_pd_rejects_ambiguous_over_loops():
-    # one circle passing entirely over the other leaves its direction unknowable
-    with pytest.raises(ValueError):
-        parse_pd("PD[X[1,3,2,4],X[2,4,1,3]]")
-
-
-def test_parse_pd_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        parse_pd("PD[X[1,2,3,4]]")
-    with pytest.raises(ValueError):
-        parse_pd("no crossings here")
-
-
 def test_from_crossings_validates():
     with pytest.raises(InputError, match="semiarc 0 has no out endpoint"):
         from_crossings([Crossing(1, 0, 1, 2, 3)])
@@ -221,8 +186,8 @@ def test_component_structure():
     d = load_diagram("l5a1")
     assert d.component_count == 2
     for s in range(d.semiarc_count):
-        c = d.component_of(s)
+        c = d.semiarc_component[s]
         assert s in d.components[c]
     # successor stays within the component
     for s in range(d.semiarc_count):
-        assert d.component_of(d.successor(s)) == d.component_of(s)
+        assert d.semiarc_component[d.successors[s]] == d.semiarc_component[s]

@@ -21,9 +21,10 @@ from biracks import (
     reduced_cocycle_constraints,
     smith_normal_form,
 )
-from biracks.errors import InputError
+from biracks.errors import InputError, ResourceLimitExceeded
 from biracks.linalg import invariant_factors
 from conftest import AB4_ALPHA, AB4_BETA
+from maps import column, from_columns, zeros
 
 
 def bareiss_determinant(rows):
@@ -132,7 +133,7 @@ def quotient_invariants(basis, gens):
         if x is None:
             raise ValueError("generator outside the span of the basis")
         coeffs.append(x)
-    inner = smith_normal_form(IntegerMatrix.from_columns(coeffs, r))
+    inner = smith_normal_form(from_columns(coeffs, r))
     torsion = [x for x in inner.invariant_factors if x > 1]
     return r - inner.rank, torsion
 
@@ -159,7 +160,7 @@ def test_diagonal_two_three():
 
 
 def test_zero_matrix():
-    M = IntegerMatrix.zeros(3, 5)
+    M = zeros(3, 5)
     snf = smith_normal_form(M)
     assert snf.d == (0, 0, 0)
     assert snf.rank == 0
@@ -168,10 +169,26 @@ def test_zero_matrix():
 
 def test_empty_shapes():
     for rows, cols in ((0, 0), (0, 3), (3, 0)):
-        M = IntegerMatrix.zeros(rows, cols)
+        M = zeros(rows, cols)
         snf = smith_normal_form(M)
         assert snf.d == ()
         assert_valid_decomposition(M, snf)
+
+
+def test_smith_form_refuses_transforms_past_the_fixed_bound(monkeypatch):
+    # 4096^2 + 1^2 cells of U and V, one above 2^24: refused before they exist
+    with pytest.raises(ResourceLimitExceeded) as caught:
+        smith_normal_form(zeros(4096, 1))
+    assert str(caught.value) == (
+        "Smith form transform pair for a 4096x1 matrix needs 16777217 cells, "
+        "above the fixed bound linalg.MAX_TRANSFORM_CELLS = 16777216")
+    monkeypatch.setattr(linalg, "MAX_TRANSFORM_CELLS", 13)
+    assert smith_normal_form([[1, 2, 3], [4, 5, 6]]).d == (1, 3)  # 4 + 9 cells
+    with pytest.raises(ResourceLimitExceeded, match="for a 3x3 matrix needs 18 cells"):
+        smith_normal_form([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    # trial division cannot take the prime 2^61 - 1, so the exact fallback runs
+    with pytest.raises(ResourceLimitExceeded, match="for a 1x4 matrix needs 17 cells"):
+        invariant_factors([[2**61 - 1, 0, 0, 0]])
 
 
 def test_random_matrices_decompose():
@@ -682,7 +699,7 @@ def test_quotient_invariants():
     gens = IntegerMatrix([[2, 0], [0, 3]])
     assert quotient_invariants(basis, gens) == (0, [6])
     assert quotient_invariants(basis, IntegerMatrix([[2], [0]])) == (1, [2])
-    assert quotient_invariants(basis, IntegerMatrix.zeros(2, 0)) == (2, [])
+    assert quotient_invariants(basis, zeros(2, 0)) == (2, [])
     # unimodular generators give a trivial quotient
     assert quotient_invariants(basis, IntegerMatrix([[1, 0], [1, 1]])) == (0, [])
 
@@ -690,7 +707,7 @@ def test_quotient_invariants():
 def test_quotient_invariants_rejects_bad_input():
     dependent = IntegerMatrix([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
-        quotient_invariants(dependent, IntegerMatrix.zeros(2, 0))
+        quotient_invariants(dependent, zeros(2, 0))
     basis = IntegerMatrix([[2], [0]])
     outside = IntegerMatrix([[1], [0]])
     with pytest.raises(ValueError):
@@ -741,13 +758,13 @@ def test_kernel_lattice_mod_members_verify():
 def test_matrix_helpers():
     M = IntegerMatrix([[1, 2], [3, 4], [5, 6]])
     assert M.transpose().data == ((1, 3, 5), (2, 4, 6))
-    assert M.column(1) == [2, 4, 6]
+    assert column(M, 1) == [2, 4, 6]
     assert abs(M.array).max() == 6
     assert not M.is_zero()
     with pytest.raises(ValueError):
         IntegerMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
-        IntegerMatrix.identity(2) @ IntegerMatrix.zeros(3, 1)
+        IntegerMatrix.identity(2) @ zeros(3, 1)
 
 
 def _ref_transpose(rows, r, c):
@@ -783,16 +800,16 @@ def test_exact_across_the_int64_boundary(a, shape_a, b, shape_b):
         assert M.data == tuple(map(tuple, rows))
         columns = _ref_transpose(rows, r, c)
         assert M.columns() == columns
-        assert [M.column(j) for j in range(c)] == columns
+        assert [column(M, j) for j in range(c)] == columns
         read = [v for row in M.data for v in row] + [v for col in M.columns() for v in col]
-        read += [v for j in range(c) for v in M.column(j)]
+        read += [v for j in range(c) for v in column(M, j)]
         assert all(type(v) is int for v in read)
         T = M.transpose()
         assert (T.rows, T.cols) == (c, r)
         assert T.data == tuple(map(tuple, columns))
         assert T.array.dtype == M.array.dtype
         assert T.transpose() == M
-        assert IntegerMatrix.from_columns(columns, r) == M
+        assert from_columns(columns, r) == M
         assert M.is_zero() == (not any(v for row in rows for v in row))
         if r and c:
             bumped = [list(row) for row in rows]

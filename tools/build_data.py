@@ -350,7 +350,9 @@ CODES = {
 }
 
 TREFOIL = "O1-U2-O3-U1-O2-U3-"
-FIG8 = bk.parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
+# the figure eight's PD code PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]
+# (reading counterclockwise from the incoming under-edge), as a Gauss code
+FIG8 = "U2+O1+U4-O3-U1+O2+U3-O4-"
 
 
 def main(check: bool = False) -> list[Path]:
@@ -498,7 +500,7 @@ def main(check: bool = False) -> list[Path]:
     for name in ("l2a1", "l4a1", "l5a1", "l6a1", "l6a2", "l6a3"):
         avoid.update(sig(v) for v in orientation_variants(links[name]))
     tref = bk.parse_gauss(TREFOIL)
-    for knot in (tref, mirror(tref), FIG8):
+    for knot in (tref, mirror(tref), bk.parse_gauss(FIG8)):
         for h in orientation_variants(links["l2a1"]):
             avoid.add(sig(connected_sum(h, knot)))
 
@@ -520,8 +522,7 @@ def main(check: bool = False) -> list[Path]:
     adopt_knot("k3_1", TREFOIL, "trefoil, all-negative")
     adopt_knot("k3_1_variant", "O1-O4+O5-U2-O3-U5-U4+U1-O2-U3-",
                "trefoil with a cancelling R2 pair spliced in", twin="k3_1")
-    # render_gauss ends its last line; the file writer adds the newline
-    adopt_knot("k4_1", bk.render_gauss(FIG8).rstrip("\n"), "figure eight, from its PD code")
+    adopt_knot("k4_1", FIG8, "figure eight, from its PD code")
     adopt_knot("v2_1", "O1+O2+U1+U2+", "virtual trefoil")
 
     # The signatures of every 1- and 2-crossing code, and of every
