@@ -34,7 +34,7 @@ coordinates and weight merge.  Both stay int64 while a bound from the
 operands allows, and become Python ints otherwise; so do the cochain table
 and F's weights, from a bound on phi and on the kink counts.  Tensors that
 differ only in their index labels share their entries: each crossing sign,
-and each list of kink counts, is built once per call, and closed once per
+and each list of kink counts, is built and closed once per call and
 pattern of repeated indices.
 
 The order is greedy and pairwise, chosen from the index sizes alone: each
@@ -43,10 +43,11 @@ holds back growing steps that carry a framing index.  The two agree up to
 the first step at which the plain order takes such a pair, so the deferred
 one is planned only from there, and only if that step comes; the order
 with the smaller largest tensor, then fewer flops, is the one run.
-MAX_CONTRACTION_CELLS still bounds each tensor's dense shape times its
-number of weights, and so its entries: the inputs and the largest
-intermediate of the order are checked before any tensor is built, and each
-step before it joins; each check raises ResourceLimitExceeded.
+Two checks raise ResourceLimitExceeded.  Before any tensor is built, the
+largest dense shape of the order, which covers its inputs, must fit one
+int64 code: at most linalg._INT64_MAX cells.  Each step then counts the
+entries its join makes before it allocates them, and refuses more than
+MAX_CONTRACTION_CELLS.
 
 This contraction is the package's only labeling engine.  The tests keep a
 backtracking search and brute force that list labelings one by one, as
@@ -67,7 +68,7 @@ from .diagram import LinkDiagram
 from .errors import InputError, NotReducedCocycle
 from .errors import ResourceLimitExceeded, check_budget, check_integers
 from .homology import Cochain2, is_reduced_2_cocycle
-from .linalg import _exact
+from .linalg import _INT64_MAX, _exact, _extent
 
 DEFAULT_MAX_TILE = 4096
 MAX_CONTRACTION_CELLS = 1 << 24
@@ -197,10 +198,6 @@ def _unravel(code, shape):
     return np.unravel_index(code, shape) if shape else ()
 
 
-def _top(values):
-    return int(np.abs(values).max(initial=0))
-
-
 def _merged(indices, code, weights, counts):
     """The tensor whose entries alike in coordinates and weight are one."""
     order = np.lexsort((code, weights))
@@ -237,7 +234,7 @@ def _kink_entries(b: AugmentedBirack, weights, kinks):
     n, period = b.size, b.characteristic
     pi = b._arrays[2]
     q, r = zip(*(divmod(k, period) for k in kinks))  # Python ints: k may pass 2^63
-    top = max(max(q), (max(q) + 1) * period * _top(weights))
+    top = max(max(q), (max(q) + 1) * period * _extent(weights))
     ends = [np.arange(n)]
     for _ in range(period):
         ends.append(pi[ends[-1]])
@@ -357,17 +354,13 @@ def _greedy(specs, dims, framings):
     return plan[:2]
 
 
-def _guard(shape, weights=1):
-    """Refuse a tensor of this dense shape and number of weights when its
-    cells over all weights would exceed MAX_CONTRACTION_CELLS."""
-    cells = prod(shape) * weights
-    if cells > MAX_CONTRACTION_CELLS:
-        what = "x".join(map(str, shape)) or "scalar"
-        if weights > 1:
-            what += f" over {weights} weights"
-        raise ResourceLimitExceeded(f"labeling contraction intermediate {what}",
-                                    cells, MAX_CONTRACTION_CELLS,
-                                    fixed="invariants.MAX_CONTRACTION_CELLS")
+def _guard(what, shape, cells, limit, fixed):
+    """Refuse the contraction when cells, made for a tensor of this dense
+    shape, are above limit, the value of the constant named fixed."""
+    if cells > limit:
+        what += " " + ("x".join(map(str, shape)) or "scalar")
+        raise ResourceLimitExceeded(f"labeling contraction {what}", cells, limit,
+                                    fixed=fixed)
 
 
 def _contract_pair(a, b, dims):
@@ -375,9 +368,12 @@ def _contract_pair(a, b, dims):
 
     The entries join on the code of their shared coordinates: b's are
     sorted once, and each entry of a meets the run of b's that agree with
-    it.  Weights stay int64 while the operands' largest ones add below
-    2^63, and counts while their largest ones times the shorter entry list
-    do, as at most that many pairs merge into one entry.
+    it.  The number of pairs that meet is known before they are allocated,
+    and more than MAX_CONTRACTION_CELLS of them are refused there.  Weights
+    stay int64 while the operands' largest ones add below 2^63, and counts
+    while their largest ones times the shorter entry list do, as at most
+    that many pairs merge into one entry.  The codes stay int64, as
+    _state_sum has checked the dense shape of every tensor of the order.
     """
     if len(a[1]) > len(b[1]):
         a, b = b, a
@@ -385,10 +381,8 @@ def _contract_pair(a, b, dims):
     keep = _merge(ia, ib)
     if not len(ca) or not len(cb):
         return (keep,) + (np.zeros(0, dtype=np.int64),) * 3
-    top = _top(wa) + _top(wb)
+    top = _extent(wa) + _extent(wb)
     wa, wb = _exact(wa, top), _exact(wb, top)
-    ub = set(wb.tolist())
-    _guard([dims[k] for k in keep], len({x + y for x in set(wa.tolist()) for y in ub}))
     xa = dict(zip(ia, _unravel(ca, [dims[k] for k in ia])))
     xb = dict(zip(ib, _unravel(cb, [dims[k] for k in ib])))
     shared = [k for k in ia if k in ib]
@@ -402,6 +396,8 @@ def _contract_pair(a, b, dims):
     order = np.argsort(key_b)
     lo = np.searchsorted(key_b, key_a, "left", order)
     hits = np.searchsorted(key_b, key_a, "right", order) - lo
+    _guard("join into", [dims[k] for k in keep], int(hits.sum()),
+           MAX_CONTRACTION_CELLS, "invariants.MAX_CONTRACTION_CELLS")
     ai = np.repeat(np.arange(len(ca)), hits)
     bi = order[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(len(ai))]
     code = code_a[ai] * prod(dims[k] for k in rest_b) + code_b[bi]
@@ -439,33 +435,26 @@ def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
     n = b.size
     table = (np.array(phi.values, dtype=object) if phi is not None
              else np.zeros((n, n), dtype=np.int64))
-    weights = _exact(table, _top(table))
+    weights = _exact(table, _extent(table))
     raw, dims, framings = _network(d, n, kinks)
-    # the ones of each crossing sign and of each kink list, built once with
-    # their number of weights: the tensors that share them differ only in
-    # their index labels
+    steps, largest = _greedy([_open(ix, dims) for ix in raw], dims, set(framings))
+    shape = [dims[k] for k in largest]
+    _guard("intermediate", shape, prod(shape), _INT64_MAX, "linalg._INT64_MAX")
+
+    # the ones of each crossing sign and of each kink list: the tensors that
+    # share them differ only in their index labels, so each is built and
+    # closed once per pattern of repeated indices, with the positions of its
+    # indices for labels, and relabeled per tensor
     sources = [(_crossing_entries, x.sign) for x in d.crossings]
     sources += [(_kink_entries, tuple(k)) for k in kinks]
-    entries = {}
-    for build, key in sources:
-        if (build, key) not in entries:
-            coords, exps = build(b, weights, key)
-            entries[build, key] = coords, exps, len(set(exps.tolist()))
-    steps, largest = _greedy([_open(ix, dims) for ix in raw], dims, set(framings))
-    for ix, source in zip(raw, sources):
-        _guard([dims[k] for k in ix], entries[source][2])
-    _guard([dims[k] for k in largest])
-
-    # each source is closed once per pattern of repeated indices, with the
-    # positions of its indices for labels, and relabeled per tensor
     closed, slots = {}, []
-    for ix, source in zip(raw, sources):
+    for ix, (build, key) in zip(raw, sources):
         pattern = tuple(map(ix.index, ix))
-        if (source, pattern) not in closed:
-            coords, exps, _ = entries[source]
-            closed[source, pattern] = _close(coords, exps, pattern,
-                                             [dims[k] for k in ix])
-        at, *lists = closed[source, pattern]
+        if (build, key, pattern) not in closed:
+            coords, exps = build(b, weights, key)
+            closed[build, key, pattern] = _close(coords, exps, pattern,
+                                                 [dims[k] for k in ix])
+        at, *lists = closed[build, key, pattern]
         slots.append((tuple(ix[p] for p in at), *lists))
     for i, j in steps:
         slots.append(_contract_pair(slots[i], slots[j], dims))
@@ -480,7 +469,7 @@ def _state_sum(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None, kinks):
 def _collect(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None,
              kinks, warn_messages) -> InvariantResult:
     j, weights, counts = _state_sum(d, b, phi, kinks)
-    counts = _exact(counts, _top(counts) * len(counts))  # bounds every total
+    counts = _exact(counts, _extent(counts) * len(counts))  # bounds every total
     by_framing = np.zeros(prod(map(len, kinks)), dtype=counts.dtype)
     np.add.at(by_framing, j, counts)
     exps, at = np.unique(weights, return_inverse=True)

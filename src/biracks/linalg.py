@@ -235,10 +235,6 @@ class SmithDecomposition:
     v: IntegerMatrix
 
     @property
-    def rank(self) -> int:
-        return sum(1 for x in self.d if x != 0)
-
-    @property
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(x for x in self.d if x != 0)
 

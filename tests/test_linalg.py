@@ -105,7 +105,7 @@ def snf_kernel_lattice(snf, modulus=None):
     Z_modulus every column j of V scaled by modulus / gcd(d_j, modulus),
     with d_j = 0 past the diagonal."""
     if modulus is None:
-        return IntegerMatrix._of(snf.v.array[:, snf.rank:].copy())
+        return IntegerMatrix._of(snf.v.array[:, len(snf.invariant_factors):].copy())
     d = snf.d + (0,) * (snf.shape[1] - len(snf.d))
     scale = np.array([modulus // gcd(x, modulus) for x in d], dtype=object)
     return IntegerMatrix._of(snf.v.array * scale)
@@ -124,7 +124,7 @@ def quotient_invariants(basis, gens):
     the list of invariant factors greater than 1.
     """
     snf = smith_normal_form(basis)
-    r = snf.rank
+    r = len(snf.invariant_factors)
     if r != basis.cols:
         raise ValueError("basis columns are not independent")
     coeffs = []
@@ -135,7 +135,7 @@ def quotient_invariants(basis, gens):
         coeffs.append(x)
     inner = smith_normal_form(from_columns(coeffs, r))
     torsion = [x for x in inner.invariant_factors if x > 1]
-    return r - inner.rank, torsion
+    return r - len(inner.invariant_factors), torsion
 
 
 def test_unimodular_check_is_exact():
@@ -154,7 +154,7 @@ def test_unimodular_check_is_exact():
 def test_diagonal_two_three():
     snf = smith_normal_form([[2, 0], [0, 3]])
     assert snf.d == (1, 6)
-    assert snf.rank == 2
+    assert len(snf.invariant_factors) == 2
     assert snf.invariant_factors == (1, 6)
     assert_valid_decomposition(IntegerMatrix([[2, 0], [0, 3]]), snf)
 
@@ -163,7 +163,7 @@ def test_zero_matrix():
     M = zeros(3, 5)
     snf = smith_normal_form(M)
     assert snf.d == (0, 0, 0)
-    assert snf.rank == 0
+    assert len(snf.invariant_factors) == 0
     assert_valid_decomposition(M, snf)
 
 
@@ -659,7 +659,7 @@ def test_kernel_certificate_checks_the_unit_factors(monkeypatch, M, change):
 def test_rank_deficient_matrix():
     M = IntegerMatrix([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
     snf = smith_normal_form(M)
-    assert snf.rank == 1
+    assert len(snf.invariant_factors) == 1
     assert_valid_decomposition(M, snf)
 
 

@@ -8,10 +8,12 @@ its labelings, and sums their Boltzmann weights one by one.
 import contextlib
 import io
 import json
+import sys
 import tracemalloc
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biracks import (
@@ -88,19 +90,48 @@ def test_large_characteristic_tiles_match_recorded_search():
 
 
 def test_tile_contraction_builds_no_dense_intermediate():
-    """The cocycle invariant of l2a1 over the 10^2 tile of
+    """The cocycle invariants of l2a1 and l6a4 over their tiles of
     tsr_birack(11, 1, 0, 2) in entry lists: a crossing's 11^4 cells in
-    int64 are 0.1 MB per weight, and dense intermediates peaked at 2.4 MB."""
+    int64 are 0.1 MB per weight, dense intermediates of l2a1 peaked at
+    2.4 MB, and l6a4 plans an 11^6 intermediate that holds 1331 entries."""
     b = tsr_birack(*TILE_N10["birack"])
     phi = Cochain2.from_pairs(b.size, TILE_N10["phi"])
-    d = load_diagram("l2a1")
-    tracemalloc.start()
-    try:
-        cocycle_invariant(d, b, phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for name in ("l2a1", "l6a4"):
+        d = load_diagram(name)
+        tracemalloc.start()
+        try:
+            cocycle_invariant(d, b, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
+
+
+WIDE_TILES = ("l6a4", "l6n1", "l7a3")
+
+
+def test_every_bundled_tile_of_the_n10_birack_finishes():
+    """Every bundled counting and cocycle tile on tsr_birack(11, 1, 0, 2)
+    returns.  The plans of WIDE_TILES meet an 11^6 dense shape, but none of
+    their joins makes more than 2420 entries.  The cocycle counts each
+    labeling once with its weight, so its per-framing counts are the
+    counting ones."""
+    b = tsr_birack(*TILE_N10["birack"])
+    phi = Cochain2.from_pairs(b.size, TILE_N10["phi"])
+    for name in available_diagrams():
+        d = load_diagram(name)
+        counts, weighted = counting_invariant(d, b), cocycle_invariant(d, b, phi)
+        assert weighted.per_framing == counts.per_framing, name
+        assert sum(m for _, m in weighted.multiset) == counts.phi_z, name
+
+
+@pytest.mark.parametrize("name", WIDE_TILES)
+def test_wide_tiles_match_search_at_the_base_framing(name):
+    b = tsr_birack(*TILE_N10["birack"])
+    phi = Cochain2.from_pairs(b.size, TILE_N10["phi"])
+    d = load_diagram(name)
+    assert (summary(framed_invariants(d, b, phi))
+            == search_reference(d, b, phi, [(0,) * d.component_count]))
 
 
 def test_framed_invariants_far_above_the_base(ab4, ab5, phi4, phi5):
@@ -186,40 +217,81 @@ def test_search_is_not_bounded_by_the_recursion_limit(one_element):
     assert enumerate_labelings(d, one_element) == [(1,) * 1200]
 
 
-def test_contraction_guard_raises_before_building_tensors(ab4, phi4, monkeypatch):
+def test_contraction_guard_raises_before_building_tensors(ab4, monkeypatch):
+    """Every dense shape of the order must fit one int64 code, as the
+    contraction ravels coordinates into int64; that is checked on the
+    plan, before an entry list is built or closed."""
     def unexpected(*args):
         raise AssertionError("a tensor was built before the guard")
 
+    # 63 free loops over ab4 (N = 2) end in 2^63 framings, one past int64
+    loops = from_crossings([], range(63))
+    monkeypatch.setattr(invariants, "_crossing_entries", unexpected)
+    monkeypatch.setattr(invariants, "_kink_entries", unexpected)
     monkeypatch.setattr(invariants, "_close", unexpected)
-    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 100)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        counting_invariant(loops, ab4, max_tile=2**63)
+    assert (info.value.needed, info.value.limit) == (2**63, 2**63 - 1)
+    assert str(info.value).startswith("labeling contraction intermediate 2x2x")
+    assert str(info.value).endswith("the fixed bound linalg._INT64_MAX = "
+                                    f"{2**63 - 1}")
+    # l2a1's crossings are its largest tensors, 4^4 cells each
+    monkeypatch.setattr(invariants, "_INT64_MAX", 4**4 - 1)
     with pytest.raises(ResourceLimitExceeded) as info:
         counting_invariant(load_diagram("l2a1"), ab4)
-    assert info.value.limit == 100
-    assert "labeling contraction intermediate" in str(info.value)
-    # the guard counts a crossing of ab4 as 4^4 cells for each of phi4's
-    # two values
-    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 4**4)
-    with pytest.raises(ResourceLimitExceeded, match="4x4x4x4 over 2 weights"):
-        cocycle_invariant(load_diagram("l2a1"), ab4, phi4)
+    assert str(info.value) == (
+        "labeling contraction intermediate 4x4x4x4 needs 256 cells, above the "
+        "fixed bound linalg._INT64_MAX = 255")
+
+
+def test_contraction_guard_refuses_a_join_before_allocating_it(ab4, phi4, monkeypatch):
+    """The guard counts the entries a join makes, whatever their weights,
+    before they are allocated: l6a5's cocycle tile on ab4 joins 16, 16, 16,
+    32 and then 64 entries."""
+    joins, merges = [], []
+    repeat, merged = np.repeat, invariants._merged
+
+    def in_join():
+        return sys._getframe(2).f_code.co_name == "_contract_pair"
+
+    def spy_repeat(*args):
+        out = repeat(*args)
+        if in_join():
+            joins.append(len(out))
+        return out
+
+    def spy_merged(*args):
+        if in_join():
+            merges.append(len(args[1]))
+        return merged(*args)
+
+    d = load_diagram("l6a5")
+    want = cocycle_invariant(d, ab4, phi4)
+    monkeypatch.setattr(np, "repeat", spy_repeat)
+    monkeypatch.setattr(invariants, "_merged", spy_merged)
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 64)
+    assert cocycle_invariant(d, ab4, phi4) == want
+    assert merges == [16, 16, 16, 32, 64, 24, 24, 8]
+    joins.clear()
+    merges.clear()
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 63)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        cocycle_invariant(d, ab4, phi4)
+    assert (info.value.needed, info.value.limit) == (64, 63)
+    assert "labeling contraction join into " in str(info.value)
+    assert merges == [16, 16, 16, 32]
+    assert joins == [n for n in merges for _ in range(2)]
 
 
 def test_contraction_guard_exits_1_from_the_cli(monkeypatch, capsys):
-    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 100)
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 15)
     assert cli.main(["invariant", "ab4", "l2a1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     # no option raises this bound, so the refusal names it and gives no advice
     assert captured.err == (
-        "error: labeling contraction intermediate 4x4x4x4 needs 256 cells, above "
-        "the fixed bound invariants.MAX_CONTRACTION_CELLS = 100\n")
-
-
-def test_weight_slices_count_toward_the_guard(ab4, phi4, monkeypatch):
-    # the inputs fit, but the first step makes 3 weights of 4^4 cells
-    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 2 * 4**4)
-    assert counting_invariant(load_diagram("l2a1"), ab4).phi_z == 16
-    with pytest.raises(ResourceLimitExceeded, match="4x4x4x4 over 3 weights"):
-        cocycle_invariant(load_diagram("l2a1"), ab4, phi4)
+        "error: labeling contraction join into 4x4x4x4 needs 16 cells, above "
+        "the fixed bound invariants.MAX_CONTRACTION_CELLS = 15\n")
 
 
 def run_cli(argv):
