@@ -43,11 +43,11 @@ holds back growing steps that carry a framing index.  The two agree up to
 the first step at which the plain order takes such a pair, so the deferred
 one is planned only from there, and only if that step comes; the order
 with the smaller largest tensor, then fewer flops, is the one run.
-Two checks raise ResourceLimitExceeded.  Before any tensor is built, the
-largest dense shape of the order, which covers its inputs, must fit one
-int64 code: at most linalg._INT64_MAX cells.  Each step then counts the
-entries its join makes before it allocates them, and refuses more than
-MAX_CONTRACTION_CELLS.
+Three checks raise ResourceLimitExceeded.  Before any tensor is built, the
+tile may hold at most MAX_CONTRACTION_CELLS framings, a cell each in the
+table of counts, and the largest dense shape of the order must fit one
+int64 code (linalg._INT64_MAX cells).  No join may then allocate more than
+MAX_CONTRACTION_CELLS entries, counted before it does.
 
 This contraction is the package's only labeling engine.  The tests keep a
 backtracking search and brute force that list labelings one by one, as
@@ -490,8 +490,11 @@ def _collect(d: LinkDiagram, b: AugmentedBirack, phi: Cochain2 | None,
 
 def _tile(d: LinkDiagram, b: AugmentedBirack, max_tile):
     c, N = d.component_count, b.characteristic
-    check_budget(f"framing tile of {N}^{c} vectors", N**c,
-                 max_tile, "max_tile", "BIRACKS_MAX_TILE", DEFAULT_MAX_TILE)
+    what = f"framing tile of {N}^{c} vectors"
+    check_budget(what, N**c, max_tile, "max_tile", "BIRACKS_MAX_TILE", DEFAULT_MAX_TILE)
+    if N**c > MAX_CONTRACTION_CELLS:  # _collect's table takes a cell per framing
+        raise ResourceLimitExceeded(what, N**c, MAX_CONTRACTION_CELLS,
+                                    fixed="invariants.MAX_CONTRACTION_CELLS")
     return [range(N)] * c
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers.
 
-No floating point is used anywhere.  An IntegerMatrix is one 2-D numpy
-array: int64 while every |entry| is below 2^62, and Python ints in an
-object array otherwise, so matrices stay arrays from the boundary build
-through the Smith form and its checks.  smith_normal_form keeps the
-unimodular transforms U and V.  Every group (homology, cohomology, and
-reduced 2-cohomology) needs only invariant factors, which
+No result rests on floating point: only the bound of check (5) below is
+summed in float64, with a factor-2 margin for rounding.  An IntegerMatrix
+is one 2-D numpy array: int64 while every |entry| is below 2^62, and
+Python ints in an object array otherwise, so matrices stay arrays from the
+boundary build through the Smith form and its checks.  smith_normal_form
+keeps the unimodular transforms U and V.  Every group (homology,
+cohomology, and reduced 2-cohomology) needs only invariant factors, which
 invariant_factors computes with no transforms at all.  A group factors
 d_n^T first and then d_(n+1)^T without the columns of the pivot rows of
 d_n^T's unit split, which _factors_in_place returns beside the factors
@@ -149,21 +150,24 @@ class IntegerMatrix:
     that writes into `array` must keep that rule.  `data` and `columns`
     read Python ints; `data` is a tuple snapshot, not a view.
     Multiplication uses int64 when a product bound rules out overflow and
-    Python ints otherwise.  The matrix is built from integers only: a float
-    or a string is an InputError.
+    Python ints otherwise.  The matrix is built from integers only, in rows
+    of one length: a float, a string or ragged data is an InputError.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, data, rows=None, cols=None):
-        a = np.asarray(data)
+        try:
+            a = np.asarray(data)
+        except ValueError:  # rows of unequal length
+            raise InputError("ragged or mis-shaped matrix data") from None
         if a.dtype.kind not in "iub":
             # floats, strings, or Python ints that numpy read as floats
             a = np.array(data, dtype=object)
         if a.shape == (0,):
             a = a.reshape(0, cols or 0)
         if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
-            raise ValueError("ragged or mis-shaped matrix data")
+            raise InputError("ragged or mis-shaped matrix data")
         if a.dtype.kind in "Ou":  # Python ints, so no uint64 entry past 2^63 wraps
             a = np.array(check_integers("matrix entries", a.flat), dtype=object).reshape(a.shape)
         self.array = a.astype(object if _extent(a) >= _INT64_SAFE else np.int64, copy=False)
@@ -437,9 +441,9 @@ def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
     in place and clears each pivot row, so A holds the remainder, and B, its
     copy with the zero rows and columns dropped and the rest merged
     (_remainder), has no +-1 entry.  _check_split checks the record against
-    the nonzeros, which leaves A zero, so M ~ I_u + B.  If an int64 step or
-    the check could reach 2^62, A is rebuilt from the record for
-    smith_normal_form, and no pivot rows are returned.
+    the nonzeros, which leaves A zero, so M ~ I_u + B, and returns the r_k.
+    If an int64 step or the check could reach 2^62, A is rebuilt from the
+    record for smith_normal_form, and no pivot rows are returned.
     """
     if not A.size:
         return (), _NO_PIVOTS
@@ -447,16 +451,15 @@ def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
         cells = np.flatnonzero(A)
         values = A.reshape(-1)[cells]
         try:
-            steps = _sparse_pivots(A, _is_unit, lambda a, p: a * p)
+            steps = _sparse_pivots(A, cells, values, _is_unit, lambda a, p: a * p)
             B = _remainder(A)
-            _check_split(A, steps, cells, values)
+            pivots = _check_split(A, steps, cells, values)
             factors = ()
             if B.size:
                 factors = _diagonal_factors(_run_core(B, "")[0])
                 if factors != _remainder_factors(B):
                     raise AssertionError("invariant factors differ from an independent computation")
-            return ((1,) * len(steps) + factors,
-                    np.array([s[0] for s in steps], dtype=np.intp))
+            return (1,) * len(pivots) + factors, pivots
         except _NeedExact:
             A.fill(0)
             A.reshape(-1)[cells] = values
@@ -524,13 +527,13 @@ def _check_split(F, steps, cells, values):
     M is the matrix whose nonzeros are values at the flat coordinates
     cells.  F enters as the C-ordered remainder and, in place, becomes the
     full F, then F + G F, then F + G F - M, which must be zero at every
-    entry.  _NeedExact when the product could reach 2^62."""
+    entry.  Returns the r_k; _NeedExact if the product could reach 2^62."""
     m, n = F.shape
     u = len(steps)
     if not u:
-        return
+        return _NO_PIVOTS
     rows, cols, supports, frozen, others, f = (list(x) for x in zip(*steps))
-    rows, cols = np.array(rows), np.array(cols)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols)
     if np.bincount(rows, minlength=m).max() > 1 or np.bincount(cols, minlength=n).max() > 1:
         raise AssertionError("the unit split takes a pivot row or column twice")
     sizes = np.array([len(s) for s in supports])
@@ -587,6 +590,7 @@ def _check_split(F, steps, cells, values):
     flat[cells] -= values
     if F.any():
         raise AssertionError("the unit split does not reproduce the matrix")
+    return rows
 
 
 def _remainder_factors(B):
@@ -672,76 +676,67 @@ def _valuation_pivots(B, q):
     A = B % Q
     counts = []
     for v in range(k):
-        if not A.any():
+        cells = np.flatnonzero(A)
+        if not len(cells):
             break
         low, step = q ** v, q ** (v + 1)
         counts.append(len(_sparse_pivots(
-            A, lambda X: X % step != 0,
+            A, cells, A.reshape(-1)[cells], lambda X: X % step != 0,
             lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q)))
     return counts
 
 
-def _sparse_pivots(A, pivotal, multipliers, modulus=None):
+def _sparse_pivots(A, cells, values, pivotal, multipliers, modulus=None):
     """Eliminate, in place, on the entries of the nonempty int64 matrix A
-    where pivotal(A) holds, over Z when modulus is None, and return the
-    record of the steps; _NeedExact over Z if a step could reach 2^62.
+    (whose nonzeros are values at the flat coordinates cells) where
+    pivotal(A) holds, over Z when modulus is None, and return the record of
+    the steps; _NeedExact over Z if a step could reach 2^62.
 
     Each pivot is the first pivotal entry of the row with the fewest
-    nonzeros that holds one, the lowest such row on ties.  score keeps each
-    row's nonzero count; a row chosen with no pivotal entry is set aside,
-    its score raised above any count, until a step changes it.  The pivot
-    row is frozen as it stands, and only the rows meeting the pivot column
-    change: each loses f times the frozen row, f = multipliers(its entries
-    in the pivot column, the pivot), which clears its entry there.  The
-    pivot row is then cleared, so the pivot drops out with its row and
-    column.  Step k is recorded as (pivot row, pivot column, the frozen
+    nonzeros that holds one, the lowest such row on ties: each row keeps
+    exact counts of its nonzeros, nnz, and pivotal entries, held, and
+    scores nnz while held > 0 and aside, above any count, otherwise.  The
+    pivot row is frozen as it stands, and only the rows meeting the pivot
+    column change: each loses f times the frozen row, f = multipliers(its
+    entries in the pivot column, the pivot), which clears its entry there,
+    and its counts move with the entries changed.  The pivot row is then
+    cleared.  Step k is recorded as (pivot row, pivot column, the frozen
     row's support and entries there, the rows changed, their multipliers).
     """
     m, n = A.shape
-    at = np.flatnonzero(A)
+    nnz = np.bincount(cells // n, minlength=m)
+    held = np.bincount(cells[pivotal(values)] // n, minlength=m)
     aside = n + 1
-    score = np.bincount(at // n, minlength=m)
-    score[np.bincount(at[pivotal(A.reshape(-1)[at])] // n, minlength=m) == 0] += aside
-    del at
-    # over Z every entry stays below top, so a step is safe while
-    # top + top^2 < 2^62; past that each step checks its own entries
-    top = _extent(A)
+    score = np.where(held > 0, nnz, aside)
+    # top bounds every entry, so a step is safe while top * (top + 1) < 2^62
+    top = _extent(values)
     steps = []
     while True:
         r = int(np.argmin(score))
-        if score[r] >= aside:
+        if score[r] == aside:
             return steps
         support = A[r].nonzero()[0]
         frozen = A[r, support]
-        hit = pivotal(frozen)
-        i = np.argmax(hit)
-        if not hit[i]:
-            score[r] += aside
-            continue
+        i = np.argmax(pivotal(frozen))
         c = support[i]
         A[r] = 0
-        score[r] = aside
+        score[r], nnz[r], held[r] = aside, 0, 0
         others = A[:, c].nonzero()[0]
-        rows = others[:, None]
-        old = A[rows, support]
+        old = A[others[:, None], support]
         f = multipliers(old[:, i], frozen[i])
         steps.append((r, c, support, frozen, others, f))
-        if not len(others):
-            continue
+        if top * (top + 1) >= _INT64_SAFE and (
+                _extent(old) + _extent(f) * _extent(frozen) >= _INT64_SAFE):
+            raise _NeedExact
+        new = old - f[:, None] * frozen
         if modulus is not None:
-            new = (old - f[:, None] * frozen) % modulus
-        else:
-            if top * (top + 1) >= _INT64_SAFE and (
-                    _extent(old) + _extent(f) * _extent(frozen) >= _INT64_SAFE):
-                raise _NeedExact
-            new = old - f[:, None] * frozen
-            top = max(top, int(np.abs(new).max()))  # |new| < 2^62: no wrap
-        A[rows, support] = new
-        # a row set aside comes back with its count, as counts stay below
-        # aside, and a row left empty is set aside at once
-        count = (score[others] + (new != 0).sum(axis=1) - (old != 0).sum(axis=1)) % aside
-        count[count == 0] = aside
-        score[others] = count
+            new %= modulus
+        top = max(top, int(np.abs(new).max(initial=0)))  # |new| < 2^62: no wrap
+        A[others[:, None], support] = new
+        count = nnz[others] + (new != 0).sum(axis=1) - (old != 0).sum(axis=1)
+        units = held[others] + pivotal(new).sum(axis=1) - pivotal(old).sum(axis=1)
+        nnz[others], held[others] = count, units
+        score[others] = np.where(units > 0, count, aside)
 
 
 def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:

@@ -1,4 +1,4 @@
-"""Diagram parsing, rendering, and moves: crossing lists, Gauss codes, PD codes."""
+"""Diagram parsing, rendering, and moves: crossing lists and Gauss codes."""
 
 import pytest
 

@@ -33,7 +33,7 @@ from biracks import (
     tuple_basis,
 )
 from biracks.errors import InputError
-from biracks.homology import Cochain1
+from biracks.homology import Cochain1, evaluate_coboundary
 from biracks.linalg import invariant_factors
 from conftest import AB4_ALPHA, AB4_BETA, PHI4_PAIRS
 
@@ -98,6 +98,35 @@ ALPHA_WITH_FLOAT = ((2, 4, 1.5, 3), *AB4_ALPHA[1:])
 def test_non_integer_input_is_refused(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: IntegerMatrix([1, 2, 3]), "ragged or mis-shaped matrix data"),
+    (lambda: IntegerMatrix([[1, 2]], rows=2), "ragged or mis-shaped matrix data"),
+    (lambda: IntegerMatrix([[1, 2], [3]]), "ragged or mis-shaped matrix data"),
+    (lambda: from_tables([], []), "alpha and beta must be nonempty tables of equal size"),
+    (lambda: AB4.a(0, 1), "element 0 out of range 1..4"),
+    (lambda: from_matrix([[1, 2, 3]]), "matrix must have 2n rows"),
+    (lambda: from_matrix([[1], [1, 2]]), "matrix must have 1 columns to match its 2n rows"),
+    (lambda: tsr_birack(0, 1, 0, 1), "modulus must be positive"),
+    (lambda: Cochain1.chi(3, 4), "index 4 out of range 1..3"),
+    (lambda: Cochain2.from_vector(2, [1, 2, 3]), "vector length must be n^2"),
+    (lambda: evaluate_coboundary(AB4, Cochain1((1, 2, 3))),
+     "cochain size does not match the birack"),
+    (lambda: LaurentPolynomial({1: -1, 0: 2}), "2-u"),
+    (lambda: LaurentPolynomial({-2: -1}), "-u^-2"),
+], ids=["IntegerMatrix_one_level", "IntegerMatrix_rows", "IntegerMatrix_ragged",
+        "from_tables_empty", "a_out_of_range", "from_matrix_odd_rows",
+        "from_matrix_columns", "tsr_birack_modulus", "Cochain1.chi_range",
+        "from_vector_length", "evaluate_coboundary_size", "polynomial_minus_u",
+        "polynomial_minus_u_power"])
+def test_each_refusal_and_rendering_reads_exactly(call, text):
+    """The text of a refusal, an InputError, or of a value rendered."""
+    try:
+        result = call()
+    except InputError as e:
+        result = e
+    assert str(result) == text
 
 
 def test_integer_input_of_every_kind_reads_exactly():

@@ -317,8 +317,8 @@ def corrupt_split(monkeypatch, change):
     after change(A, steps)."""
     real = linalg._sparse_pivots
 
-    def wrong(A, pivotal, multipliers, modulus=None):
-        steps = real(A, pivotal, multipliers, modulus)
+    def wrong(A, cells, values, pivotal, multipliers, modulus=None):
+        steps = real(A, cells, values, pivotal, multipliers, modulus)
         if modulus is None:
             change(A, steps)
         return steps
@@ -424,9 +424,9 @@ def test_unit_split_certificate_needs_the_order_of_the_steps(monkeypatch):
     G = np.array([[0, 2], [2, 0]])
     assert (np.eye(2, dtype=int) + G).tolist() == M
 
-    def record(A, pivotal, multipliers, modulus=None):
+    def record(A, cells, values, pivotal, multipliers, modulus=None):
         if modulus is not None:
-            return real(A, pivotal, multipliers, modulus)
+            return real(A, cells, values, pivotal, multipliers, modulus)
         A[:] = 0
         return steps
 
@@ -436,9 +436,14 @@ def test_unit_split_certificate_needs_the_order_of_the_steps(monkeypatch):
         invariant_factors(M)
 
 
+def nonzeros(A):
+    cells = np.flatnonzero(A)
+    return cells, A.reshape(-1)[cells]
+
+
 def test_unit_split_record():
     A = np.array(SPLIT)
-    steps = linalg._sparse_pivots(A, linalg._is_unit, lambda a, p: a * p)
+    steps = linalg._sparse_pivots(A, *nonzeros(A), linalg._is_unit, lambda a, p: a * p)
     assert [(s[0], s[1]) for s in steps] == [(0, 0), (3, 3)]
     assert A[[1, 2]][:, [1, 2]].tolist() == [[-15, 16], [7, -2]]
 
@@ -474,7 +479,7 @@ def reference_split(M, pivotal, multiplier, modulus=None):
 
 def split_record(M, pivotal, multipliers, modulus=None):
     A = np.array(M, dtype=np.int64)
-    steps = linalg._sparse_pivots(A, pivotal, multipliers, modulus)
+    steps = linalg._sparse_pivots(A, *nonzeros(A), pivotal, multipliers, modulus)
     return [tuple(x if np.isscalar(x) else x.tolist() for x in step)
             for step in steps], A.tolist()
 
@@ -497,6 +502,16 @@ def test_split_follows_its_documented_rule(seed):
         assert split_record(
             A, lambda X: X % step != 0,
             lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q) == want
+
+
+def test_split_takes_a_row_that_lost_its_unit_and_gained_one():
+    """Row 1 loses its only +-1 at step 0, while it ties for the fewest
+    nonzeros, and gains one at step 1: [1, 2, 3] - [1, 0, 0] is [0, 2, 3],
+    and that less 2 [0, 1, 1] is [0, 0, 1].  No seed above reaches this."""
+    M = [[1, 0, 0], [1, 2, 3], [0, 1, 1]]
+    want = reference_split(M, lambda x: abs(x) == 1, lambda a, p: a * p)
+    assert [step[:2] for step in want[0]] == [(0, 0), (2, 1), (1, 2)]
+    assert split_record(M, linalg._is_unit, lambda a, p: a * p) == want
 
 
 @pytest.mark.parametrize("M, merged, factors", [

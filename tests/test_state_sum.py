@@ -224,8 +224,10 @@ def test_contraction_guard_raises_before_building_tensors(ab4, monkeypatch):
     def unexpected(*args):
         raise AssertionError("a tensor was built before the guard")
 
-    # 63 free loops over ab4 (N = 2) end in 2^63 framings, one past int64
+    # 63 free loops over ab4 (N = 2) end in 2^63 framings, one past int64;
+    # the tile's own bound is raised so that the plan is checked at all
     loops = from_crossings([], range(63))
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 2**63)
     monkeypatch.setattr(invariants, "_crossing_entries", unexpected)
     monkeypatch.setattr(invariants, "_kink_entries", unexpected)
     monkeypatch.setattr(invariants, "_close", unexpected)
@@ -242,6 +244,42 @@ def test_contraction_guard_raises_before_building_tensors(ab4, monkeypatch):
     assert str(info.value) == (
         "labeling contraction intermediate 4x4x4x4 needs 256 cells, above the "
         "fixed bound linalg._INT64_MAX = 255")
+
+
+def test_a_tile_too_large_to_tabulate_is_refused(ab4, monkeypatch):
+    """62 free loops over ab4 (N = 2) hold one entry per join, but each of
+    their 2^62 framings takes a cell of the per-framing table, so the tile
+    is refused at MAX_CONTRACTION_CELLS before any tensor is built, however
+    large the budget."""
+    def unexpected(*args):
+        raise AssertionError("a tensor was built before the guard")
+
+    loops = from_crossings([], range(62))
+    monkeypatch.setattr(invariants, "_crossing_entries", unexpected)
+    monkeypatch.setattr(invariants, "_kink_entries", unexpected)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        counting_invariant(loops, ab4, max_tile=2**62)
+    assert str(info.value) == (
+        f"framing tile of 2^62 vectors needs {2**62} cells, above the fixed "
+        f"bound invariants.MAX_CONTRACTION_CELLS = {2**24}")
+    # the bound admits a tile of exactly its size: two loops, 4 framings,
+    # whose joins hold at most 4 entries
+    monkeypatch.undo()
+    two = from_crossings([], range(2))
+    want = counting_invariant(two, ab4)
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 4)
+    assert counting_invariant(two, ab4) == want
+    monkeypatch.setattr(invariants, "MAX_CONTRACTION_CELLS", 3)
+    with pytest.raises(ResourceLimitExceeded, match="^framing tile of 2.2 vectors needs 4 "):
+        cocycle_invariant(two, ab4, Cochain2(((0,) * 4,) * 4))
+
+
+def test_a_tile_too_large_to_tabulate_exits_1_from_the_cli(tmp_path):
+    path = tmp_path / "loops.txt"
+    path.write_text("".join(f"L {i}\n" for i in range(62)))
+    assert run_cli(["invariant", "ab4", str(path), "--max-tile", str(2**62)]) == (
+        1, "", f"error: framing tile of 2^62 vectors needs {2**62} cells, above the "
+        f"fixed bound invariants.MAX_CONTRACTION_CELLS = {2**24}\n")
 
 
 def test_contraction_guard_refuses_a_join_before_allocating_it(ab4, phi4, monkeypatch):

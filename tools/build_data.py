@@ -522,7 +522,7 @@ def main(check: bool = False) -> list[Path]:
     adopt_knot("k3_1", TREFOIL, "trefoil, all-negative")
     adopt_knot("k3_1_variant", "O1-O4+O5-U2-O3-U5-U4+U1-O2-U3-",
                "trefoil with a cancelling R2 pair spliced in", twin="k3_1")
-    adopt_knot("k4_1", FIG8, "figure eight, from its PD code")
+    adopt_knot("k4_1", FIG8, "figure eight")
     adopt_knot("v2_1", "O1+O2+U1+U2+", "virtual trefoil")
 
     # The signatures of every 1- and 2-crossing code, and of every
