@@ -13,7 +13,6 @@ from .algebra import (
     AugmentedBirack,
     check_axioms,
     cycle_notation,
-    derive_kink_map,
     format_birack,
     from_matrix,
     from_tables,

@@ -27,9 +27,10 @@ two scatter assignments.  Axiom (iii) compares the three identities at
 every (x, y, z) at once, over blocks of x and y of at most 2^18 cells (for
 n <= 2^18), so every table with n <= 64 takes one block and the temporaries
 stay a few MB at any n.  The kink solutions of x are the nonzeros of row x
-of A^T == B.  When pi does not exist, one refusal names why: the first x
-with no solution or several, or else pi not being injective.  Witnesses
-are 1-based tuples of Python ints, sorted (row-major order).
+of A^T == B.  When pi does not exist, axiom (i) fails at every x with no
+solution or several, or else at every x that shares its image; these are
+reported as witnesses, not worded.  Witnesses are 1-based tuples of Python
+ints, sorted (row-major order).
 
 A validated birack keeps the 1-based tuples as its fields and gives the
 numeric layers one read-only 0-based view of alpha, beta and pi.
@@ -202,10 +203,8 @@ class AugmentedBirack:
 
 
 def _check_tables(alpha, beta):
-    """check_axioms' report, the refusal that names the first x where the
-    kink map fails to exist or to be a permutation (None when pi exists),
-    and what from_tables builds on: the normalized tables and their
-    sideways inverse (None when S is not a bijection)."""
+    """check_axioms' report and what from_tables builds on: the normalized
+    tables and their sideways inverse (None when S is not a bijection)."""
     alpha, beta, n = _normalize_tables(alpha, beta)
     A = np.array(alpha) - 1  # A[x, y] = alpha_x(y) - 1
     B = np.array(beta) - 1
@@ -242,17 +241,9 @@ def _check_tables(alpha, beta):
     solves = A.T == B
     p = solves.argmax(axis=1)  # pi - 1, where x has one solution
     bad = solves.sum(axis=1) != 1
-    kink_refusal = None
-    if bad.any():
-        x = int(bad.argmax())
-        sols = (solves[x].nonzero()[0] + 1).tolist()
-        kink_refusal = (f"kink identity at x={x + 1} has multiple solutions {sols}"
-                        if sols else f"no label y satisfies the kink identity at x={x + 1}")
-    else:
+    if not bad.any():
         bad = np.bincount(p, minlength=n)[p] > 1  # pi is not injective
-        if bad.any():
-            kink_refusal = "kink map solutions do not form a permutation"
-    pi = None if kink_refusal else tuple((p + 1).tolist())
+    pi = None if bad.any() else tuple((p + 1).tolist())
     if pi and alpha_bar is not None:
         bad = bb[p, xs] != ab[xs, p]  # beta_bar_{pi(x)}(x) = alpha_bar_x(pi(x))
     witnesses = _cells(bad)
@@ -265,7 +256,7 @@ def _check_tables(alpha, beta):
         pi=pi,
         characteristic=_perm_order(pi) if pi else None,
     )
-    return report, kink_refusal, (alpha, beta, alpha_bar, beta_bar)
+    return report, (alpha, beta, alpha_bar, beta_bar)
 
 
 def check_axioms(alpha, beta) -> AxiomReport:
@@ -277,24 +268,15 @@ def check_axioms(alpha, beta) -> AxiomReport:
     return _check_tables(alpha, beta)[0]
 
 
-def derive_kink_map(alpha, beta) -> Perm:
-    """The kink map pi: for each x the unique y with alpha_y(x) = beta_x(y),
-    whether or not the tables pass (ii), (iii) and the mirror identity."""
-    report, kink_refusal, _ = _check_tables(alpha, beta)
-    if kink_refusal:
-        raise InputError(kink_refusal)
-    return report.pi
-
-
 def from_tables(alpha, beta) -> AugmentedBirack:
     """Build and validate a birack from permutation tables alpha, beta."""
-    report, kink_refusal, (alpha, beta, alpha_bar, beta_bar) = _check_tables(alpha, beta)
+    report, (alpha, beta, alpha_bar, beta_bar) = _check_tables(alpha, beta)
     if not report.axiom_ii.passed:
         raise InputError(f"axiom ii fails at {report.axiom_ii.witnesses[0]}")
     if not report.axiom_iii.passed:
         raise InputError(f"axiom iii fails at {report.axiom_iii.witnesses[0]}")
     if not report.axiom_i.passed:
-        raise InputError(kink_refusal or f"axiom i fails at {report.axiom_i.witnesses[0]}")
+        raise InputError(f"axiom i fails at {report.axiom_i.witnesses[0]}")
     return AugmentedBirack(
         size=report.size,
         alpha=alpha,

@@ -15,12 +15,13 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import data
 from .algebra import check_axioms, cycle_notation, parse_birack, parse_birack_tables
 from .diagram import parse_diagram, reverse_component
-from .errors import InputError, ResourceLimitExceeded
+from .errors import InputError, NotReducedCocycle, ResourceLimitExceeded
 from .homology import (
     cohomology_group,
     homology_group,
@@ -164,10 +165,9 @@ def cmd_invariant(args) -> int:
             raise InputError(f"--framed expects integers, got {args.framed!r}") from None
         result = framed_invariants(d, b, phi, framing)
     elif phi is not None:
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            # the result carries this warning's message, printed below
+            warnings.simplefilter("ignore", NotReducedCocycle)
             result = cocycle_invariant(d, b, phi, max_tile=args.max_tile)
     else:
         result = counting_invariant(d, b, max_tile=args.max_tile)
@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default=None,
                    help="2-cochain file or bundled name for the weight polynomial")
     p.add_argument("--framed", default=None, metavar="W1,W2,...",
-                   help="evaluate at one fixed framing instead of the tile")
+                   help="evaluate at one fixed framing instead of the tile; "
+                        "write --framed=W1,W2 when W1 is negative")
     p.add_argument("--reverse", type=int, action="append", metavar="COMP",
                    help="reverse a component (0-based) before computing")
     p.add_argument("--max-tile", type=_budget, default=None,

@@ -51,7 +51,6 @@ class LinkDiagram:
     semiarc_component: tuple[int, ...]
     framing: tuple[int, ...]
     free_loop_semiarcs: tuple[int, ...]
-    successors: tuple[int, ...]
 
     @property
     def semiarc_count(self) -> int:
@@ -67,9 +66,8 @@ class LinkDiagram:
 
 
 def from_crossings(crossings, free_loops=()) -> LinkDiagram:
-    """Validate a crossing list and derive components and framing.  The
-    successor map comes from the same pass over the endpoints that checks
-    them.
+    """Validate a crossing list and derive components and framing.  Each
+    component lists its semiarcs in successor order, from its least id.
 
     free_loops lists the semiarc ids of zero-crossing components.  Semiarc
     ids must cover 0..E-1 with each id used exactly once as an in and once
@@ -140,7 +138,6 @@ def from_crossings(crossings, free_loops=()) -> LinkDiagram:
         semiarc_component=tuple(component_of),
         framing=tuple(framing),
         free_loop_semiarcs=tuple(sorted(free_loops)),
-        successors=tuple(succ[s] for s in range(count)),
     )
 
 

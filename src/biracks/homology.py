@@ -451,7 +451,7 @@ def reduced_cocycle_constraints(b: AugmentedBirack, max_cells=None) -> IntegerMa
     for r, chain in enumerate(chains):
         for (x, y), c in chain.items():
             degenerate[r, (x - 1) * n + y - 1] = c
-    return IntegerMatrix(np.vstack([_boundary(b, 3), degenerate]))
+    return IntegerMatrix._of(np.vstack([_boundary(b, 3), degenerate]))
 
 
 def _reduced_cocycles(b: AugmentedBirack, modulus: int | None, max_cells):

@@ -374,7 +374,7 @@ def _run_core(a, transforms):
     try:
         # int64 runs guarded; an object array already needs Python ints
         return _eliminate(a, a.dtype, transforms)
-    except (_NeedExact, OverflowError):
+    except _NeedExact:
         return _eliminate(a, object, transforms)
 
 
@@ -700,7 +700,8 @@ def _sparse_pivots(A, cells, values, pivotal, multipliers, modulus=None):
     column change: each loses f times the frozen row, f = multipliers(its
     entries in the pivot column, the pivot), which clears its entry there,
     and its counts move with the entries changed.  The pivot row is then
-    cleared.  Step k is recorded as (pivot row, pivot column, the frozen
+    cleared and scored aside; it meets no later pivot column, so its counts
+    are not kept.  Step k is recorded as (pivot row, pivot column, the frozen
     row's support and entries there, the rows changed, their multipliers).
     """
     m, n = A.shape
@@ -720,7 +721,7 @@ def _sparse_pivots(A, cells, values, pivotal, multipliers, modulus=None):
         i = np.argmax(pivotal(frozen))
         c = support[i]
         A[r] = 0
-        score[r], nnz[r], held[r] = aside, 0, 0
+        score[r] = aside
         others = A[:, c].nonzero()[0]
         old = A[others[:, None], support]
         f = multipliers(old[:, i], frozen[i])
@@ -773,7 +774,8 @@ def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:
         raise AssertionError("invariant factors differ from 1 on the columns read")
     image = (M @ cols).array  # (c)
     k = len(lead)
-    if image[:, k:].any() or (k and (image[:, :k] % IntegerMatrix([lead]).array).any()):
+    if image[:, k:].any() or (k and (
+            image[:, :k] % _exact(np.array(lead, dtype=object), lead[-1])).any()):
         raise AssertionError("a kernel column fails the divisibility check")
     if modulus is None:
         return cols

@@ -9,7 +9,6 @@ import pytest
 from biracks import (
     check_axioms,
     cycle_notation,
-    derive_kink_map,
     format_birack,
     from_matrix,
     from_tables,
@@ -140,8 +139,9 @@ def test_non_permutation_rows_rejected():
 def test_kink_map_missing():
     alpha = ((2, 1), (1, 2))
     beta = ((1, 2), (1, 2))
-    with pytest.raises(InputError, match="no label y satisfies the kink identity at x=1"):
-        derive_kink_map(alpha, beta)
+    # no y solves alpha_y(1) = beta_1(y), nor alpha_y(2) = beta_2(y)
+    report = check_axioms(alpha, beta)
+    assert report.pi is None and report.axiom_i.witnesses == ((1,), (2,))
     with pytest.raises(BirackError):
         from_tables(alpha, beta)
 
@@ -149,8 +149,9 @@ def test_kink_map_missing():
 def test_kink_map_not_unique():
     alpha = ((1, 2), (2, 1))
     beta = ((1, 2), (1, 2))
-    with pytest.raises(InputError, match="kink identity at x=1 has multiple solutions"):
-        derive_kink_map(alpha, beta)
+    # both y solve alpha_y(1) = beta_1(y), and both alpha_y(2) = beta_2(y)
+    report = check_axioms(alpha, beta)
+    assert report.pi is None and report.axiom_i.witnesses == ((1,), (2,))
     with pytest.raises(BirackError):
         from_tables(alpha, beta)
 
@@ -158,61 +159,50 @@ def test_kink_map_not_unique():
 # Tables on which axiom (i) fails in each way it can: the kink map is
 # missing at x=1, not unique at x=1, not injective, or a permutation that
 # breaks the mirror identity at x=2.  Each row holds the tables, pi (None
-# when it does not exist), the refusal that names the failure, the
-# witnesses of (i), and what from_tables raises first, as (ii) or (iii)
-# also fails on each.
+# when it does not exist), the witnesses of (i), and what from_tables
+# raises first, as (ii) or (iii) also fails on each.
 KINK_FAILURES = [
-    (((1, 2), (2, 1)), ((2, 1), (1, 2)), None,
-     "no label y satisfies the kink identity at x=1", ((1,), (2,)),
+    (((1, 2), (2, 1)), ((2, 1), (1, 2)), None, ((1,), (2,)),
      "axiom ii fails at (1, 1)"),
-    (((1, 2), (2, 1)), ((1, 2), (1, 2)), None,
-     "kink identity at x=1 has multiple solutions [1, 2]", ((1,), (2,)),
+    (((1, 2), (2, 1)), ((1, 2), (1, 2)), None, ((1,), (2,)),
      "axiom iii fails at (2, 1)"),
-    (((1, 2), (1, 2)), ((1, 2), (2, 1)), None,
-     "kink map solutions do not form a permutation", ((1,), (2,)),
+    (((1, 2), (1, 2)), ((1, 2), (2, 1)), None, ((1,), (2,)),
      "axiom iii fails at (1, 2)"),
-    (((1, 2, 3),) * 3, ((1, 2, 3), (1, 3, 2), (2, 3, 1)), (1, 3, 2),
-     "axiom i fails at (2,)", ((2,),),
+    (((1, 2, 3),) * 3, ((1, 2, 3), (1, 3, 2), (2, 3, 1)), (1, 3, 2), ((2,),),
      "axiom iii fails at (1, 3)"),
 ]
 
 
-@pytest.mark.parametrize("alpha, beta, pi, refusal, witnesses, first", KINK_FAILURES,
+@pytest.mark.parametrize("alpha, beta, pi, witnesses, first", KINK_FAILURES,
                          ids=["missing", "not-unique", "not-injective", "mirror"])
-def test_kink_map_refusals_are_worded_exactly(alpha, beta, pi, refusal, witnesses, first):
+def test_kink_map_refusals_are_worded_exactly(alpha, beta, pi, witnesses, first):
     report = check_axioms(alpha, beta)
     assert report.axiom_i.witnesses == witnesses and report.pi == pi
-    if pi is None:
-        with pytest.raises(InputError) as caught:
-            derive_kink_map(alpha, beta)
-        assert str(caught.value) == refusal
-    else:
-        assert derive_kink_map(alpha, beta) == pi
     with pytest.raises(InputError) as caught:
         from_tables(alpha, beta)
     assert str(caught.value) == first
 
 
-@pytest.mark.parametrize("alpha, beta, pi, refusal, witnesses, first", KINK_FAILURES,
+@pytest.mark.parametrize("alpha, beta, pi, witnesses, first", KINK_FAILURES,
                          ids=["missing", "not-unique", "not-injective", "mirror"])
 def test_from_tables_words_a_failure_of_axiom_i_alone(
-        monkeypatch, alpha, beta, pi, refusal, witnesses, first):
+        monkeypatch, alpha, beta, pi, witnesses, first):
     # Tables that pass (ii) and (iii) form a birack, whose kink map exists
     # and is a permutation; an enumeration of every table with n <= 3 finds
     # none that passes (ii) and (iii) but fails (i).  So the report is made
-    # to pass both here, to reach the refusals of (i) that from_tables words
-    # after them.
+    # to pass both here, to reach the refusal of (i) that from_tables words
+    # after them: its first witness, however (i) fails.
     real = algebra._check_tables
 
     def passing(a, b):
-        report, kink_refusal, tables = real(a, b)
+        report, tables = real(a, b)
         ok = algebra.AxiomCheck("", True, ())
-        return replace(report, axiom_ii=ok, axiom_iii=ok), kink_refusal, tables
+        return replace(report, axiom_ii=ok, axiom_iii=ok), tables
 
     monkeypatch.setattr(algebra, "_check_tables", passing)
     with pytest.raises(InputError) as caught:
         from_tables(alpha, beta)
-    assert str(caught.value) == refusal
+    assert str(caught.value) == f"axiom i fails at {witnesses[0]}"
 
 
 def test_sideways_roundtrip(ab4, ab5, tsr3):
@@ -359,13 +349,6 @@ def axiom_oracle(alpha, beta):
         return fields, f"axiom ii fails at {collisions[0]}"
     if exchange:
         return fields, f"axiom iii fails at {exchange[0]}"
-    for x, s in zip(els, solutions):
-        if not s:
-            return fields, f"no label y satisfies the kink identity at x={x}"
-        if len(s) > 1:
-            return fields, f"kink identity at x={x} has multiple solutions {s}"
-    if not is_perm:
-        return fields, "kink map solutions do not form a permutation"
     if kink:
         return fields, f"axiom i fails at {kink[0]}"
     beta_bar = tuple(tuple(inverse[u, v][0] for v in els) for u in els)
@@ -380,11 +363,6 @@ def assert_matches_oracle(alpha, beta):
             "iii": report.axiom_iii.witnesses, "pi": report.pi,
             "characteristic": report.characteristic} == fields
     assert [c.passed for c in report.checks] == [not fields[k] for k in ("i", "ii", "iii")]
-    if fields["pi"] is None:
-        with pytest.raises(InputError):
-            derive_kink_map(alpha, beta)
-    else:
-        assert derive_kink_map(alpha, beta) == fields["pi"]
     if isinstance(built, str):
         with pytest.raises(InputError) as caught:
             from_tables(alpha, beta)

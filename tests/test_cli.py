@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -14,6 +15,7 @@ from biracks import (
     available_cochains,
     available_diagrams,
     format_birack,
+    framed_invariants,
     load_birack,
     load_cochain,
     load_diagram,
@@ -78,10 +80,9 @@ def test_check_reports_axiom_failure(tmp_path):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("alpha, beta, pi, refusal, witnesses, first", KINK_FAILURES,
+@pytest.mark.parametrize("alpha, beta, pi, witnesses, first", KINK_FAILURES,
                          ids=["missing", "not-unique", "not-injective", "mirror"])
-def test_check_json_lists_the_axiom_i_witnesses(tmp_path, alpha, beta, pi, refusal,
-                                               witnesses, first):
+def test_check_json_lists_the_axiom_i_witnesses(tmp_path, alpha, beta, pi, witnesses, first):
     n = len(alpha)
     rows = [[table[j][i] for j in range(n)] for table in (alpha, beta) for i in range(n)]
     path = tmp_path / "tables.txt"
@@ -467,10 +468,16 @@ def test_invariant_reverse_json():
     assert payload["phi_Z"] == 13
 
 
-def test_invariant_framed():
+def test_invariant_framed(ab5):
     code, out, _ = run(["invariant", "ab4", "l2a1", "--framed", "1,1"])
     assert code == 0
     assert "(1, 1): 16" in out
+    # (-1, -1) is l6a1's base framing; argparse reads "-1,-1" after a space as
+    # an option, so a negative first coordinate is attached with "="
+    result = framed_invariants(load_diagram("l6a1"), ab5, None, (-1, -1))
+    assert result.per_framing == (((-1, -1), 25),) and result.phi_z == 25
+    assert run(["invariant", "ab5", "l6a1", "--framed=-1,-1"]) == (
+        0, "per-framing labeling counts:\n  (-1, -1): 25\ncounting invariant: 25\n", "")
     # a coordinate past 2^64 is valid input
     code, out, _ = run(["invariant", "ab4", "l2a1", "--framed", "100000000000000000000,0"])
     assert code == 0
@@ -558,6 +565,17 @@ def test_invariant_warning_goes_to_stderr(tmp_path):
     code, out, err = run(["invariant", "ab4", "l2a1", "--phi", str(path)])
     assert code == 0
     assert "warning:" in err
+
+
+def test_invariant_lets_a_runtime_warning_through(monkeypatch):
+    # only NotReducedCocycle is silenced, so a numpy overflow inside the
+    # cocycle invariant still meets the RuntimeWarning gate
+    def overflowing(*args, **kwargs):
+        warnings.warn("overflow encountered in scalar multiply", RuntimeWarning)
+
+    monkeypatch.setattr(cli, "cocycle_invariant", overflowing)
+    with pytest.raises(RuntimeWarning):
+        run(["invariant", "ab4", "l2a1", "--phi", "ab4_phi"])
 
 
 def test_unknown_subcommand_exits_via_argparse():

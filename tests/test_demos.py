@@ -1,4 +1,7 @@
-"""Each demo prints exactly its recorded output in tests/demo_output/."""
+"""Each demo prints exactly its recorded output in tests/demo_output/.
+
+Each runs with RuntimeWarning as an error, as pyproject.toml sets for the
+tests themselves: numpy only warns on an int64 overflow."""
 
 import os
 import subprocess
@@ -13,7 +16,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_output_is_unchanged(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONWARNINGS="error::RuntimeWarning")
     run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, timeout=120, check=True)
     expected = (ROOT / "tests" / "demo_output" / f"{demo.stem}.txt").read_bytes()

@@ -30,9 +30,8 @@ def test_parse_crossing_list_hopf():
     assert d.semiarc_count == 4
     assert d.framing == (0, 0)
     assert d.crossings[0] == Crossing(1, 0, 1, 2, 3)
-    # each component is a closed walk under successor
-    assert d.successors[0] == 1 and d.successors[1] == 0
-    assert d.successors[2] == 3 and d.successors[3] == 2
+    # each component is a closed walk in successor order: 0 -> 1 -> 0, 2 -> 3 -> 2
+    assert d.components == ((0, 1), (2, 3))
 
 
 def test_parse_crossing_list_free_loops():
@@ -188,6 +187,9 @@ def test_component_structure():
     for s in range(d.semiarc_count):
         c = d.semiarc_component[s]
         assert s in d.components[c]
-    # successor stays within the component
-    for s in range(d.semiarc_count):
-        assert d.semiarc_component[d.successors[s]] == d.semiarc_component[s]
+    # each component lists its semiarcs in successor order: every step of
+    # a walk, the last one back to the first included, is the in -> out
+    # pair of one strand at a crossing
+    steps = {(s, t) for walk in d.components for s, t in zip(walk, walk[1:] + walk[:1])}
+    assert steps == ({(c.over_in, c.over_out) for c in d.crossings}
+                     | {(c.under_in, c.under_out) for c in d.crossings})

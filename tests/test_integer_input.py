@@ -6,6 +6,7 @@ anything that is not a Python or numpy integer with an InputError that
 names the input.  Integer input of every numpy kind still reads exactly.
 Integer arguments out of their range (a negative degree or size) and a
 diagram that a Gauss code cannot describe are refused the same way.
+Last, the exact value of each small method that no other test runs.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from biracks import (
     LaurentPolynomial,
     add_positive_kink,
     boundary_matrix,
+    check_axioms,
     degenerate_generators,
     from_crossings,
     from_matrix,
@@ -25,6 +27,7 @@ from biracks import (
     homology_group,
     is_reduced_2_cocycle,
     kernel_lattice,
+    load_cochain,
     load_diagram,
     render_gauss,
     reverse_component,
@@ -33,7 +36,7 @@ from biracks import (
     tuple_basis,
 )
 from biracks.errors import InputError
-from biracks.homology import Cochain1, evaluate_coboundary
+from biracks.homology import Cochain1, HomologyGroup, evaluate_coboundary
 from biracks.linalg import invariant_factors
 from conftest import AB4_ALPHA, AB4_BETA, PHI4_PAIRS
 
@@ -147,3 +150,33 @@ def test_integer_input_of_every_kind_reads_exactly():
     phi = Cochain2.from_vector(2, np.array([1, 0, 0, -2], dtype=np.int16))
     assert phi.values == ((1, 0), (0, -2)) and type(phi.values[1][1]) is int
     assert tsr_birack(np.int64(3), 1, 2, 2) == tsr_birack(3, 1, 2, 2)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: Cochain2.from_pairs(4, []).is_zero(), True),
+    (lambda: load_cochain("ab4_phi", 4).is_zero(), False),
+    (lambda: str(Cochain2.from_pairs(4, [])), "0"),
+    (lambda: str(HomologyGroup(2, (2,))), "Z^2 + Z/2"),
+    (lambda: repr(AB4), "AugmentedBirack(size=4, pi=(1 4)(2 3), N=2)"),
+    (lambda: repr(load_diagram("l2a1")),
+     "LinkDiagram(2 crossings, 2 components, framing=(0, 0))"),
+    (lambda: repr(LaurentPolynomial({0: 8, 1: 8})), "LaurentPolynomial(8+8u)"),
+    (lambda: hash(LaurentPolynomial({1: 8, 0: 8})) == hash(LaurentPolynomial({0: 8, 1: 8})),
+     True),
+    (lambda: bool(LaurentPolynomial()), False),
+    (lambda: bool(check_axioms(AB4_ALPHA, AB4_BETA).axiom_i), True),
+    (lambda: PHI4.__add__(1), NotImplemented),
+    (lambda: PHI4.__add__(Cochain2.from_pairs(2, [])), NotImplemented),
+    (lambda: LaurentPolynomial().__add__(1), NotImplemented),
+    (lambda: LaurentPolynomial().__eq__("0"), NotImplemented),
+    (lambda: IntegerMatrix([[1]]).__eq__([[1]]), NotImplemented),
+    (lambda: IntegerMatrix([[1]]).__matmul__([[1]]), NotImplemented),
+], ids=["Cochain2.is_zero_zero", "Cochain2.is_zero_phi", "Cochain2.str_zero",
+        "HomologyGroup.str", "AugmentedBirack.repr", "LinkDiagram.repr",
+        "LaurentPolynomial.repr", "LaurentPolynomial.hash", "LaurentPolynomial.bool",
+        "AxiomCheck.bool", "Cochain2.add_int", "Cochain2.add_size",
+        "LaurentPolynomial.add", "LaurentPolynomial.eq", "IntegerMatrix.eq",
+        "IntegerMatrix.matmul"])
+def test_each_small_method_returns_exactly(call, value):
+    result = call()
+    assert type(result) is type(value) and result == value
