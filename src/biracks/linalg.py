@@ -1,34 +1,34 @@
 """Exact linear algebra over the integers.
 
 No result rests on floating point: only the bound of check (5) below is
-summed in float64, with a factor-2 margin for rounding.  An IntegerMatrix
-is one 2-D numpy array: int64 while every |entry| is below 2^62, and
-Python ints in an object array otherwise, so matrices stay arrays from the
-boundary build through the Smith form and its checks.  smith_normal_form
-keeps the unimodular transforms U and V.  Every group (homology,
-cohomology, and reduced 2-cohomology) needs only invariant factors, which
-invariant_factors computes with no transforms at all.  A group factors
-d_n^T first and then d_(n+1)^T without the columns of the pivot rows of
-d_n^T's unit split, which _factors_in_place returns beside the factors
-(the homology module says why the factors do not change).  kernel_lattice
-reads kernels, and kernels mod m, off the column transform V alone.
+summed in float64, with a factor-2 margin for rounding.  Matrices stay
+exact numpy arrays (IntegerMatrix) from the boundary build through the
+Smith form and its checks.  smith_normal_form keeps the unimodular
+transforms U and V.  Every group (homology, cohomology, and reduced
+2-cohomology) needs only invariant factors, which invariant_factors
+computes with no transforms at all.  A group factors d_n^T first and then
+d_(n+1)^T without the columns of the pivot rows of d_n^T's unit split (the
+homology module says why the factors do not change).  kernel_lattice reads
+kernels, and kernels mod m, off the column transform V alone.
 
 The dense elimination core, _eliminate, carries no transform, V alone, or
-U and V.  It runs in three places: smith_normal_form (U and V), the V of
-kernel_lattice, and the remainder B of invariant_factors below.  Its row
-primitives (add a multiple, combine two rows by a gcd step, swap) serve
-both sides: a column operation on A is the same row operation on A.T, so
-each primitive acts on a list of numpy views, (A, U) for rows and
-(A.T, V.T) for columns, or A and A.T alone.  The pivot is the first entry
-of least |value|, so a +-1 whenever one exists; the rows that it divides
-take one vectorized Schur step, and only the rows meeting the pivot column
-change.  Pivots depend on A alone, so V is the same with or without U.  On
-int64 each step first checks a bound from the entries it touches; if
-entries could reach 2^62 the whole computation restarts on Python ints.
-smith_normal_form verifies D == U*M*V exactly and the divisibility chain.
-It refuses, with ResourceLimitExceeded, an m x n matrix whose U and V would
-hold more than MAX_TRANSFORM_CELLS = 2^24 cells (m^2 + n^2), before it
-allocates them.
+U and V: in smith_normal_form (U and V), the V of kernel_lattice, and the
+remainder B of invariant_factors below.  Its row primitives (add a
+multiple, combine two rows by a gcd step, swap) act on a list of numpy
+views, (A, U) for rows and (A.T, V.T) for columns, or A and A.T alone, as
+a column operation on A is a row operation on A.T.  The pivot is the
+first entry of least |value|, so a +-1 whenever one exists; the rows that
+it divides take one vectorized Schur step, and only the rows meeting the
+pivot column change.  Pivots depend on A alone, so V is the same with or
+without U.  On int64 the core keeps a bound, top, on every entry of A, U
+and V.  A multiple q of a row has |q| <= top and makes entries of at most
+top (top + 1), so it computes its exact bound from the entries it touches
+only once top (top + 1) reaches 2^62; a gcd step always does.  If entries
+could reach 2^62, the whole computation restarts on Python ints.
+smith_normal_form verifies D == U*M*V exactly and the divisibility chain,
+and refuses, with ResourceLimitExceeded, an m x n matrix whose U and V
+would hold more than MAX_TRANSFORM_CELLS = 2^24 cells (m^2 + n^2), before
+it allocates them.
 
 invariant_factors runs one full elimination, the unit split: sparse steps
 on +-1 pivots (_sparse_pivots over Z, after Dumas, Saunders and Villard,
@@ -254,36 +254,39 @@ def _eliminate(M, dtype, transforms):
 
     transforms names the transforms carried: "" for none, "V" for the column
     transform alone, "UV" for both.  Returns (A, U, V) with A the diagonal
-    result and A = U * M * V, and None for a transform not carried.  Pivots
-    are chosen from A alone, so V does not depend on whether U is carried.
-    Raises _NeedExact if dtype is int64 and the guard bound would be crossed.
+    result and A = U * M * V, and None for a transform not carried; on int64,
+    _NeedExact once an entry could reach 2^62 (the module docstring).
     """
     A = np.array(M, dtype=dtype)
     m, n = A.shape
-    # Each primitive is a row operation on a list of views: the matrix, then
-    # the transform that records the operation when it is carried.
     U = np.eye(m, dtype=dtype) if "U" in transforms else None
     V = np.eye(n, dtype=dtype) if "V" in transforms else None
     rows = [A] if U is None else [A, U]
     cols = [A.T] if V is None else [A.T, V.T]
     guarded = dtype == np.int64
+    top = max(_extent(A), 1) if guarded else None  # bounds all of A, U and V
 
-    def check(bound):
-        if guarded and bound >= _INT64_SAFE:
+    def check(bound):  # the entries a step makes are at most bound
+        nonlocal top
+        if bound >= _INT64_SAFE:
             raise _NeedExact
+        top = max(top, bound)
 
     def add(views, targets, j, q):
-        # rows targets += q * row j, one vectorized step with one guard; only
-        # the columns where row j is nonzero change
+        # rows targets += q * row j, on the columns where row j is nonzero; |q| <= top,
+        # so the step needs its exact bound only once top * (top + 1) reaches 2^62
         targets = targets[:, None]
         for Y in views:
             source = Y[j]
             support = source.nonzero()[0]
             source = source[support]
             block = Y[targets, support]
-            if guarded:
+            if guarded and top * (top + 1) >= _INT64_SAFE:
                 check(_extent(block) + _extent(q) * _extent(source))
-            Y[targets, support] = block + np.outer(q, source)
+            block += np.outer(q, source)
+            if guarded:
+                check(_extent(block))
+            Y[targets, support] = block
 
     def combine(views, i, j, x, y, xj, yj):
         # rows i, j <- (x*row_i + y*row_j, xj*row_i + yj*row_j); det must be +-1
@@ -436,14 +439,11 @@ def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
     """(invariant_factors of the C-ordered array A, which it overwrites, and
     the pivot rows r_k of its checked unit split).
 
-    The nonzeros of M, the matrix that A holds, are recorded as flat
-    coordinates and values.  The unit split then takes the +-1 pivots of A
-    in place and clears each pivot row, so A holds the remainder, and B, its
-    copy with the zero rows and columns dropped and the rest merged
-    (_remainder), has no +-1 entry.  _check_split checks the record against
-    the nonzeros, which leaves A zero, so M ~ I_u + B, and returns the r_k.
-    If an int64 step or the check could reach 2^62, A is rebuilt from the
-    record for smith_normal_form, and no pivot rows are returned.
+    The nonzeros of M, the matrix A holds, are recorded as flat coordinates
+    and values; the unit split leaves the remainder in A, whose merged copy
+    B (_remainder) has no +-1 entry; _check_split checks the record against
+    the nonzeros, so M ~ I_u + B.  If an int64 step or the check could reach
+    2^62, A is rebuilt from the record for smith_normal_form, with no r_k.
     """
     if not A.size:
         return (), _NO_PIVOTS
@@ -451,7 +451,7 @@ def _factors_in_place(A) -> tuple[tuple[int, ...], np.ndarray]:
         cells = np.flatnonzero(A)
         values = A.reshape(-1)[cells]
         try:
-            steps = _sparse_pivots(A, cells, values, _is_unit, lambda a, p: a * p)
+            steps = _sparse_pivots(A, cells, _unit_weight, lambda a, p: a * p)
             B = _remainder(A)
             pivots = _check_split(A, steps, cells, values)
             factors = ()
@@ -483,6 +483,8 @@ def _diagonal_factors(A):
 _MODULUS_LIMIT = 2**31
 # pairs (multiplier, frozen entry) expanded at once by the split's check
 _CHUNK = 1 << 13
+_HELD = 1 << 32  # weight of a pivotal entry in _sparse_pivots
+_UNIT_WEIGHT = np.array([0, 1 + _HELD, 1])  # of |x| = 0, 1 and >= 2 in the unit split
 
 
 def _remainder(A):
@@ -511,9 +513,8 @@ def _merge_rows(B):
     return P[first] * multiplier[:, None]
 
 
-def _is_unit(X):
-    # X is a row, a block of the rows changed, or M's nonzeros: never all of M
-    return np.abs(X) == 1
+def _unit_weight(a):
+    return _UNIT_WEIGHT[np.minimum(a, 2)]
 
 
 def _extent(a):
@@ -663,67 +664,67 @@ def _valuation_pivots(B, q):
     """Factor counts of B by q-adic valuation over Z/q^k, for the largest k
     with q^k < 2^31: entry v is the number of factors of valuation v.  The
     list stops once no entry is left, so a sum below B's rank means that
-    some factor has valuation k or more.
-
-    Valuation levels are taken in increasing order, so at level v every
-    entry left is divisible by q^v, and the pivots are the entries of
-    valuation v.
+    some factor has valuation k or more.  Levels are taken in increasing
+    order, so at level v every entry left is divisible by q^v, and the
+    pivots are the entries of valuation v.
     """
-    k = 1
-    while q ** (k + 1) < _MODULUS_LIMIT:
-        k += 1
-    Q = q ** k
+    Q = q
+    while Q * q < _MODULUS_LIMIT:
+        Q *= q
     A = B % Q
-    counts = []
-    for v in range(k):
-        cells = np.flatnonzero(A)
-        if not len(cells):
-            break
-        low, step = q ** v, q ** (v + 1)
+    counts, low = [], 1  # low = q^v at level v
+    while low < Q and A.any():
+        step = low * q  # the split frees the nonzeros it is passed
         counts.append(len(_sparse_pivots(
-            A, cells, A.reshape(-1)[cells], lambda X: X % step != 0,
+            A, np.flatnonzero(A), lambda a: (a != 0) + _HELD * (a % step != 0),
             lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q)))
+        low = step
     return counts
 
 
-def _sparse_pivots(A, cells, values, pivotal, multipliers, modulus=None):
-    """Eliminate, in place, on the entries of the nonempty int64 matrix A
-    (whose nonzeros are values at the flat coordinates cells) where
-    pivotal(A) holds, over Z when modulus is None, and return the record of
-    the steps; _NeedExact over Z if a step could reach 2^62.
+def _sparse_pivots(A, cells, weight, multipliers, modulus=None):
+    """Eliminate, in place, on the pivotal entries of the nonempty C-ordered
+    int64 matrix A, whose nonzeros lie at the flat coordinates cells, over Z
+    when modulus is None, and return the record of the steps; _NeedExact
+    over Z if a step could reach 2^62.
 
-    Each pivot is the first pivotal entry of the row with the fewest
-    nonzeros that holds one, the lowest such row on ties: each row keeps
-    exact counts of its nonzeros, nnz, and pivotal entries, held, and
-    scores nnz while held > 0 and aside, above any count, otherwise.  The
-    pivot row is frozen as it stands, and only the rows meeting the pivot
-    column change: each loses f times the frozen row, f = multipliers(its
-    entries in the pivot column, the pivot), which clears its entry there,
-    and its counts move with the entries changed.  The pivot row is then
-    cleared and scored aside; it meets no later pivot column, so its counts
-    are not kept.  Step k is recorded as (pivot row, pivot column, the frozen
-    row's support and entries there, the rows changed, their multipliers).
+    weight maps |x| to [x != 0] + HELD [x is pivotal], HELD = 2^32, so each
+    row keeps one exact code = nnz + HELD held, the sum of its weights: its
+    counts of nonzeros and of pivotal entries (nnz <= n < HELD, as a row of
+    2^32 int64 entries could not be allocated).  cells is dropped once the
+    codes are built.  Each pivot is the first pivotal entry of the row of
+    least nnz with code >= HELD, the lowest such row on ties.  The pivot row
+    is frozen and cleared, and each row meeting the pivot column loses f
+    times it, f = multipliers(its entries in the pivot column, the pivot),
+    which clears its entry there; its code moves by weight(new) -
+    weight(old) over the entries changed.  Step k is recorded as (pivot
+    row, pivot column, the frozen row's support and entries there, the rows
+    changed, their multipliers).
     """
     m, n = A.shape
-    nnz = np.bincount(cells // n, minlength=m)
-    held = np.bincount(cells[pivotal(values)] // n, minlength=m)
-    aside = n + 1
-    score = np.where(held > 0, nnz, aside)
+    flat = A.reshape(-1)
+    values = np.abs(flat[cells])
+    code = np.zeros(m, dtype=np.int64)  # bincount would sum in float64
+    np.add.at(code, cells // n, weight(values))
     # top bounds every entry, so a step is safe while top * (top + 1) < 2^62
-    top = _extent(values)
+    top = int(values.max(initial=0))
+    del cells, values
+    aside = n + 1
+    score = np.where(code >= _HELD, code & (_HELD - 1), aside)
     steps = []
     while True:
-        r = int(np.argmin(score))
+        r = int(score.argmin())
         if score[r] == aside:
             return steps
         support = A[r].nonzero()[0]
         frozen = A[r, support]
-        i = np.argmax(pivotal(frozen))
+        i = weight(np.abs(frozen)).argmax()
         c = support[i]
         A[r] = 0
         score[r] = aside
         others = A[:, c].nonzero()[0]
-        old = A[others[:, None], support]
+        block = np.add.outer(others * n, support)
+        old = flat.take(block)
         f = multipliers(old[:, i], frozen[i])
         steps.append((r, c, support, frozen, others, f))
         if top * (top + 1) >= _INT64_SAFE and (
@@ -732,12 +733,11 @@ def _sparse_pivots(A, cells, values, pivotal, multipliers, modulus=None):
         new = old - f[:, None] * frozen
         if modulus is not None:
             new %= modulus
-        top = max(top, int(np.abs(new).max(initial=0)))  # |new| < 2^62: no wrap
-        A[others[:, None], support] = new
-        count = nnz[others] + (new != 0).sum(axis=1) - (old != 0).sum(axis=1)
-        units = held[others] + pivotal(new).sum(axis=1) - pivotal(old).sum(axis=1)
-        nnz[others], held[others] = count, units
-        score[others] = np.where(units > 0, count, aside)
+        flat.put(block, new)
+        top = max(top, int(np.abs(new, out=new).max(initial=0)))  # |new| < 2^62
+        moved = code.take(others) + (weight(new) - weight(np.abs(old, out=old))).sum(axis=1)
+        code.put(others, moved)
+        score.put(others, np.where(moved >= _HELD, moved & (_HELD - 1), aside))
 
 
 def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:

@@ -16,10 +16,13 @@ import pytest
 from biracks import (
     IntegerMatrix,
     from_tables,
+    is_reduced_2_cocycle,
     kernel_lattice,
     linalg,
+    reduced_2_cocycles,
     reduced_cocycle_constraints,
     smith_normal_form,
+    tsr_birack,
 )
 from biracks.errors import InputError, ResourceLimitExceeded
 from biracks.linalg import invariant_factors
@@ -253,6 +256,27 @@ def test_invariant_factors_match_sympy():
             data = scrambled(diagonal, shear, rng)
             assert (max(abs(v) for row in data for v in row) >= 2**62) == (shear > 3)
             cases.append(data)
+    # entries from 2^31 to 2^61, so the core checks its exact bound from its
+    # first step: L diag(d), with L unit lower triangular with 2^31 to 2^40
+    # below its diagonal and d a divisibility chain, stays in int64 while no U
+    # is carried, and random entries restart on Python ints
+    for k in range(12):
+        n = rng.randint(2, 4)
+        if k % 2:
+            data = [[rng.choice((-1, 1)) * rng.randint(2**31, 2**61) for _ in range(n)]
+                    for _ in range(rng.randint(1, 4))]
+        else:
+            d = sorted(rng.choice((1, 2, 6)) for _ in range(n))  # d_j divides d_j+1
+            data = [[(1 if i == j else rng.randint(2**31, 2**40) if i > j else 0) * d[j]
+                     for j in range(n)] for i in range(n)]
+        assert 2**31 <= max(abs(v) for row in data for v in row) < 2**61
+        cases.append(data)
+    # each needs one guard of the core, and fails without it:
+    # an add past 2^62 from entries at 2^31 and above, an add that gets there
+    # from entries below 2^31, and a gcd step past 2^62
+    cases += [[[8589934597, -1], [3, 2147483655]],
+              [[-1, -16777217, 0, 1], [0, 1, -1, 2], [0, 1, 0, -16777217], [1048579, -1, 0, 0]],
+              [[2147483655, -2147483659, -1048579], [8589934597, 8589934597, 1]]]
     for data in cases:
         expected = tuple(int(x) for x in sympy_factors(sympy.Matrix(data), domain=sympy.ZZ))
         assert smith_normal_form(data).d == expected
@@ -317,8 +341,8 @@ def corrupt_split(monkeypatch, change):
     after change(A, steps)."""
     real = linalg._sparse_pivots
 
-    def wrong(A, cells, values, pivotal, multipliers, modulus=None):
-        steps = real(A, cells, values, pivotal, multipliers, modulus)
+    def wrong(A, cells, weight, multipliers, modulus=None):
+        steps = real(A, cells, weight, multipliers, modulus)
         if modulus is None:
             change(A, steps)
         return steps
@@ -424,9 +448,9 @@ def test_unit_split_certificate_needs_the_order_of_the_steps(monkeypatch):
     G = np.array([[0, 2], [2, 0]])
     assert (np.eye(2, dtype=int) + G).tolist() == M
 
-    def record(A, cells, values, pivotal, multipliers, modulus=None):
+    def record(A, cells, weight, multipliers, modulus=None):
         if modulus is not None:
-            return real(A, cells, values, pivotal, multipliers, modulus)
+            return real(A, cells, weight, multipliers, modulus)
         A[:] = 0
         return steps
 
@@ -436,14 +460,9 @@ def test_unit_split_certificate_needs_the_order_of_the_steps(monkeypatch):
         invariant_factors(M)
 
 
-def nonzeros(A):
-    cells = np.flatnonzero(A)
-    return cells, A.reshape(-1)[cells]
-
-
 def test_unit_split_record():
     A = np.array(SPLIT)
-    steps = linalg._sparse_pivots(A, *nonzeros(A), linalg._is_unit, lambda a, p: a * p)
+    steps = linalg._sparse_pivots(A, np.flatnonzero(A), linalg._unit_weight, lambda a, p: a * p)
     assert [(s[0], s[1]) for s in steps] == [(0, 0), (3, 3)]
     assert A[[1, 2]][:, [1, 2]].tolist() == [[-15, 16], [7, -2]]
 
@@ -477,31 +496,64 @@ def reference_split(M, pivotal, multiplier, modulus=None):
         record.append((r, c, support, frozen, others, f))
 
 
-def split_record(M, pivotal, multipliers, modulus=None):
+def listed(steps):
+    return [tuple(x if np.isscalar(x) else x.tolist() for x in step) for step in steps]
+
+
+def split_record(M, weight, multipliers, modulus=None):
     A = np.array(M, dtype=np.int64)
-    steps = linalg._sparse_pivots(A, *nonzeros(A), pivotal, multipliers, modulus)
-    return [tuple(x if np.isscalar(x) else x.tolist() for x in step)
-            for step in steps], A.tolist()
+    steps = linalg._sparse_pivots(A, np.flatnonzero(A), weight, multipliers, modulus)
+    return listed(steps), A.tolist()
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_split_follows_its_documented_rule(seed):
-    """Random small matrices, with rows that hold no +-1 among them, over Z
-    and over Z/3^19 at the first two valuation levels."""
+@pytest.mark.parametrize("seed", range(60))
+def test_split_follows_its_documented_rule(monkeypatch, seed):
+    """Random matrices, with rows that hold no +-1 among them, over Z and,
+    level by level, in _valuation_pivots over Z/3^19, each split with the
+    weight function its caller passes: seeds below 40 up to 9 x 7, the
+    others sparser and up to 30 x 20, where rows gain and lose pivotal
+    entries many times."""
     rng = random.Random(seed)
-    m, n = rng.randint(1, 9), rng.randint(1, 7)
-    M = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 6]) for _ in range(n)] for _ in range(m)]
+    if seed < 40:
+        m, n = rng.randint(1, 9), rng.randint(1, 7)
+        entries = [0, 0, 0, 1, -1, 2, -2, 3, 6]
+    else:
+        m, n = rng.randint(10, 30), rng.randint(8, 20)
+        entries = [0] * 12 + [1, -1, 2, -2, 3, 6]
+    M = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
     want = reference_split(M, lambda x: abs(x) == 1, lambda a, p: a * p)
-    assert split_record(M, linalg._is_unit, lambda a, p: a * p) == want
+    assert split_record(M, linalg._unit_weight, lambda a, p: a * p) == want
     Q = 3**19
-    for low in (1, 3):
-        step = 3 * low
-        A = [[x * low % Q for x in row] for row in M]
-        want = reference_split(A, lambda x: x % step != 0,
-                               lambda a, p: (a // low) * pow(p // low, -1, Q) % Q, Q)
-        assert split_record(
-            A, lambda X: X % step != 0,
-            lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q) == want
+    real, levels = linalg._sparse_pivots, []
+
+    def spy(A, *args):
+        before = A.tolist()
+        steps = real(A, *args)
+        levels.append((before, (listed(steps), A.tolist())))
+        return steps
+
+    monkeypatch.setattr(linalg, "_sparse_pivots", spy)
+    for scale in (1, 3):  # 3 M has no pivot at level 0, and all of M's at level 1
+        levels.clear()
+        counts = linalg._valuation_pivots(scale * np.array(M, dtype=np.int64), 3)
+        assert len(levels) == len(counts)
+        for v, (before, got) in enumerate(levels):
+            low = 3**v
+            assert got == reference_split(before, lambda x: x % (3 * low) != 0,
+                                          lambda a, p: (a // low) * pow(p // low, -1, Q) % Q, Q)
+
+
+def test_split_stops_before_a_step_past_int64():
+    """The split's bound grows with its entries: these start below 2^25, and
+    its second step would leave an entry past 2^62, so the split raises
+    _NeedExact before it.  A bound that did not grow would let int64 wrap."""
+    M = [[1048579, -16777217, -16777217], [1048579, -1, 0], [1, 0, -16777217]]
+    record, rows = reference_split(M, lambda x: abs(x) == 1, lambda a, p: a * p)
+    assert len(record) == 2 and max(abs(x) for row in rows for x in row) >= 2**62
+    A = np.array(M)
+    with pytest.raises(linalg._NeedExact):
+        linalg._sparse_pivots(A, np.flatnonzero(A), linalg._unit_weight, lambda a, p: a * p)
+    assert invariant_factors(M) == smith_normal_form(M).invariant_factors
 
 
 def test_split_takes_a_row_that_lost_its_unit_and_gained_one():
@@ -511,7 +563,7 @@ def test_split_takes_a_row_that_lost_its_unit_and_gained_one():
     M = [[1, 0, 0], [1, 2, 3], [0, 1, 1]]
     want = reference_split(M, lambda x: abs(x) == 1, lambda a, p: a * p)
     assert [step[:2] for step in want[0]] == [(0, 0), (2, 1), (1, 2)]
-    assert split_record(M, linalg._is_unit, lambda a, p: a * p) == want
+    assert split_record(M, linalg._unit_weight, lambda a, p: a * p) == want
 
 
 @pytest.mark.parametrize("M, merged, factors", [
@@ -768,6 +820,28 @@ def test_kernel_lattice_mod_members_verify():
         for col in L.columns():
             image = [sum(M.data[i][j] * col[j] for j in range(cols)) for i in range(rows)]
             assert all(v % modulus == 0 for v in image)
+
+
+def test_kernel_core_restarts_on_python_ints_when_entries_grow(monkeypatch):
+    """The kernel of tsr_birack(11, 2, 2, 9)'s constraint matrix grows entries
+    past 2^62 in the core's int64 V mode, which restarts on Python ints; its
+    kernel columns are then too large for int64, so check (b) takes the
+    exact Smith form of them.  A bound that skipped a needed check would let
+    int64 wrap, and the calls or the cocycles would differ."""
+    calls = []
+    real = linalg._eliminate
+
+    def record(M, dtype, transforms):
+        calls.append((np.dtype(dtype).name, transforms, np.shape(M)))
+        return real(M, dtype, transforms)
+
+    monkeypatch.setattr(linalg, "_eliminate", record)
+    b = tsr_birack(11, 2, 2, 9)
+    cocycles = reduced_2_cocycles(b)
+    assert calls == [("int64", "V", (1342, 121)), ("object", "V", (1342, 121)),
+                     ("object", "UV", (121, 10))]
+    assert len(cocycles) == 10
+    assert all(is_reduced_2_cocycle(b, phi) for phi in cocycles)
 
 
 def test_matrix_helpers():
