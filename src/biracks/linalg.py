@@ -668,17 +668,20 @@ def _valuation_pivots(B, q):
     order, so at level v every entry left is divisible by q^v, and the
     pivots are the entries of valuation v.
     """
-    Q = q
-    while Q * q < _MODULUS_LIMIT:
-        Q *= q
+    k = 1
+    while q ** (k + 1) < _MODULUS_LIMIT:
+        k += 1
+    Q = q ** k
     A = B % Q
-    counts, low = [], 1  # low = q^v at level v
-    while low < Q and A.any():
-        step = low * q  # the split frees the nonzeros it is passed
+    counts = []
+    for v in range(k):
+        cells = np.flatnonzero(A)
+        if not len(cells):
+            break
+        low, step = q ** v, q ** (v + 1)
         counts.append(len(_sparse_pivots(
-            A, np.flatnonzero(A), lambda a: (a != 0) + _HELD * (a % step != 0),
+            A, cells, lambda a: (a != 0) + _HELD * (a % step != 0),
             lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q)))
-        low = step
     return counts
 
 
@@ -690,13 +693,13 @@ def _sparse_pivots(A, cells, weight, multipliers, modulus=None):
 
     weight maps |x| to [x != 0] + HELD [x is pivotal], HELD = 2^32, so each
     row keeps one exact code = nnz + HELD held, the sum of its weights: its
-    counts of nonzeros and of pivotal entries (nnz <= n < HELD, as a row of
-    2^32 int64 entries could not be allocated).  cells is dropped once the
-    codes are built.  Each pivot is the first pivotal entry of the row of
-    least nnz with code >= HELD, the lowest such row on ties.  The pivot row
-    is frozen and cleared, and each row meeting the pivot column loses f
-    times it, f = multipliers(its entries in the pivot column, the pivot),
-    which clears its entry there; its code moves by weight(new) -
+    counts of nonzeros and of pivotal entries.  Both are at most n, so the
+    code, at most n (1 + HELD), is exact in int64 and nnz < HELD while
+    n < 2^31, a row of 16 GiB.  Each pivot is the first pivotal entry of the
+    row of least nnz with code >= HELD, the lowest such row on ties.  The
+    pivot row is frozen and cleared, and each row meeting the pivot column
+    loses f times it, f = multipliers(its entries in the pivot column, the
+    pivot), which clears its entry there; its code moves by weight(new) -
     weight(old) over the entries changed.  Step k is recorded as (pivot
     row, pivot column, the frozen row's support and entries there, the rows
     changed, their multipliers).
@@ -708,7 +711,7 @@ def _sparse_pivots(A, cells, weight, multipliers, modulus=None):
     np.add.at(code, cells // n, weight(values))
     # top bounds every entry, so a step is safe while top * (top + 1) < 2^62
     top = int(values.max(initial=0))
-    del cells, values
+    del values
     aside = n + 1
     score = np.where(code >= _HELD, code & (_HELD - 1), aside)
     steps = []

@@ -1,16 +1,21 @@
 """Paired benchmark runs of a base revision against the working tree.
 
-    python tools/ab_bench.py --base REV [--pairs 10] [--seconds 36] [--seed 1]
+    python tools/ab_bench.py --base REV [--seed 1]
 
-Checks REV out with `git worktree add --detach` into a temporary directory,
-then runs the benchmark command of BENCHMARK.json with `--workload all` in
-each checkout, from its root and with the environment unchanged, as a
-fresh benchmark run does: --pairs times, alternating, the side that runs
-first flipping each pair.  bench/ is read, never written to, in either
-checkout.  Prints, for each workload and end-to-end metric, each side's
-median and quartiles, the median of the paired ratios (working tree over
-base) and the pairs the working tree won, ties counting for neither, and
-then every pair's two values.
+Checks REV out with `git worktree add --detach` into a temporary
+directory, then runs the benchmark command of BENCHMARK.json with
+`--workload all` and its `run_seconds` in each checkout, from its root and
+with the environment unchanged, as a fresh benchmark run does: 10 pairs,
+alternating, the side that runs first flipping each pair.  No file under
+bench/ is edited in either checkout; each run writes its records to
+.bench_out/ at its checkout's root, as a fresh benchmark run does.  Each
+side's records are summarized and compared by bench/compare.py, which
+gives, for each workload and end-to-end metric, each side's median and
+quartiles and the verdict against the bound of BENCHMARK.json; this tool
+adds the median of the paired ratios (working tree over base), the pairs
+the working tree won, ties counting for neither, and whether the median
+gain is larger than the base's interquartile range, and then prints every
+pair's two values.
 Exits 1 when any run is incorrect and 2 when REV cannot be checked out,
 and removes the worktree in any case.
 """
@@ -26,38 +31,35 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+sys.dont_write_bytecode = True  # so that importing compare writes nothing under bench/
+sys.path.insert(0, str(ROOT / "bench"))
+from compare import compare, summarize  # noqa: E402
 
 
-def quartiles(values):
-    if len(values) < 2:
-        return values * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return [q1, q2, q3]
-
-
-def run(command, root, args):
+def run(spec, root, seed):
+    """(correct, the untraced record of each workload) of one benchmark run."""
     proc = subprocess.run(
-        [*command, "--workload", "all", "--seed", str(args.seed),
-         "--seconds", str(args.seconds)],
+        [*spec["command"], "--workload", "all", "--seed", str(seed),
+         "--seconds", str(spec["run_seconds"])],
         cwd=root, stdout=subprocess.PIPE, text=True, check=False)
     try:
-        result = json.loads(proc.stdout.splitlines()[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = {}
-    return proc.returncode == 0 and result.get("correct", False), result
+        correct = proc.returncode == 0 and json.loads(proc.stdout.splitlines()[-1])["correct"]
+    except (IndexError, KeyError, json.JSONDecodeError):
+        correct = False
+    out = root / ".bench_out" / "records"
+    records = [json.loads((out / f"{w['name']}-seed{seed}-trace0.json").read_text())
+               for w in spec["workloads"]] if correct else []
+    return correct, records
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=36)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
     runs = {"base": [], "change": []}
     incorrect = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,41 +69,38 @@ def main(argv=None) -> int:
             return 2
         try:
             sides = {"base": base, "change": ROOT}
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
-                    ok, result = run(spec["command"], sides[side], args)
-                    incorrect += not ok
-                    runs[side].append(result)
-                    print(f"pair {k + 1} {side}: {'correct' if ok else 'INCORRECT'}, "
-                          f"{result.get('failed', '?')} of {result.get('attempted', '?')} "
-                          "operations failed", flush=True)
+                    correct, records = run(spec, sides[side], args.seed)
+                    incorrect += not correct
+                    runs[side].append({r["workload"]: r for r in records})
+                    print(f"pair {k + 1} {side}: {'correct' if correct else 'INCORRECT'}",
+                          flush=True)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(base)], check=False)
-    names = dict.fromkeys(name for result in runs["base"] + runs["change"]
-                          for name in result.get("metrics", {})
-                          if name.split(".", 1)[1] in better)
-    print(f"{'metric':<28} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'ratio':>7} {'won':>6}")
-    for name in names:
-        pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
-                 for b, c in zip(runs["base"], runs["change"])
-                 if name in b.get("metrics", {}) and name in c.get("metrics", {})]
-        if not pairs:
-            continue
-        lower = better[name.split(".", 1)[1]] == "lower"
-        won = sum((c < b) if lower else (c > b) for b, c in pairs)
-        cells = []
-        for values in zip(*pairs):
-            q1, med, q3 = quartiles(list(values))
-            cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
-        ratio = statistics.median(c / b for b, c in pairs)
-        print(f"{name:<28} {cells[0]:>30} {cells[1]:>30} {ratio:7.3f} {won:>3}/{len(pairs)}")
-        print("    pairs (base/change):", ", ".join(f"{b:.4g}/{c:.4g}" for b, c in pairs))
     if incorrect:
         print(f"{incorrect} incorrect runs", file=sys.stderr)
-    return 1 if incorrect else 0
+        return 1
+    before, after = (summarize([r for run in runs[side] for r in run.values()])
+                     for side in ("base", "change"))
+    print(f"{'workload':15} {'metric':12} {'base median [q1, q3]':>28} "
+          f"{'change median [q1, q3]':>28} {'change':>7} {'ratio':>6} {'won':>5}  "
+          "gain > base IQR  verdict")
+    for workload, name, _, _, change, verdict in compare(before, after, bounds):
+        pairs = [(b[workload]["metrics"][name]["value"], c[workload]["metrics"][name]["value"])
+                 for b, c in zip(runs["base"], runs["change"])]
+        b, a = before["summary"][workload][name], after["summary"][workload][name]
+        lower = bounds[name][1] == "lower"
+        won = sum((c < b) if lower else (c > b) for b, c in pairs)
+        gain = (b["median"] - a["median"]) * (1 if lower else -1)
+        cells = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]" for s in (b, a)]
+        print(f"{workload:15} {name:12} {cells[0]:>28} {cells[1]:>28} {change:+7.1%} "
+              f"{statistics.median(c / b for b, c in pairs):6.3f} {won:>2}/{len(pairs)}  "
+              f"{'yes' if gain > b['q3'] - b['q1'] else 'no':15}  {verdict}")
+        print("    pairs (base/change):", ", ".join(f"{b:.4g}/{c:.4g}" for b, c in pairs))
+    return 0
 
 
 if __name__ == "__main__":
