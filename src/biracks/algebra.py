@@ -322,7 +322,7 @@ def tsr_birack(n: int, t: int, s: int, r: int) -> AugmentedBirack:
     if n < 1:
         raise InputError("modulus must be positive")
     for name, value in (("t", t), ("r", r)):
-        if gcd(value % n if n > 1 else 1, n) != 1:
+        if gcd(value, n) != 1:
             raise InputError(f"{name}={value} is not a unit mod {n}")
     t_inv = pow(t, -1, n)
     if (s * s - (1 - t_inv * r) * s) % n != 0:

@@ -59,9 +59,9 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _fmt_witnesses(witnesses, limit=8) -> str:
-    shown = ", ".join(str(w) for w in witnesses[:limit])
-    extra = len(witnesses) - limit
+def _fmt_witnesses(witnesses) -> str:
+    shown = ", ".join(str(w) for w in witnesses[:8])
+    extra = len(witnesses) - 8
     return shown + (f", +{extra} more" if extra > 0 else "")
 
 

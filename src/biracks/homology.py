@@ -196,8 +196,6 @@ def degenerate_generators(b: AugmentedBirack, degree: int, max_cells=None) -> li
     least element; order is deterministic.
     """
     _check_args(degree)
-    if degree < 2:
-        return []
     _guard(b.size, degree, max_cells)
     N = b.characteristic
     cycles = _cycles(b.pi)

@@ -379,8 +379,6 @@ def _contract_pair(a, b, dims):
         a, b = b, a
     (ia, ca, wa, na), (ib, cb, wb, nb) = a, b
     keep = _merge(ia, ib)
-    if not len(ca) or not len(cb):
-        return (keep,) + (np.zeros(0, dtype=np.int64),) * 3
     top = _extent(wa) + _extent(wb)
     wa, wb = _exact(wa, top), _exact(wb, top)
     xa = dict(zip(ia, _unravel(ca, [dims[k] for k in ia])))
@@ -402,7 +400,7 @@ def _contract_pair(a, b, dims):
     bi = order[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(len(ai))]
     code = code_a[ai] * prod(dims[k] for k in rest_b) + code_b[bi]
     weights = wa[ai] + wb[bi]
-    top = int(na.max()) * int(nb.max()) * min(len(ca), len(cb))
+    top = int(na.max(initial=0)) * int(nb.max(initial=0)) * min(len(ca), len(cb))
     return _merged(keep, code, weights, _exact(na, top)[ai] * _exact(nb, top)[bi])
 
 

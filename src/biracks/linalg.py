@@ -193,10 +193,6 @@ class IntegerMatrix:
     def data(self):
         return tuple(map(tuple, self.array.tolist()))
 
-    @classmethod
-    def identity(cls, n):
-        return cls._of(np.eye(n, dtype=np.int64))
-
     def columns(self):
         return self.array.T.tolist()
 
@@ -397,9 +393,6 @@ def smith_normal_form(M) -> SmithDecomposition:
         raise ResourceLimitExceeded(f"Smith form transform pair for a {m}x{n} matrix",
                                     m * m + n * n, MAX_TRANSFORM_CELLS,
                                     fixed="linalg.MAX_TRANSFORM_CELLS")
-    if m == 0 or n == 0:
-        return SmithDecomposition(
-            (m, n), (), IntegerMatrix.identity(m), IntegerMatrix.identity(n))
     A, U, V = _run_core(M.array, "UV")
     snf = SmithDecomposition((m, n), tuple(int(x) for x in A.diagonal()),
                              IntegerMatrix._of(U), IntegerMatrix._of(V))
@@ -675,12 +668,11 @@ def _valuation_pivots(B, q):
     A = B % Q
     counts = []
     for v in range(k):
-        cells = np.flatnonzero(A)
-        if not len(cells):
+        if not A.any():
             break
         low, step = q ** v, q ** (v + 1)
         counts.append(len(_sparse_pivots(
-            A, cells, lambda a: (a != 0) + _HELD * (a % step != 0),
+            A, np.flatnonzero(A), lambda a: (a != 0) + _HELD * (a % step != 0),
             lambda a, p: (a // low) * pow(int(p) // low, -1, Q) % Q, Q)))
     return counts
 
@@ -711,7 +703,7 @@ def _sparse_pivots(A, cells, weight, multipliers, modulus=None):
     np.add.at(code, cells // n, weight(values))
     # top bounds every entry, so a step is safe while top * (top + 1) < 2^62
     top = int(values.max(initial=0))
-    del values
+    del cells, values
     aside = n + 1
     score = np.where(code >= _HELD, code & (_HELD - 1), aside)
     steps = []
@@ -762,8 +754,6 @@ def kernel_lattice(M, modulus: int | None = None) -> IntegerMatrix:
     if not isinstance(M, IntegerMatrix):
         M = IntegerMatrix(M)
     n = M.cols
-    if M.rows == 0 or n == 0:
-        return IntegerMatrix.identity(n)
     A, _, V = _run_core(M.array, "V")
     factors = _diagonal_factors(A)
     del A  # before (a) makes its own copy of M

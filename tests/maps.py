@@ -1,7 +1,8 @@
 """Maps that only the tests need, computed from public fields: the
 permutation inverses, the inverse sideways map and the birack map of a
-birack, the value of a Laurent polynomial, and the zero matrix, the matrix
-of given columns and one column of an IntegerMatrix."""
+birack, the value of a Laurent polynomial, and the zero matrix, the
+identity matrix, the matrix of given columns and one column of an
+IntegerMatrix."""
 
 import numpy as np
 
@@ -38,6 +39,10 @@ def evaluate(poly, u=1):
 
 def zeros(rows, cols):
     return IntegerMatrix(np.zeros((rows, cols), dtype=np.int64))
+
+
+def identity(n):
+    return IntegerMatrix(np.eye(n, dtype=np.int64))
 
 
 def from_columns(columns, rows):

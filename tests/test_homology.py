@@ -200,7 +200,7 @@ def test_degenerate_generators_ab4(ab4):
         {(4, 1): 1, (1, 4): 1},
         {(3, 2): 1, (2, 3): 1},
     ]
-    assert degenerate_generators(ab4, 1) == []
+    assert degenerate_generators(ab4, 0) == degenerate_generators(ab4, 1) == []
 
 
 def test_degenerate_generators_biquandle_are_diagonal(ab5):

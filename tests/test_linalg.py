@@ -27,7 +27,7 @@ from biracks import (
 from biracks.errors import InputError, ResourceLimitExceeded
 from biracks.linalg import invariant_factors
 from conftest import AB4_ALPHA, AB4_BETA
-from maps import column, from_columns, zeros
+from maps import column, from_columns, identity, zeros
 
 
 def bareiss_determinant(rows):
@@ -59,7 +59,7 @@ def assert_unimodular(T):
     # an integer W with T W = I exactly gives det(T) det(W) = 1
     guess = np.rint(np.linalg.inv(np.array(T.data, dtype=float)))
     W = [[int(v) for v in row] for row in guess.tolist()]  # IntegerMatrix takes no floats
-    assert T @ IntegerMatrix(W, n, n) == IntegerMatrix.identity(n)
+    assert T @ IntegerMatrix(W, n, n) == identity(n)
 
 
 def assert_valid_decomposition(M, snf):
@@ -146,7 +146,7 @@ def test_unimodular_check_is_exact():
     assert bareiss_determinant([[0, 1], [1, 0]]) == -1
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
     for n in (3, 20):  # both branches of assert_unimodular
-        T = IntegerMatrix.identity(n)
+        T = identity(n)
         T.array[0, n - 1] = 5
         assert_unimodular(T)
         T.array[n - 1, n - 1] = 2
@@ -176,6 +176,10 @@ def test_empty_shapes():
         snf = smith_normal_form(M)
         assert snf.d == ()
         assert_valid_decomposition(M, snf)
+        # no row constrains x, so the kernel is all of Z^cols, mod m too
+        for modulus in (None, 2, 6):
+            K = kernel_lattice(M, modulus)
+            assert K == identity(cols) and K.array.dtype == np.int64
 
 
 def test_smith_form_refuses_transforms_past_the_fixed_bound(monkeypatch):
@@ -762,7 +766,7 @@ def test_solve_underdetermined():
 
 
 def test_quotient_invariants():
-    basis = IntegerMatrix.identity(2)
+    basis = identity(2)
     gens = IntegerMatrix([[2, 0], [0, 3]])
     assert quotient_invariants(basis, gens) == (0, [6])
     assert quotient_invariants(basis, IntegerMatrix([[2], [0]])) == (1, [2])
@@ -853,7 +857,7 @@ def test_matrix_helpers():
     with pytest.raises(ValueError):
         IntegerMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
-        IntegerMatrix.identity(2) @ zeros(3, 1)
+        identity(2) @ zeros(3, 1)
 
 
 def _ref_transpose(rows, r, c):
@@ -904,7 +908,7 @@ def test_exact_across_the_int64_boundary(a, shape_a, b, shape_b):
             bumped = [list(row) for row in rows]
             bumped[0][0] += 2**62
             assert IntegerMatrix(bumped) != M
-            assert M != IntegerMatrix(bumped) @ IntegerMatrix.identity(c)
+            assert M != IntegerMatrix(bumped) @ identity(c)
     P = A @ B
     expected = _ref_product(a, b, m, k, n)
     assert (P.rows, P.cols) == (m, n)

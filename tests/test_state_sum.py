@@ -20,10 +20,12 @@ from biracks import (
     available_diagrams,
     cocycle_invariant,
     counting_invariant,
+    format_birack,
     framed_invariants,
     from_crossings,
     load_cochain,
     load_diagram,
+    render_crossing_list,
     tsr_birack,
 )
 from biracks import cli, invariants
@@ -39,6 +41,9 @@ from labeling_oracles import (
 )
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "tools"))
+from build_data import braid_closure  # noqa: E402
+
 TILE_N10 = json.loads((HERE / "tile_n10_search.json").read_text())
 
 
@@ -244,6 +249,35 @@ def test_contraction_guard_raises_before_building_tensors(ab4, monkeypatch):
     assert str(info.value) == (
         "labeling contraction intermediate 4x4x4x4 needs 256 cells, above the "
         "fixed bound linalg._INT64_MAX = 255")
+
+
+def test_contraction_guard_refuses_a_plan_past_int64(monkeypatch, tmp_path):
+    """With no bound patched, a plan whose largest dense shape does not fit
+    one int64 code is refused before any tensor is built, in the library
+    and from the CLI.  The closure of 18 layers of far-commuting letters on
+    18 strands has 153 crossings and 9 components, each of base framing 1;
+    over tsr_birack(11, 1, 0, 2) its order meets a 22-index tensor."""
+    def unexpected(*args):
+        raise AssertionError("a tensor was built before the guard")
+
+    word = [i for layer in range(18) for i in range(1 + layer % 2, 18, 2)]
+    d, b = braid_closure(word, 18), tsr_birack(11, 1, 0, 2)
+    assert (len(d.crossings), d.framing) == (153, (1,) * 9)
+    monkeypatch.setattr(invariants, "_crossing_entries", unexpected)
+    monkeypatch.setattr(invariants, "_kink_entries", unexpected)
+    monkeypatch.setattr(invariants, "_close", unexpected)
+    with pytest.raises(ResourceLimitExceeded) as info:
+        framed_invariants(d, b)
+    assert (info.value.needed, info.value.limit) == (11**22, 2**63 - 1)
+    message = ("labeling contraction intermediate " + "x".join(["11"] * 22)
+               + f" needs {11**22} cells, above the fixed bound "
+               f"linalg._INT64_MAX = {2**63 - 1}")
+    assert str(info.value) == message
+    birack, diagram = tmp_path / "tsr.txt", tmp_path / "brick.txt"
+    birack.write_text(format_birack(b))
+    diagram.write_text(render_crossing_list(d))
+    assert run_cli(["invariant", str(birack), str(diagram), "--framed=" + ",".join("1" * 9)]) == (
+        1, "", f"error: {message}\n")
 
 
 def test_a_tile_too_large_to_tabulate_is_refused(ab4, monkeypatch):
